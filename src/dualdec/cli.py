@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 bad flags, 2 validation/load failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +68,11 @@ def _load(args, parser):
     return opf.build_opf_instance(opf.load_case(args.case))
 
 
+def _check_eps(args, parser) -> None:
+    if not (math.isfinite(args.eps) and args.eps >= 0.0):
+        parser.error(f"--eps must be a finite number >= 0, got {args.eps!r}")
+
+
 def _cmd_validate(args, parser) -> int:
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)
@@ -87,6 +93,7 @@ def _cmd_run(args, parser) -> int:
         parser.error("--gamma applies only to alg2/unaccel")
     if args.max_iters < 0:
         parser.error("--max-iters must be >= 0")
+    _check_eps(args, parser)
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)
     if args.algo == "alg1":
@@ -123,6 +130,7 @@ def _cmd_montecarlo(args, parser) -> int:
         parser.error("--gammas is empty")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    _check_eps(args, parser)
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)
     rows = []

@@ -15,6 +15,11 @@ failures the two drivers produce the same trajectory bit for bit.
 
 ``run_unaccelerated`` is the momentum-free baseline (theta pinned to 1).
 
+All three run one kernel over flat arrays (see ``_Plan``): ``run_alg1``
+is the tracked scheme on a network whose links are always up, and
+``run_unaccelerated`` pins theta to 1.  The loop resolves ``solve_local``
+and ``eval_dual`` through this module's globals at call time.
+
 All drivers log, per iteration, the dual value and gradient norm at the
 shared multiplier lam(k) (agents' own blocks re-solved jointly), plus the
 optional distance diagnostics when the optimal multiplier is supplied.
@@ -27,9 +32,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .model import ProblemInstance, primal_cost
-from .netsim import NetworkModel, _active_array
+from .model import ProblemInstance, ValidationError, blocks_to_csr, primal_cost
+from .netsim import NetworkModel, activation_matrix
 from .stepsize import StepsizeTable
 from .subsolver import solve_local
 
@@ -41,6 +47,7 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 TRACE_HEADER = "k,q,residual,gap,V,updates"
+LINK_BLOCK = 64  # iterations of link states drawn per activation_matrix call
 
 
 def theta_next(theta: float) -> float:
@@ -56,6 +63,19 @@ class DualEval(NamedTuple):
     u: np.ndarray
 
 
+def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
+    """Every agent's local minimizer at the stacked pressure ``a``: one
+    vectorized clip for diagonal costs, else ``solve_local`` per agent."""
+    d = instance.qdiag_vec
+    if d is not None:
+        return np.clip(-(instance.c_vec + a) / d, instance.lo_vec, instance.hi_vec)
+    u = np.empty(instance.n_total)
+    for ag in instance.agents:
+        sl = instance.u_slice(ag.id)
+        u[sl] = solve_local(ag, a[sl])
+    return u
+
+
 def eval_dual(instance: ProblemInstance, lam: np.ndarray) -> DualEval:
     """Dual value, dual gradient and local minimizers at a shared multiplier.
 
@@ -65,26 +85,17 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray) -> DualEval:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.m_total,):
         raise ValueError(f"lam has shape {lam.shape}, expected ({instance.m_total},)")
-    A = instance.coupling_matrix
-    a = A.T @ lam
-    d = instance.qdiag_vec
-    if d is not None:
-        u = np.clip(-(instance.c_vec + a) / d, instance.lo_vec, instance.hi_vec)
-    else:
-        u = np.empty(instance.n_total)
-        for ag in instance.agents:
-            sl = instance.u_slice(ag.id)
-            u[sl] = solve_local(ag, a[sl])
+    a = instance.coupling_csr_T @ lam
+    u = _local_argmin(instance, a)
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
-    grad = A @ u - instance.g_vec
+    grad = instance.coupling_csr @ u - instance.g_vec
     return DualEval(q=q, grad=grad, u=u)
 
 
 def eval_dual_batch(instance: ProblemInstance, lams: np.ndarray):
     """Vectorized ``eval_dual`` over the columns of ``lams`` (m x S)."""
     lams = np.asarray(lams, dtype=float)
-    A = instance.coupling_matrix
-    a = A.T @ lams
+    a = instance.coupling_csr_T @ lams
     d = instance.qdiag_vec
     if d is not None:
         u = np.clip(-(instance.c_vec[:, None] + a) / d[:, None],
@@ -96,7 +107,7 @@ def eval_dual_batch(instance: ProblemInstance, lams: np.ndarray):
             u[:, s] = eval_dual(instance, lams[:, s]).u
         fvals = np.array([primal_cost(instance, u[:, s]) for s in range(lams.shape[1])])
     q = fvals - instance.g_vec @ lams + np.einsum("is,is->s", a, u)
-    grad = A @ u - instance.g_vec[:, None]
+    grad = instance.coupling_csr @ u - instance.g_vec[:, None]
     return q, grad, u
 
 
@@ -158,242 +169,185 @@ class RunTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-class _AgentWork:
-    """Precomputed per-agent arrays for the iteration loops."""
+class _Plan(NamedTuple):
+    """Flat layout of one run, built once before the iteration loop.
 
-    __slots__ = ("id", "pos", "n", "m", "eta", "g", "G_own", "in_blocks",
-                 "GT_out", "tr_len", "tr_entries", "self_sl", "agent",
-                 "in_edge_idx")
+    Tracker rows: for each agent i (ascending) and each j in M_i
+    (ascending), agent i's copy of lam_j.  Contribution rows: for each
+    agent i with m_i > 0, the blocks G_i^i u_i, then G_i^j u_j for j in
+    N_i ascending.  Every row names the link slot that carries it; the
+    last slot is always up and carries an agent's own copies (and every
+    row when there is no network).
+    """
 
-    def __init__(self, instance, table, agent, pos_of):
-        self.id = agent.id
-        self.pos = pos_of[agent.id]
-        self.agent = agent
-        self.n = agent.dim
-        self.m = agent.m
-        self.eta = table.eta[agent.id]
-        self.g = agent.g
-        self.G_own = agent.blocks.get(agent.id)
-        self.in_blocks = [(pos_of[j], agent.blocks[j])
-                          for j in instance.graph.in_neighbors[agent.id]]
-        self.GT_out = np.ascontiguousarray(instance.out_stack(agent.id).T)
-        entries = instance.out_slices(agent.id)
-        self.tr_len = entries[-1][1].stop if entries else 0
-        self.tr_entries = [(pos_of[j], sl) for j, sl in entries]
-        self.self_sl = next(sl for j, sl in entries if j == agent.id)
-        self.in_edge_idx = None  # filled by the tracked driver
-
-
-def _workspace(instance: ProblemInstance, table: StepsizeTable):
-    pos_of = {i: p for p, i in enumerate(instance.ids)}
-    return [_AgentWork(instance, table, a, pos_of) for a in instance.agents]
+    P: sp.csr_array           # n_total x trackers: local pressure a_i = sum_j G_j^i' lam_j
+    C: sp.csr_array           # contributions x n_total: one G_i^j block per row block
+    S: sp.csr_array           # m_total x contributions: sums each owner's blocks, own first
+    gather: np.ndarray        # tracker row -> lam row it copies
+    row_link: np.ndarray      # tracker row -> link slot
+    c_link: np.ndarray        # contribution row -> link slot
+    own: np.ndarray           # lam row -> tracker row of its owner's own copy
+    row_agent: np.ndarray     # lam row -> owner position
+    in_agent: np.ndarray      # in-edge -> owner position
+    in_link: np.ndarray       # in-edge -> link slot
+    starts: np.ndarray        # first lam row of every agent with m_i > 0
+    eta_rows: np.ndarray
+    n_links: int
 
 
-def _local_solve(w: _AgentWork, a: np.ndarray) -> np.ndarray:
-    ag = w.agent
-    if ag.is_diagonal:
-        return np.clip(-(ag.c + a) / ag.diag, ag.lo, ag.hi)
-    return solve_local(ag, a)
+def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
+          network: NetworkModel | None) -> _Plan:
+    n_links = 0 if network is None else len(network.edges)
+
+    def link(i, j):
+        if i == j or network is None:
+            return n_links
+        return network.edge_index[(min(i, j), max(i, j))]
+
+    graph = instance.graph
+    P_blocks, C_blocks, S_blocks = [], [], []
+    gather, row_link, c_link, in_agent, in_link = [], [], [], [], []
+    own = np.empty(instance.m_total, dtype=np.intp)
+    t = r = 0
+    for p, a in enumerate(instance.agents):
+        i = a.id
+        for j in graph.out_neighbors[i]:
+            sl = instance.lam_slice(j)
+            mj = sl.stop - sl.start
+            if j == i:
+                own[sl] = np.arange(t, t + mj)
+            if mj:
+                P_blocks.append((instance.u_slice(i).start, t, instance.agent(j).blocks[i].T))
+            gather.extend(range(sl.start, sl.stop))
+            row_link += [link(i, j)] * mj
+            t += mj
+        if a.m:
+            eye = np.eye(a.m)
+            for j in (i,) + graph.in_neighbors[i]:
+                C_blocks.append((r, instance.u_slice(j).start, a.blocks[j]))
+                S_blocks.append((instance.lam_slice(i).start, r, eye))
+                c_link += [link(i, j)] * a.m
+                r += a.m
+        for j in graph.in_neighbors[i]:
+            in_agent.append(p)
+            in_link.append(link(i, j))
+    def idx(v):
+        return np.array(v, dtype=np.intp)
+
+    return _Plan(
+        P=blocks_to_csr((instance.n_total, t), P_blocks),
+        C=blocks_to_csr((r, instance.n_total), C_blocks),
+        S=blocks_to_csr((instance.m_total, r), S_blocks),
+        gather=idx(gather), row_link=idx(row_link), c_link=idx(c_link), own=own,
+        row_agent=np.repeat(np.arange(len(instance.agents)), [a.m for a in instance.agents]),
+        in_agent=idx(in_agent), in_link=idx(in_link),
+        starts=idx([instance.lam_slice(a.id).start for a in instance.agents if a.m]),
+        eta_rows=stepsizes.eta_rows(instance), n_links=n_links,
+    )
 
 
-def _own_residual(w: _AgentWork, u_i, contribs) -> np.ndarray:
-    """G_i^i u_i + sum over in-neighbors (ascending id) - g_i."""
-    r = w.G_own @ u_i
-    for c in contribs:
-        r = r + c
-    return r - w.g
+def _checked_inputs(instance, eps, lam0, lambda_star):
+    """Validate a run's tolerance and optional multipliers at the API boundary."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
+    out = []
+    for name, v in (("lam0", lam0), ("lambda_star", lambda_star)):
+        if v is not None:
+            v = np.array(v, dtype=float)
+            if v.shape != (instance.m_total,):
+                raise ValidationError(
+                    f"{name} has shape {v.shape}, expected ({instance.m_total},)")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError(f"{name} has non-finite entries")
+        out.append(v)
+    return eps, out[0], out[1]
 
 
-class _Logger:
-    """Shared per-iteration bookkeeping for all drivers."""
+def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, lam0, algo):
+    """The one iteration loop: every driver is this kernel with a network
+    (or none, i.e. every link always up) and momentum on or off."""
+    eps, lam0, lambda_star = _checked_inputs(instance, eps, lam0, lambda_star)
+    plan = _plan(instance, stepsizes, network)
+    n_agents = len(instance.agents)
+    eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
+    alpha_arr = np.array([1.0 if network is None else network.alpha[i] for i in instance.ids])
+    q_star = None
+    if lambda_star is not None:
+        q_star = eval_dual(instance, lambda_star).q
+        v_weight = 1.0 / (2.0 * np.repeat(alpha_arr * eta_arr, [a.m for a in instance.agents]))
+    g = instance.g_vec
 
-    def __init__(self, instance, table, alpha_by_id, lambda_star):
-        self.instance = instance
-        self.eta_arr = np.array([table.eta[i] for i in instance.ids])
-        self.alpha_arr = np.array([alpha_by_id[i] for i in instance.ids])
-        self.lambda_star = None
-        self.q_star = None
+    lam = np.zeros(instance.m_total) if lam0 is None else lam0
+    prev = hat = lam[plan.gather]          # trackers: last refresh and its interpolant
+    recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
+    up = np.ones(plan.n_links + 1, dtype=bool)
+    log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
+    theta, converged, iters, ev = 1.0, False, 0, None
+
+    for k in range(1, max_iters + 1):
+        if network is not None:
+            if (k - 1) % LINK_BLOCK == 0:
+                draws = activation_matrix(network, range(k, min(k + LINK_BLOCK, max_iters + 1)))
+            up[:-1] = draws[(k - 1) % LINK_BLOCK]
+        # local solves at the tracked interpolated multipliers
+        u = _local_argmin(instance, plan.P @ hat)
+        # primal exchange: a contribution is refreshed only over a link that is up
+        recv = np.where(up[plan.c_link], plan.C @ u, recv)
+        s = plan.S @ recv - g
+        # gradient step, held unless every in-neighbor link is up
+        fired = np.bincount(plan.in_agent[~up[plan.in_link]], minlength=n_agents) == 0
+        base = hat[plan.own]
+        lam_new = np.where(fired[plan.row_agent], base + plan.eta_rows * s, base)
+        # stop once every agent's own residual norm is below eps (a NaN norm never is)
+        ok = bool(np.all(np.sqrt(np.add.reduceat(s * s, plan.starts)) < eps))
+        # multiplier exchange and tracker refresh
+        theta_new = theta_next(theta) if accelerate else 1.0
+        coef = (theta - 1.0) / theta_new
+        cur = np.where(up[plan.row_link], lam_new[plan.gather], hat)
+        hat = cur + coef * (cur - prev)
+        prev = cur
+        # log at the shared multiplier
+        ev = eval_dual(instance, lam_new)
+        log_q.append(ev.q)
+        log_res.append(float(np.linalg.norm(ev.grad)))
+        log_lam.append(lam_new)
+        log_upd.append(fired)
+        log_theta.append(theta)
         if lambda_star is not None:
-            self.lambda_star = np.asarray(lambda_star, dtype=float)
-            self.q_star = eval_dual(instance, self.lambda_star).q
-        self.q, self.res, self.lam, self.upd = [], [], [], []
-        self.gap, self.V, self.theta = [], [], []
-        self.last_u = None
+            log_gap.append(q_star - ev.q)
+            omega = theta * lam_new - (theta - 1.0) * lam - lambda_star
+            log_V.append(float(np.dot(omega * omega, v_weight)))
+        lam, theta, iters = lam_new, theta_new, k
+        if ok:
+            converged = True
+            break
 
-    def log(self, k, theta_k, lam_stacked, lam_prev_stacked, upd_row):
-        ev = eval_dual(self.instance, lam_stacked)
-        self.q.append(ev.q)
-        self.res.append(float(np.linalg.norm(ev.grad)))
-        self.lam.append(lam_stacked)
-        self.upd.append(upd_row)
-        self.theta.append(theta_k)
-        self.last_u = ev.u
-        if self.lambda_star is not None:
-            self.gap.append(self.q_star - ev.q)
-            omega = theta_k * lam_stacked - (theta_k - 1.0) * lam_prev_stacked - self.lambda_star
-            v = 0.0
-            for p, i in enumerate(self.instance.ids):
-                sl = self.instance.lam_slice(i)
-                if sl.stop > sl.start:
-                    w = omega[sl]
-                    v += float(np.dot(w, w)) / (2.0 * self.alpha_arr[p] * self.eta_arr[p])
-            self.V.append(v)
-
-    def finish(self, algo, eps, converged, iters):
-        n = len(self.instance.ids)
-        m = self.instance.m_total
-        return RunTrace(
-            algo=algo, instance=self.instance, eta=self.eta_arr, alpha=self.alpha_arr,
-            eps=eps, converged=converged, iters=iters,
-            theta=np.array(self.theta), q=np.array(self.q), residual=np.array(self.res),
-            updates=(np.array(self.upd, dtype=bool).reshape(iters, n)
-                     if iters else np.zeros((0, n), dtype=bool)),
-            lam=(np.array(self.lam).reshape(iters, m) if iters else np.zeros((0, m))),
-            gap=np.array(self.gap) if self.lambda_star is not None else None,
-            V=np.array(self.V) if self.lambda_star is not None else None,
-            q_star=self.q_star, lambda_star=self.lambda_star, u_final=self.last_u,
-        )
+    m = instance.m_total
+    return RunTrace(
+        algo=algo, instance=instance, eta=eta_arr, alpha=alpha_arr,
+        eps=eps, converged=converged, iters=iters,
+        theta=np.array(log_theta), q=np.array(log_q), residual=np.array(log_res),
+        updates=(np.array(log_upd, dtype=bool).reshape(iters, n_agents)
+                 if iters else np.zeros((0, n_agents), dtype=bool)),
+        lam=(np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m))),
+        gap=np.array(log_gap) if lambda_star is not None else None,
+        V=np.array(log_V) if lambda_star is not None else None,
+        q_star=q_star, lambda_star=lambda_star, u_final=None if ev is None else ev.u,
+    )
 
 
 def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int,
              eps: float = DEFAULT_EPS, *, lambda_star: np.ndarray | None = None,
              lam0: np.ndarray | None = None) -> RunTrace:
-    """Full-information accelerated dual ascent.
+    """Full-information accelerated dual ascent: the kernel with every link up.
 
     Stops at the first iteration where every agent's own residual norm
     (at that iteration's local solutions) drops below ``eps``.
     Non-convergence within ``max_iters`` is reported on the trace, not
     raised.  ``lam0`` warm-starts lam(0) (default zero).
     """
-    ws = _workspace(instance, stepsizes)
-    log = _Logger(instance, stepsizes, {i: 1.0 for i in instance.ids}, lambda_star)
-    n_agents = len(ws)
-
-    if lam0 is None:
-        lam_cur = [np.zeros(w.m) for w in ws]
-    else:
-        lam0 = np.asarray(lam0, dtype=float)
-        lam_cur = [lam0[instance.lam_slice(w.id)].copy() for w in ws]
-    hat = [v.copy() for v in lam_cur]
-    theta = 1.0
-    converged = False
-    iters = 0
-
-    for k in range(1, max_iters + 1):
-        # local solves at the interpolated multipliers
-        u = []
-        for w in ws:
-            hat_stack = np.concatenate([hat[p] for p, _ in w.tr_entries])
-            u.append(_local_solve(w, w.GT_out @ hat_stack))
-        # gradient step on each agent's own block
-        lam_new, ok = [], True
-        for w in ws:
-            if w.m == 0:
-                lam_new.append(lam_cur[w.pos])
-                continue
-            r = _own_residual(w, u[w.pos], [B @ u[p] for p, B in w.in_blocks])
-            lam_new.append(hat[w.pos] + w.eta * r)
-            if float(np.linalg.norm(r)) >= eps:
-                ok = False
-        theta_new = theta_next(theta)
-        coef = (theta - 1.0) / theta_new
-        prev_stacked = np.concatenate(lam_cur) if instance.m_total else np.zeros(0)
-        for w in ws:
-            hat[w.pos] = lam_new[w.pos] + coef * (lam_new[w.pos] - lam_cur[w.pos])
-        lam_cur = lam_new
-        lam_stacked = np.concatenate(lam_cur) if instance.m_total else np.zeros(0)
-        log.log(k, theta, lam_stacked, prev_stacked, np.ones(n_agents, dtype=bool))
-        theta = theta_new
-        iters = k
-        if ok:
-            converged = True
-            break
-    return log.finish("alg1", eps, converged, iters)
-
-
-def _run_tracked(instance, stepsizes, network, max_iters, eps, accelerate,
-                 lambda_star, lam0, algo):
-    ws = _workspace(instance, stepsizes)
-    for w in ws:
-        w.in_edge_idx = np.array(
-            [network.edge_index[(min(w.id, j), max(w.id, j))]
-             for j in instance.graph.in_neighbors[w.id]],
-            dtype=int,
-        )
-    # tracker edge index per out-neighborhood entry (-1 marks the self copy)
-    tr_edge = []
-    for w in ws:
-        row = []
-        for p, sl in w.tr_entries:
-            j = instance.ids[p]
-            row.append(-1 if j == w.id else network.edge_index[(min(w.id, j), max(w.id, j))])
-        tr_edge.append(row)
-
-    log = _Logger(instance, stepsizes, dict(network.alpha), lambda_star)
-    n_agents = len(ws)
-
-    if lam0 is None:
-        lam_parts = [np.zeros(w.m) for w in ws]
-    else:
-        lam0 = np.asarray(lam0, dtype=float)
-        lam_parts = [lam0[instance.lam_slice(w.id)].copy() for w in ws]
-    # trackers: agent i's stacked copies of lam_j, j in M_i ascending
-    tr_prev = [np.concatenate([lam_parts[p] for p, _ in w.tr_entries])
-               if w.tr_len else np.zeros(0) for w in ws]
-    tr_hat = [v.copy() for v in tr_prev]
-    recv = [[np.zeros(w.m) for _ in w.in_blocks] for w in ws]
-    lam_cur = lam_parts
-    theta = 1.0
-    converged = False
-    iters = 0
-
-    for k in range(1, max_iters + 1):
-        act = _active_array(network, k)
-        # local solves at the tracked interpolated multipliers
-        u = [_local_solve(w, w.GT_out @ tr_hat[w.pos]) for w in ws]
-        # primal exchange over links that are up
-        for w in ws:
-            cache = recv[w.pos]
-            for e, (p, B) in enumerate(w.in_blocks):
-                if act[w.in_edge_idx[e]]:
-                    cache[e] = B @ u[p]
-        # gradient step, held unless every in-neighbor link is up
-        lam_new, upd_row, ok = [], np.zeros(n_agents, dtype=bool), True
-        for w in ws:
-            if w.m == 0:
-                lam_new.append(lam_cur[w.pos])
-                upd_row[w.pos] = True
-                continue
-            s = _own_residual(w, u[w.pos], recv[w.pos])
-            if bool(act[w.in_edge_idx].all()):
-                lam_new.append(tr_hat[w.pos][w.self_sl] + w.eta * s)
-                upd_row[w.pos] = True
-            else:
-                lam_new.append(tr_hat[w.pos][w.self_sl].copy())
-            if float(np.linalg.norm(s)) >= eps:
-                ok = False
-        # multiplier exchange and tracker refresh
-        theta_new = theta_next(theta) if accelerate else 1.0
-        coef = (theta - 1.0) / theta_new
-        prev_stacked = np.concatenate(lam_cur) if instance.m_total else np.zeros(0)
-        for w in ws:
-            cur = np.empty(w.tr_len)
-            for (p, sl), eidx in zip(w.tr_entries, tr_edge[w.pos]):
-                if eidx < 0 or act[eidx]:
-                    cur[sl] = lam_new[p]
-                else:
-                    cur[sl] = tr_hat[w.pos][sl]
-            tr_hat[w.pos] = cur + coef * (cur - tr_prev[w.pos])
-            tr_prev[w.pos] = cur
-        lam_cur = lam_new
-        lam_stacked = np.concatenate(lam_cur) if instance.m_total else np.zeros(0)
-        log.log(k, theta, lam_stacked, prev_stacked, upd_row)
-        theta = theta_new
-        iters = k
-        if ok:
-            converged = True
-            break
-    return log.finish(algo, eps, converged, iters)
+    return _run(instance, stepsizes, None, max_iters, eps, True, lambda_star, lam0, "alg1")
 
 
 def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel,
@@ -406,8 +360,7 @@ def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: Netwo
     contributions (zero before anything arrives over a link); the trace
     additionally records the true residual at the shared multiplier.
     """
-    return _run_tracked(instance, stepsizes, network, max_iters, eps, True,
-                        lambda_star, lam0, "alg2")
+    return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, lam0, "alg2")
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
@@ -415,8 +368,8 @@ def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                       lambda_star: np.ndarray | None = None,
                       lam0: np.ndarray | None = None) -> RunTrace:
     """Momentum-free baseline: theta pinned to 1, trackers equal their interpolants."""
-    return _run_tracked(instance, stepsizes, network, max_iters, eps, False,
-                        lambda_star, lam0, "unaccel")
+    return _run(instance, stepsizes, network, max_iters, eps, False, lambda_star, lam0,
+                "unaccel")
 
 
 def check_lyapunov_step(trace: RunTrace, k: int,

@@ -25,6 +25,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "ValidationError",
@@ -38,6 +39,7 @@ __all__ = [
     "instance_to_dict",
     "primal_cost",
     "constraint_residual",
+    "blocks_to_csr",
 ]
 
 _SYM_TOL = 1e-12
@@ -48,6 +50,19 @@ _AGENT_KEYS = {"id", "dim", "Q", "c", "lo", "hi", "m", "g", "blocks"}
 
 class ValidationError(ValueError):
     """A problem file or instance violates the schema or an invariant."""
+
+
+def blocks_to_csr(shape: tuple[int, int], blocks) -> sp.csr_array:
+    """CSR matrix holding the nonzeros of dense ``(row, col, B)`` blocks at those offsets."""
+    # the empty first parts make a matrix with no blocks an all-zero one
+    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for r0, c0, B in blocks:
+        r, c = np.nonzero(B)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(B[r, c])
+    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=shape)
 
 
 def _farray(x, name: str) -> np.ndarray:
@@ -304,6 +319,23 @@ class ProblemInstance:
         A.setflags(write=False)
         return A
 
+    def _coupling_blocks(self, transpose: bool):
+        for a in self.agents:
+            r0 = self._m_offsets[a.id].start
+            for j, B in a.blocks.items():
+                c0 = self._u_offsets[j].start
+                yield (c0, r0, B.T) if transpose else (r0, c0, B)
+
+    @cached_property
+    def coupling_csr(self) -> sp.csr_array:
+        """``coupling_matrix`` in CSR form, built from the blocks."""
+        return blocks_to_csr((self.m_total, self.n_total), self._coupling_blocks(False))
+
+    @cached_property
+    def coupling_csr_T(self) -> sp.csr_array:
+        """Transpose of ``coupling_csr``, held as its own CSR matrix."""
+        return blocks_to_csr((self.n_total, self.m_total), self._coupling_blocks(True))
+
     @cached_property
     def g_vec(self) -> np.ndarray:
         v = np.concatenate([a.g for a in self.agents]) if self.m_total else np.zeros(0)
@@ -367,12 +399,6 @@ class ProblemInstance:
     def out_slices(self, i: int) -> list[tuple[int, slice]]:
         """Row ranges of ``out_stack(i)`` per out-neighbor, ascending id."""
         return self._out_slices[i]
-
-    def gtilde(self, i: int) -> np.ndarray:
-        """Stacked offset col{g_j if j==i else 0 : j in M_i ascending}."""
-        parts = [self.agent(j).g if j == i else np.zeros(self.agent(j).m)
-                 for j in self.graph.out_neighbors[i]]
-        return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:

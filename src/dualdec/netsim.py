@@ -57,7 +57,6 @@ class NetworkModel:
     beta: np.ndarray
     seed: int
     alpha: dict[int, float]
-    in_neighbors: dict[int, tuple[int, ...]] = field(repr=False)
     edge_index: dict[tuple[int, int], int] = field(repr=False)
     _base: np.ndarray = field(repr=False)
 
@@ -115,7 +114,7 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
     )
     base.setflags(write=False)
     return NetworkModel(edges=edge_list, beta=beta, seed=int(seed), alpha=alpha,
-                        in_neighbors=dict(g.in_neighbors), edge_index=index, _base=base)
+                        edge_index=index, _base=base)
 
 
 def _uniforms(model: NetworkModel, k: int) -> np.ndarray:

@@ -79,6 +79,20 @@ def test_run_converged_exits_0(capsys):
     assert "converged=True" in out
 
 
+@pytest.mark.parametrize("cmd", [
+    ["run", "--algo", "alg1", "--problem", pj("chain3.json")],
+    ["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0", "--runs", "1",
+     "--out", "unused.csv"],
+])
+@pytest.mark.parametrize("eps", ["nan", "-1e-6", "inf"])
+def test_bad_eps_exits_1(cmd, eps, capsys):
+    # --eps nan used to print converged=True at k=1 and exit 0
+    assert main(cmd + [f"--eps={eps}"]) == 1
+    captured = capsys.readouterr()
+    assert "--eps must be a finite number >= 0" in captured.err
+    assert "converged" not in captured.out
+
+
 def test_run_exhausted_exits_3(capsys):
     assert main(["run", "--algo", "alg1", "--problem", pj("chain3.json"),
                  "--eps", "1e-12", "--max-iters", "3"]) == 3

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES
-from dualdec import (build_network, build_stepsizes, check_lyapunov_step,
-                     check_quadratic_model, eval_dual, load_instance,
-                     random_instance, run_alg1, run_alg2, run_unaccelerated,
-                     solve_kkt, theta_next)
+from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
+                     check_lyapunov_step, check_quadratic_model, draw_links, eval_dual,
+                     load_case, load_instance, neighbors_active, random_instance, run_alg1,
+                     run_alg2, run_unaccelerated, solve_kkt, solve_local, theta_next)
 from dualdec.engine import TRACE_HEADER, eval_dual_batch
 from dualdec.stepsize import StepsizeTable
 
@@ -214,7 +214,6 @@ def test_alg2_held_update_freezes_omega():
 
 
 def test_update_flags_follow_link_draws():
-    from dualdec import draw_links, neighbors_active
     net = build_network(CHAIN, 0.5, seed=29)
     tr = run_alg2(CHAIN, CHAIN_TAB, net, 100, 0.0)
     for k in range(1, 101):
@@ -241,6 +240,124 @@ def test_unaccelerated_slower_than_accelerated():
     slow = run_unaccelerated(CHAIN, CHAIN_TAB, net, 20_000, 1e-6)
     assert fast.converged and slow.converged
     assert fast.iters < slow.iters
+
+
+def reference_alg2(inst, table, net, iters):
+    """The tracker protocol agent by agent, from its description.
+
+    Agent i keeps a copy of lam_j and its interpolant for every j in M_i,
+    and the last contribution G_i^j u_j received from every j in N_i.
+    Returns the stacked lam history and the per-agent step flags.
+    """
+    g = inst.graph
+    agent = inst.agent
+    lam = {i: np.zeros(agent(i).m) for i in inst.ids}
+    prev = {i: {j: lam[j].copy() for j in g.out_neighbors[i]} for i in inst.ids}
+    hat = {i: {j: lam[j].copy() for j in g.out_neighbors[i]} for i in inst.ids}
+    recv = {i: {j: np.zeros(agent(i).m) for j in g.in_neighbors[i]} for i in inst.ids}
+    theta, lams, fired = 1.0, [], []
+    for k in range(1, iters + 1):
+        draw = draw_links(net, k)
+
+        def up(i, j):
+            return j == i or neighbors_active(draw, i, [j])
+
+        u = {}
+        for i in inst.ids:
+            a = np.zeros(agent(i).dim)
+            for j in g.out_neighbors[i]:
+                if agent(j).m:
+                    a = a + agent(j).blocks[i].T @ hat[i][j]
+            u[i] = solve_local(agent(i), a)
+        new, row = {}, []
+        for i in inst.ids:
+            ag = agent(i)
+            for j in g.in_neighbors[i]:
+                if up(i, j):
+                    recv[i][j] = ag.blocks[j] @ u[j]
+            step = all(up(i, j) for j in g.in_neighbors[i])
+            row.append(step)
+            if ag.m == 0:
+                new[i] = lam[i]
+                continue
+            s = ag.blocks[i] @ u[i]
+            for j in g.in_neighbors[i]:
+                s = s + recv[i][j]
+            s = s - ag.g
+            new[i] = hat[i][i] + table.eta[i] * s if step else hat[i][i]
+        theta_new = theta_next(theta)
+        coef = (theta - 1.0) / theta_new
+        for i in inst.ids:
+            for j in g.out_neighbors[i]:
+                cur = new[j] if up(i, j) else hat[i][j]
+                hat[i][j] = cur + coef * (cur - prev[i][j])
+                prev[i][j] = cur
+        lam, theta = new, theta_new
+        lams.append(np.concatenate([lam[i] for i in inst.ids]))
+        fired.append(row)
+    return np.array(lams), np.array(fired)
+
+
+@pytest.mark.parametrize("inst", [CHAIN, random_instance(5, seed=0)], ids=["chain3", "rand5"])
+def test_alg2_matches_per_agent_reference(inst):
+    tab = build_stepsizes(inst)
+    net = build_network(inst, 0.3, seed=4)
+    tr = run_alg2(inst, tab, net, 200, 0.0)
+    lams, fired = reference_alg2(inst, tab, net, 200)
+    assert tr.iters == 200 and not fired.all()
+    np.testing.assert_allclose(tr.lam, lams, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(tr.updates, fired)
+
+
+def test_ieee14_iteration_counts_pinned():
+    inst = build_opf_instance(load_case(CASES / "ieee14.json"))
+    tab = build_stepsizes(inst)
+    net = build_network(inst, 0.1, seed=1)
+    assert run_alg1(inst, tab, 10_000, 2e-5).iters == 2369
+    assert run_alg2(inst, tab, net, 10_000, 2e-5).iters == 3165
+    assert run_unaccelerated(inst, tab, net, 10_000, 2e-5).iters == 5364
+
+
+# ---------------------------------------------------------- run inputs
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-6])
+def test_bad_eps_rejected(eps):
+    net = build_network(CHAIN, 0.0)
+    with pytest.raises(ValidationError, match="eps"):
+        run_alg1(CHAIN, CHAIN_TAB, 10, eps)
+    with pytest.raises(ValidationError, match="eps"):
+        run_alg2(CHAIN, CHAIN_TAB, net, 10, eps)
+
+
+def test_nan_lam0_rejected():
+    # before validation, an all-NaN start reported convergence at k=1
+    with pytest.raises(ValidationError, match="lam0 has non-finite"):
+        run_alg1(CHAIN, CHAIN_TAB, 10, 1e-6, lam0=np.full(3, np.nan))
+    with pytest.raises(ValidationError, match="lam0 has non-finite"):
+        run_unaccelerated(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.2), 10, 1e-6,
+                          lam0=np.full(3, np.nan))
+
+
+def test_wrong_length_lam0_rejected():
+    with pytest.raises(ValidationError, match=r"lam0 has shape \(7,\)"):
+        run_alg1(CHAIN, CHAIN_TAB, 10, 1e-6, lam0=np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.inf, 0.0])])
+def test_bad_lambda_star_rejected(bad):
+    with pytest.raises(ValidationError, match="lambda_star"):
+        run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.1), 10, 1e-6, lambda_star=bad)
+
+
+def test_stop_test_is_nan_safe():
+    # steps this large overflow to inf and then NaN by k=3; a NaN residual
+    # used to pass the stop test and report convergence at k=4
+    bad = corrupt(CHAIN_TAB, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = run_alg1(CHAIN, bad, 50, 1e-6)
+    assert np.isnan(tr.lam[-1]).all()
+    assert not tr.converged and tr.iters == 50
 
 
 # ------------------------------------------------------------- checks

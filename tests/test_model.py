@@ -112,6 +112,15 @@ def test_coupling_matrix_chain(chain3):
     assert chain3.lam_slice(3) == slice(2, 3)
 
 
+@pytest.mark.parametrize("inst", [make_pair(), random_instance(8, seed=3, diagonal=False)],
+                         ids=["pair", "rand8"])
+def test_coupling_csr_matches_dense(inst):
+    A = inst.coupling_matrix
+    np.testing.assert_array_equal(inst.coupling_csr.toarray(), A)
+    np.testing.assert_array_equal(inst.coupling_csr_T.toarray(), A.T)
+    assert inst.coupling_csr.nnz == np.count_nonzero(A)
+
+
 def test_agents_sorted_by_id():
     inst = ProblemInstance(agents=(scalar_agent(7), scalar_agent(2)))
     assert inst.ids == (2, 7)

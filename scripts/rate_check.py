@@ -53,7 +53,7 @@ def main() -> int:
         v1g1[r] = tr.V[0] + tr.gap[0]
     mean_gap = gaps.mean(axis=0)
     stoch_bound = 4.0 * float(v1g1.mean()) / (k + 1.0) ** 2
-    for kk in (50, 100, 200, args.iters):
+    for kk in sorted({kk for kk in (50, 100, 200, args.iters) if kk <= args.iters}):
         print(f"k={kk:<5d} mean gap {mean_gap[kk-1]:.3e}  envelope {stoch_bound[kk-1]:.3e}")
 
     with open(args.out, "w") as fh:

@@ -16,9 +16,12 @@ failures the two drivers produce the same trajectory bit for bit.
 ``run_unaccelerated`` is the momentum-free baseline (theta pinned to 1).
 
 All three run one kernel over flat arrays (see ``_Plan``): ``run_alg1``
-is the tracked scheme on a network whose links are always up, and
-``run_unaccelerated`` pins theta to 1.  The loop resolves ``solve_local``
-and ``eval_dual`` through this module's globals at call time.
+is the lossy scheme with every link always up, and ``run_unaccelerated``
+pins theta to 1.  The kernel keeps one copy of each multiplier, which is
+the tracker protocol exactly: each holder i of a copy of lam_j is an
+in-neighbor of j, so when a refresh of that copy is lost, j held its step
+and its new lam_j is the interpolant the copy already holds.  The loop
+resolves ``solve_local`` and ``eval_dual`` through this module's globals.
 
 All drivers log, per iteration, the dual value and gradient norm at the
 shared multiplier lam(k) (agents' own blocks re-solved jointly), plus the
@@ -172,21 +175,16 @@ class RunTrace:
 class _Plan(NamedTuple):
     """Flat layout of one run, built once before the iteration loop.
 
-    Tracker rows: for each agent i (ascending) and each j in M_i
-    (ascending), agent i's copy of lam_j.  Contribution rows: for each
-    agent i with m_i > 0, the blocks G_i^i u_i, then G_i^j u_j for j in
-    N_i ascending.  Every row names the link slot that carries it; the
-    last slot is always up and carries an agent's own copies (and every
-    row when there is no network).
+    Contribution rows: for each agent i with m_i > 0, the blocks
+    G_i^i u_i, then G_i^j u_j for j in N_i ascending.  Every row names
+    the link slot that carries it; the last slot is always up and
+    carries an agent's own block (and every row when there is no
+    network).
     """
 
-    P: sp.csr_array           # n_total x trackers: local pressure a_i = sum_j G_j^i' lam_j
     C: sp.csr_array           # contributions x n_total: one G_i^j block per row block
     S: sp.csr_array           # m_total x contributions: sums each owner's blocks, own first
-    gather: np.ndarray        # tracker row -> lam row it copies
-    row_link: np.ndarray      # tracker row -> link slot
     c_link: np.ndarray        # contribution row -> link slot
-    own: np.ndarray           # lam row -> tracker row of its owner's own copy
     row_agent: np.ndarray     # lam row -> owner position
     in_agent: np.ndarray      # in-edge -> owner position
     in_link: np.ndarray       # in-edge -> link slot
@@ -205,22 +203,11 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
         return network.edge_index[(min(i, j), max(i, j))]
 
     graph = instance.graph
-    P_blocks, C_blocks, S_blocks = [], [], []
-    gather, row_link, c_link, in_agent, in_link = [], [], [], [], []
-    own = np.empty(instance.m_total, dtype=np.intp)
-    t = r = 0
+    C_blocks, S_blocks = [], []
+    c_link, in_agent, in_link = [], [], []
+    r = 0
     for p, a in enumerate(instance.agents):
         i = a.id
-        for j in graph.out_neighbors[i]:
-            sl = instance.lam_slice(j)
-            mj = sl.stop - sl.start
-            if j == i:
-                own[sl] = np.arange(t, t + mj)
-            if mj:
-                P_blocks.append((instance.u_slice(i).start, t, instance.agent(j).blocks[i].T))
-            gather.extend(range(sl.start, sl.stop))
-            row_link += [link(i, j)] * mj
-            t += mj
         if a.m:
             eye = np.eye(a.m)
             for j in (i,) + graph.in_neighbors[i]:
@@ -235,10 +222,9 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
         return np.array(v, dtype=np.intp)
 
     return _Plan(
-        P=blocks_to_csr((instance.n_total, t), P_blocks),
         C=blocks_to_csr((r, instance.n_total), C_blocks),
         S=blocks_to_csr((instance.m_total, r), S_blocks),
-        gather=idx(gather), row_link=idx(row_link), c_link=idx(c_link), own=own,
+        c_link=idx(c_link),
         row_agent=np.repeat(np.arange(len(instance.agents)), [a.m for a in instance.agents]),
         in_agent=idx(in_agent), in_link=idx(in_link),
         starts=idx([instance.lam_slice(a.id).start for a in instance.agents if a.m]),
@@ -279,7 +265,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
     g = instance.g_vec
 
     lam = np.zeros(instance.m_total) if lam0 is None else lam0
-    prev = hat = lam[plan.gather]          # trackers: last refresh and its interpolant
+    hat = lam                              # interpolated multipliers
     recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
     up = np.ones(plan.n_links + 1, dtype=bool)
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
@@ -290,23 +276,20 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             if (k - 1) % LINK_BLOCK == 0:
                 draws = activation_matrix(network, range(k, min(k + LINK_BLOCK, max_iters + 1)))
             up[:-1] = draws[(k - 1) % LINK_BLOCK]
-        # local solves at the tracked interpolated multipliers
-        u = _local_argmin(instance, plan.P @ hat)
+        # local solves at the interpolated multipliers
+        u = _local_argmin(instance, instance.coupling_csr_T @ hat)
         # primal exchange: a contribution is refreshed only over a link that is up
         recv = np.where(up[plan.c_link], plan.C @ u, recv)
         s = plan.S @ recv - g
         # gradient step, held unless every in-neighbor link is up
         fired = np.bincount(plan.in_agent[~up[plan.in_link]], minlength=n_agents) == 0
-        base = hat[plan.own]
-        lam_new = np.where(fired[plan.row_agent], base + plan.eta_rows * s, base)
-        # stop once every agent's own residual norm is below eps (a NaN norm never is)
+        lam_new = np.where(fired[plan.row_agent], hat + plan.eta_rows * s, hat)
+        # stop once each agent's residual from its cached blocks is below eps (NaN never is)
         ok = bool(np.all(np.sqrt(np.add.reduceat(s * s, plan.starts)) < eps))
-        # multiplier exchange and tracker refresh
+        # momentum interpolation (every tracker copy of lam_j equals lam_j)
         theta_new = theta_next(theta) if accelerate else 1.0
         coef = (theta - 1.0) / theta_new
-        cur = np.where(up[plan.row_link], lam_new[plan.gather], hat)
-        hat = cur + coef * (cur - prev)
-        prev = cur
+        hat = lam_new + coef * (lam_new - lam)
         # log at the shared multiplier
         ev = eval_dual(instance, lam_new)
         log_q.append(ev.q)
@@ -367,7 +350,7 @@ def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                       network: NetworkModel, max_iters: int, eps: float = DEFAULT_EPS, *,
                       lambda_star: np.ndarray | None = None,
                       lam0: np.ndarray | None = None) -> RunTrace:
-    """Momentum-free baseline: theta pinned to 1, trackers equal their interpolants."""
+    """Momentum-free baseline: theta pinned to 1, so the interpolant is lam itself."""
     return _run(instance, stepsizes, network, max_iters, eps, False, lambda_star, lam0,
                 "unaccel")
 

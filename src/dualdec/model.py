@@ -188,6 +188,11 @@ class AgentSpec:
             raise ValidationError(f"agent {self.id}: Q is not positive definite (min eig {s:.3e})")
         return s
 
+    @cached_property
+    def eig_max(self) -> float:
+        """Largest eigenvalue of Q: the Lipschitz constant of the local gradient."""
+        return float(np.linalg.eigvalsh(self.Q)[-1])
+
     @property
     def is_diagonal(self) -> bool:
         return self.diag is not None

@@ -117,19 +117,9 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
                         edge_index=index, _base=base)
 
 
-def _uniforms(model: NetworkModel, k: int) -> np.ndarray:
-    """One U(0,1) variate per link, pure in (seed, link, k)."""
-    h = _mix_np(model._base ^ np.uint64(_mix(k)))
-    return (h >> np.uint64(11)) * 2.0 ** -53
-
-
-def _active_array(model: NetworkModel, k: int) -> np.ndarray:
-    return _uniforms(model, k) < model.beta
-
-
 def draw_links(model: NetworkModel, k: int) -> LinkDraw:
     """Links that are up at iteration k."""
-    act = _active_array(model, k)
+    act = activation_matrix(model, [k])[0]
     return LinkDraw(k=int(k), active=frozenset(e for e, up in zip(model.edges, act) if up))
 
 

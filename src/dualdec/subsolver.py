@@ -46,7 +46,7 @@ def _solve_pgd(agent: AgentSpec, a: np.ndarray, tol: float, max_iters: int) -> n
     """Accelerated projected gradient with adaptive restart."""
     Q, lo, hi = agent.Q, agent.lo, agent.hi
     b = agent.c + a
-    L = float(np.linalg.eigvalsh(Q)[-1])
+    L = agent.eig_max
     # warm start from the clipped unconstrained minimizer
     x = np.clip(np.linalg.solve(Q, -b), lo, hi)
     y = x

@@ -247,7 +247,9 @@ def reference_alg2(inst, table, net, iters):
 
     Agent i keeps a copy of lam_j and its interpolant for every j in M_i,
     and the last contribution G_i^j u_j received from every j in N_i.
-    Returns the stacked lam history and the per-agent step flags.
+    Returns the stacked lam history and the per-agent step flags.  Checks
+    at every iteration that each copy equals its owner's own copy: the
+    invariant that lets the kernel keep one copy per multiplier.
     """
     g = inst.graph
     agent = inst.agent
@@ -292,16 +294,22 @@ def reference_alg2(inst, table, net, iters):
                 cur = new[j] if up(i, j) else hat[i][j]
                 hat[i][j] = cur + coef * (cur - prev[i][j])
                 prev[i][j] = cur
+        for i in inst.ids:
+            for j in g.out_neighbors[i]:
+                assert np.array_equal(hat[i][j], hat[j][j]), (k, i, j)
         lam, theta = new, theta_new
         lams.append(np.concatenate([lam[i] for i in inst.ids]))
         fired.append(row)
     return np.array(lams), np.array(fired)
 
 
-@pytest.mark.parametrize("inst", [CHAIN, random_instance(5, seed=0)], ids=["chain3", "rand5"])
-def test_alg2_matches_per_agent_reference(inst):
+@pytest.mark.parametrize("inst,gamma", [
+    (CHAIN, 0.3), (random_instance(5, seed=0), 0.3),
+    (CHAIN, 0.7), (random_instance(5, seed=0), 0.7),
+], ids=["chain3", "rand5", "chain3-gamma0.7", "rand5-gamma0.7"])
+def test_alg2_matches_per_agent_reference(inst, gamma):
     tab = build_stepsizes(inst)
-    net = build_network(inst, 0.3, seed=4)
+    net = build_network(inst, gamma, seed=4)
     tr = run_alg2(inst, tab, net, 200, 0.0)
     lams, fired = reference_alg2(inst, tab, net, 200)
     assert tr.iters == 200 and not fired.all()

@@ -95,6 +95,7 @@ def test_sigma_is_min_eigenvalue():
                   lo=[-1.0, -1.0], hi=[1.0, 1.0], m=1, g=[0.0],
                   blocks={1: [[1.0, 0.0]]})
     assert a.sigma == pytest.approx(1.0)
+    assert a.eig_max == pytest.approx(3.0)
     assert not a.is_diagonal
 
 

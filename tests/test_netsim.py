@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import CASES
 from dualdec import (ValidationError, build_network, draw_links, load_instance,
                      neighbors_active)
-from dualdec.netsim import _active_array, activation_matrix
+from dualdec.netsim import _mix, activation_matrix
 
 CHAIN = load_instance(CASES / "chain3.json")
 
@@ -126,8 +126,13 @@ def test_per_agent_update_fraction(chain3):
 
 
 def test_vectorized_matches_scalar_path(chain3):
+    # reference: the scalar splitmix64 finalizer, one link and one k at a time
     net = build_network(chain3, 0.45, seed=11)
     ks = list(range(1, 300))
     mat = activation_matrix(net, ks)
-    rows = np.stack([_active_array(net, k) for k in ks])
-    np.testing.assert_array_equal(mat, rows)
+    base = [int(b) for b in net._base]
+    rows = [[(_mix(b ^ _mix(k)) >> 11) * 2.0 ** -53 < p for b, p in zip(base, net.beta)]
+            for k in ks]
+    np.testing.assert_array_equal(mat, np.array(rows))
+    assert all(draw_links(net, k).active == {e for e, up in zip(net.edges, row) if up}
+               for k, row in zip(ks, rows))

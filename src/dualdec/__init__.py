@@ -4,7 +4,7 @@ executed over simulated unreliable communication networks."""
 from .model import (AgentSpec, InfluenceGraph, ProblemInstance, ValidationError,
                     constraint_residual, derive_graph, load_instance, primal_cost,
                     save_instance)
-from .subsolver import dual_value_term, solve_local
+from .subsolver import solve_local
 from .stepsize import StepsizeTable, build_stepsizes, spectral_norm
 from .netsim import LinkDraw, NetworkModel, build_network, draw_links, neighbors_active
 from .engine import (RunTrace, check_lyapunov_step, check_quadratic_model, eval_dual,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentSpec", "InfluenceGraph", "ProblemInstance", "ValidationError",
     "constraint_residual", "derive_graph", "load_instance", "primal_cost", "save_instance",
-    "dual_value_term", "solve_local",
+    "solve_local",
     "StepsizeTable", "build_stepsizes", "spectral_norm",
     "LinkDraw", "NetworkModel", "build_network", "draw_links", "neighbors_active",
     "RunTrace", "check_lyapunov_step", "check_quadratic_model", "eval_dual",

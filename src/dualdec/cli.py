@@ -115,7 +115,6 @@ def _cmd_run(args, parser) -> int:
 
 def _percentile(sorted_vals, p: float):
     """Nearest-rank percentile: smallest value with cumulative share >= p."""
-    import math
     n = len(sorted_vals)
     rank = max(1, math.ceil(p / 100.0 * n))
     return sorted_vals[rank - 1]
@@ -130,6 +129,8 @@ def _cmd_montecarlo(args, parser) -> int:
         parser.error("--gammas is empty")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    if args.max_iters < 0:
+        parser.error("--max-iters must be >= 0")
     _check_eps(args, parser)
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)

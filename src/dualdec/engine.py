@@ -43,12 +43,13 @@ from .stepsize import StepsizeTable
 from .subsolver import solve_local
 
 __all__ = [
-    "DualEval", "RunTrace", "theta_next", "eval_dual", "eval_dual_batch",
+    "DualEval", "RunTrace", "theta_next", "eval_dual",
     "run_alg1", "run_alg2", "run_unaccelerated",
     "check_lyapunov_step", "check_quadratic_model",
 ]
 
 DEFAULT_EPS = 1e-6
+MODEL_SLACK = 1e-9  # absolute slack of check_quadratic_model
 TRACE_HEADER = "k,q,residual,gap,V,updates"
 LINK_BLOCK = 64  # iterations of link states drawn per activation_matrix call
 
@@ -93,25 +94,6 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray) -> DualEval:
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
     grad = instance.coupling_csr @ u - instance.g_vec
     return DualEval(q=q, grad=grad, u=u)
-
-
-def eval_dual_batch(instance: ProblemInstance, lams: np.ndarray):
-    """Vectorized ``eval_dual`` over the columns of ``lams`` (m x S)."""
-    lams = np.asarray(lams, dtype=float)
-    a = instance.coupling_csr_T @ lams
-    d = instance.qdiag_vec
-    if d is not None:
-        u = np.clip(-(instance.c_vec[:, None] + a) / d[:, None],
-                    instance.lo_vec[:, None], instance.hi_vec[:, None])
-        fvals = 0.5 * np.einsum("is,is->s", u, d[:, None] * u) + instance.c_vec @ u
-    else:
-        u = np.empty((instance.n_total, lams.shape[1]))
-        for s in range(lams.shape[1]):
-            u[:, s] = eval_dual(instance, lams[:, s]).u
-        fvals = np.array([primal_cost(instance, u[:, s]) for s in range(lams.shape[1])])
-    q = fvals - instance.g_vec @ lams + np.einsum("is,is->s", a, u)
-    grad = instance.coupling_csr @ u - instance.g_vec[:, None]
-    return q, grad, u
 
 
 @dataclass
@@ -232,8 +214,10 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
     )
 
 
-def _checked_inputs(instance, eps, lam0, lambda_star):
-    """Validate a run's tolerance and optional multipliers at the API boundary."""
+def _checked_inputs(instance, max_iters, eps, lam0, lambda_star):
+    """Validate a run's budget, tolerance and optional multipliers at the API boundary."""
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
     eps = float(eps)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
@@ -253,7 +237,7 @@ def _checked_inputs(instance, eps, lam0, lambda_star):
 def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, lam0, algo):
     """The one iteration loop: every driver is this kernel with a network
     (or none, i.e. every link always up) and momentum on or off."""
-    eps, lam0, lambda_star = _checked_inputs(instance, eps, lam0, lambda_star)
+    eps, lam0, lambda_star = _checked_inputs(instance, max_iters, eps, lam0, lambda_star)
     plan = _plan(instance, stepsizes, network)
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
@@ -388,7 +372,7 @@ def check_lyapunov_step(trace: RunTrace, k: int,
 
 
 def check_quadratic_model(instance: ProblemInstance, stepsizes: StepsizeTable,
-                          xi: np.ndarray, mu: np.ndarray, slack: float = 1e-9) -> bool:
+                          xi: np.ndarray, mu: np.ndarray) -> bool:
     """Lower bound on the progress of one proximal gradient step.
 
     With lam(xi) = xi + diag(eta) grad q(xi) blockwise, verifies
@@ -396,7 +380,7 @@ def check_quadratic_model(instance: ProblemInstance, stepsizes: StepsizeTable,
         q(lam(xi)) - q(mu) >= sum_i <xi_i - mu_i, lam_i(xi) - xi_i> / eta_i
                               + sum_i ||lam_i(xi) - xi_i||^2 / (2 eta_i)
 
-    within ``slack`` for arbitrary multipliers xi, mu.
+    within ``MODEL_SLACK`` for arbitrary multipliers xi, mu.
     """
     xi = np.asarray(xi, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -407,4 +391,4 @@ def check_quadratic_model(instance: ProblemInstance, stepsizes: StepsizeTable,
     q_lam = eval_dual(instance, lam_xi).q
     q_mu = eval_dual(instance, mu).q
     rhs = float(np.sum((xi - mu) * grad + 0.5 * eta_rows * grad * grad))
-    return q_lam - q_mu >= rhs - slack
+    return q_lam - q_mu >= rhs - MODEL_SLACK

@@ -205,12 +205,6 @@ class AgentSpec:
             quad = 0.5 * float(u @ self.Q @ u)
         return quad + float(np.dot(self.c, u))
 
-    def grad_cost(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.diag is not None:
-            return self.diag * u + self.c
-        return self.Q @ u + self.c
-
 
 @dataclass(frozen=True)
 class InfluenceGraph:
@@ -315,12 +309,15 @@ class ProblemInstance:
 
     @cached_property
     def coupling_matrix(self) -> np.ndarray:
-        """Full coupling matrix: row block i holds G_i^j in j's columns."""
+        """Full coupling matrix: row block i holds G_i^j in j's columns.
+
+        Written from the same block list as ``coupling_csr``.  Densifying
+        the CSR instead costs a sparse build, which ``random_instance``
+        would pay on every draw it rejects.
+        """
         A = np.zeros((self.m_total, self.n_total))
-        for a in self.agents:
-            rows = self._m_offsets[a.id]
-            for j, B in a.blocks.items():
-                A[rows, self._u_offsets[j]] = B
+        for r0, c0, B in self._coupling_blocks(False):
+            A[r0:r0 + B.shape[0], c0:c0 + B.shape[1]] = B
         A.setflags(write=False)
         return A
 
@@ -388,22 +385,6 @@ class ProblemInstance:
     def out_stack(self, i: int) -> np.ndarray:
         """col{G_j^i : j in M_i ascending}: every row that touches u_i."""
         return self._out_stacks[i]
-
-    @cached_property
-    def _out_slices(self) -> dict[int, list[tuple[int, slice]]]:
-        out = {}
-        for a in self.agents:
-            entries, pos = [], 0
-            for j in self.graph.out_neighbors[a.id]:
-                mj = self.agent(j).m
-                entries.append((j, slice(pos, pos + mj)))
-                pos += mj
-            out[a.id] = entries
-        return out
-
-    def out_slices(self, i: int) -> list[tuple[int, slice]]:
-        """Row ranges of ``out_stack(i)`` per out-neighbor, ascending id."""
-        return self._out_slices[i]
 
 
 def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:

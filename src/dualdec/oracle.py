@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import lsq_linear
 
 from .model import ProblemInstance, primal_cost
@@ -32,6 +33,7 @@ __all__ = ["OracleError", "InfeasibleError", "OracleSolution",
 
 ASCENT_TOL = 1e-10
 ASCENT_MAX_ITERS = 1_000_000
+FEASIBLE_TOL = 1e-8  # relative coupling gap that still counts as reachable
 
 
 class OracleError(RuntimeError):
@@ -49,14 +51,6 @@ class OracleSolution(NamedTuple):
     method: str
 
 
-def _dense_Q(instance: ProblemInstance) -> np.ndarray:
-    Q = np.zeros((instance.n_total, instance.n_total))
-    for a in instance.agents:
-        sl = instance.u_slice(a.id)
-        Q[sl, sl] = a.Q
-    return Q
-
-
 def solve_kkt(instance: ProblemInstance) -> OracleSolution:
     """Exact minimizer and multiplier via the dense KKT system.
 
@@ -65,7 +59,7 @@ def solve_kkt(instance: ProblemInstance) -> OracleSolution:
     route takes over.  Raises OracleError on a singular KKT matrix.
     """
     A = instance.coupling_matrix
-    Q = _dense_Q(instance)
+    Q = block_diag(*(a.Q for a in instance.agents))
     lo, hi, c, g = instance.lo_vec, instance.hi_vec, instance.c_vec, instance.g_vec
     pinned = lo == hi
     free = ~pinned
@@ -109,7 +103,7 @@ def _interval_infeasible(instance: ProblemInstance) -> bool:
     return bool(np.any(g < low - pad) or np.any(g > high + pad))
 
 
-def certify_feasible(instance: ProblemInstance, tol: float = 1e-8) -> bool:
+def certify_feasible(instance: ProblemInstance) -> bool:
     """True iff some point in the boxes satisfies every coupling equation."""
     if instance.m_total == 0:
         return True
@@ -121,20 +115,20 @@ def certify_feasible(instance: ProblemInstance, tol: float = 1e-8) -> bool:
     free = ~pinned
     target = g - A[:, pinned] @ lo[pinned]
     if not free.any():
-        return float(np.linalg.norm(target)) <= tol * (1.0 + float(np.linalg.norm(g)))
+        return float(np.linalg.norm(target)) <= FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g)))
     res = lsq_linear(A[:, free], target, bounds=(lo[free], hi[free]),
                      method="trf", tol=1e-14, max_iter=500)
     gap = float(np.linalg.norm(A[:, free] @ res.x - target))
-    return gap <= tol * (1.0 + float(np.linalg.norm(g)))
+    return gap <= FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g)))
 
 
-def solve_active_set(instance: ProblemInstance, *, tol: float = ASCENT_TOL,
-                     max_iters: int = ASCENT_MAX_ITERS) -> OracleSolution:
+def solve_active_set(instance: ProblemInstance) -> OracleSolution:
     """Box-aware exact solve by long-run plain dual ascent.
 
     Intended for small instances (sum of dims <= ~50).  Certifies
     feasibility first and raises InfeasibleError otherwise; raises
-    OracleError if the residual fails to reach ``tol``.
+    OracleError if the residual fails to reach ``ASCENT_TOL`` within
+    ``ASCENT_MAX_ITERS`` iterations.
     """
     if not certify_feasible(instance):
         raise InfeasibleError("infeasible: coupling equations unreachable within the boxes")
@@ -145,7 +139,7 @@ def solve_active_set(instance: ProblemInstance, *, tol: float = ASCENT_TOL,
     d = instance.qdiag_vec
     lam = np.zeros(instance.m_total)
     res_norm = np.inf
-    for _ in range(max_iters):
+    for _ in range(ASCENT_MAX_ITERS):
         a = A.T @ lam
         if d is not None:
             u = np.clip(-(c + a) / d, lo, hi)
@@ -156,10 +150,10 @@ def solve_active_set(instance: ProblemInstance, *, tol: float = ASCENT_TOL,
                 u[sl] = solve_local(ag, a[sl])
         res = A @ u - g
         res_norm = float(np.linalg.norm(res))
-        if res_norm <= tol:
+        if res_norm <= ASCENT_TOL:
             return OracleSolution(u=u, lam=lam, q=primal_cost(instance, u), method="active_set")
         lam = lam + eta_rows * res
     raise OracleError(
-        f"dual ascent did not reach tol {tol:.1e} in {max_iters} iterations "
+        f"dual ascent did not reach tol {ASCENT_TOL:.1e} in {ASCENT_MAX_ITERS} iterations "
         f"(residual {res_norm:.3e})"
     )

@@ -7,7 +7,7 @@ The dual gradient block of agent i is Lipschitz with constant
 where G^j stacks every block that multiplies u_j (ascending owner id)
 and sigma_j is the strong-convexity modulus of agent j's cost.  Any
 eta_i in (0, 1/L_i] is a safe ascent step; ``build_stepsizes`` returns
-eta_i = safety / L_i.
+the largest, eta_i = 1 / L_i.
 """
 
 from __future__ import annotations
@@ -20,13 +20,16 @@ from .model import ProblemInstance, ValidationError
 
 __all__ = ["StepsizeTable", "spectral_norm", "build_stepsizes"]
 
+POWER_TOL = 1e-10
+POWER_MAX_ITERS = 10_000
 
-def spectral_norm(M, *, tol: float = 1e-10, max_iters: int = 10_000) -> float:
+
+def spectral_norm(M) -> float:
     """Largest singular value via power iteration on M'M.
 
-    Deterministic all-ones start, relative Rayleigh tolerance ``tol``.
-    Raises ValueError on an empty matrix and RuntimeError if the
-    iteration fails to settle within ``max_iters``.
+    Deterministic all-ones start, relative Rayleigh tolerance
+    ``POWER_TOL``.  Raises ValueError on an empty matrix and RuntimeError
+    if the iteration fails to settle within ``POWER_MAX_ITERS``.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
@@ -35,17 +38,18 @@ def spectral_norm(M, *, tol: float = 1e-10, max_iters: int = 10_000) -> float:
     n = A.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     ray_prev = np.inf
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = A @ v
         ray = float(np.dot(v, w))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(ray - ray_prev) <= tol * max(abs(ray), 1e-300):
+        if abs(ray - ray_prev) <= POWER_TOL * max(abs(ray), 1e-300):
             return float(np.sqrt(max(ray, 0.0)))
         ray_prev = ray
-    raise RuntimeError(f"spectral_norm: power iteration did not converge in {max_iters} iterations")
+    raise RuntimeError(
+        f"spectral_norm: power iteration did not converge in {POWER_MAX_ITERS} iterations")
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,6 @@ class StepsizeTable:
     out_norm: dict[int, float]
     L: dict[int, float]
     eta: dict[int, float]
-    safety: float
 
     def eta_rows(self, instance: ProblemInstance) -> np.ndarray:
         """eta_i repeated over agent i's coupling rows, stacked ascending."""
@@ -64,10 +67,8 @@ class StepsizeTable:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def build_stepsizes(instance: ProblemInstance, safety: float = 1.0) -> StepsizeTable:
-    """Compute L_i from the coupling structure and set eta_i = safety / L_i."""
-    if not (0.0 < safety <= 1.0):
-        raise ValidationError(f"safety factor must lie in (0, 1], got {safety}")
+def build_stepsizes(instance: ProblemInstance) -> StepsizeTable:
+    """Compute L_i from the coupling structure and set eta_i = 1 / L_i."""
     sigma = {a.id: a.sigma for a in instance.agents}
     out_norm = {}
     for a in instance.agents:
@@ -82,5 +83,5 @@ def build_stepsizes(instance: ProblemInstance, safety: float = 1.0) -> StepsizeT
                 f"agent {a.id}: no coupling anywhere in its in-neighborhood (L_i = 0)"
             )
         L[a.id] = Li
-        eta[a.id] = safety / Li
-    return StepsizeTable(sigma=sigma, out_norm=out_norm, L=L, eta=eta, safety=safety)
+        eta[a.id] = 1.0 / Li
+    return StepsizeTable(sigma=sigma, out_norm=out_norm, L=L, eta=eta)

@@ -17,22 +17,26 @@ from .model import AgentSpec, ProblemInstance
 
 __all__ = ["random_instance"]
 
+MAX_DIM = 3  # variables per agent: 1..MAX_DIM
+MAX_M = 2    # coupling rows per agent: 1..MAX_M
+MAX_IN = 2   # in-neighbors per agent: 0..MAX_IN
+BOX = 50.0   # every box is [-BOX, BOX]
 
-def random_instance(n_agents: int = 5, *, seed: int = 0, max_dim: int = 3,
-                    max_m: int = 2, max_in: int = 2, diagonal: bool = True,
-                    box: float = 50.0) -> ProblemInstance:
+
+def random_instance(n_agents: int = 5, *, seed: int = 0,
+                    diagonal: bool = True) -> ProblemInstance:
     """Random coupled instance with ``n_agents`` agents.
 
-    Each agent gets 1..max_dim variables, 1..max_m coupling rows, and up
-    to ``max_in`` in-neighbors.  ``diagonal`` switches the local costs
+    Each agent gets 1..MAX_DIM variables, 1..MAX_M coupling rows, and up
+    to ``MAX_IN`` in-neighbors.  ``diagonal`` switches the local costs
     between diagonal and dense symmetric positive definite.  Boxes are
-    [-box, box]; feasibility is guaranteed by construction.
+    [-BOX, BOX]; feasibility is guaranteed by construction.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
     for attempt in range(100):
         rng = np.random.default_rng(seed if attempt == 0 else (seed, attempt))
-        inst = _draw(rng, n_agents, max_dim, max_m, max_in, diagonal, box)
+        inst = _draw(rng, n_agents, diagonal)
         G = inst.coupling_matrix
         if G.shape[0] <= G.shape[1]:
             svals = np.linalg.svd(G, compute_uv=False)
@@ -41,17 +45,17 @@ def random_instance(n_agents: int = 5, *, seed: int = 0, max_dim: int = 3,
     raise RuntimeError(f"no well-posed instance found for seed {seed}")
 
 
-def _draw(rng, n_agents, max_dim, max_m, max_in, diagonal, box) -> ProblemInstance:
+def _draw(rng, n_agents, diagonal) -> ProblemInstance:
     ids = list(range(1, n_agents + 1))
-    dims = {i: int(rng.integers(1, max_dim + 1)) for i in ids}
-    ms = {i: int(rng.integers(1, max_m + 1)) for i in ids}
+    dims = {i: int(rng.integers(1, MAX_DIM + 1)) for i in ids}
+    ms = {i: int(rng.integers(1, MAX_M + 1)) for i in ids}
     u0 = {i: rng.uniform(-1.0, 1.0, dims[i]) for i in ids}
 
     agents = []
     for i in ids:
         n, m = dims[i], ms[i]
         others = [j for j in ids if j != i]
-        k = int(rng.integers(0, min(max_in, len(others)) + 1)) if others else 0
+        k = int(rng.integers(0, min(MAX_IN, len(others)) + 1)) if others else 0
         nbrs = sorted(rng.choice(others, size=k, replace=False).tolist()) if k else []
         blocks = {i: rng.uniform(-1.0, 1.0, (m, n)) + 1.5 * np.eye(m, n)}
         for j in nbrs:
@@ -69,7 +73,7 @@ def _draw(rng, n_agents, max_dim, max_m, max_in, diagonal, box) -> ProblemInstan
             diag, Q = None, A.T @ A / n + 0.5 * np.eye(n)
         agents.append(AgentSpec(
             id=i, dim=n, Q=Q, c=rng.uniform(-1.0, 1.0, n),
-            lo=np.full(n, -box), hi=np.full(n, box),
+            lo=np.full(n, -BOX), hi=np.full(n, BOX),
             m=m, g=g, blocks=blocks, diag=diag,
         ))
     return ProblemInstance(agents=tuple(agents))

@@ -21,9 +21,8 @@ from dualdec import (build_network, build_opf_instance, build_stepsizes,
                      check_lyapunov_step, check_quadratic_model,
                      constraint_residual, eval_dual, load_case, load_instance,
                      random_instance, run_alg1, run_alg2, run_unaccelerated,
-                     save_instance, solve_kkt, spectral_norm, theta_next)
+                     save_instance, solve_kkt, solve_local, spectral_norm, theta_next)
 from dualdec.cli import main
-from dualdec.subsolver import solve_local_batch
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -71,8 +70,10 @@ def test_criterion_02_local_gradient_smoothness():
             lip = spectral_norm(S) ** 2 / agent.sigma
             X = rng.uniform(-5.0, 5.0, (S.shape[0], 1000))
             Y = rng.uniform(-5.0, 5.0, (S.shape[0], 1000))
-            dgrad = S @ (solve_local_batch(agent, S.T @ X)
-                         - solve_local_batch(agent, S.T @ Y))
+            AX, AY = S.T @ X, S.T @ Y  # one pressure vector per column
+            dgrad = S @ np.column_stack([
+                solve_local(agent, AX[:, s]) - solve_local(agent, AY[:, s])
+                for s in range(X.shape[1])])
             lhs = np.linalg.norm(dgrad, axis=0)
             rhs = lip * np.linalg.norm(X - Y, axis=0) + 1e-9
             violations += int(np.count_nonzero(lhs > rhs))

@@ -93,6 +93,18 @@ def test_bad_eps_exits_1(cmd, eps, capsys):
     assert "converged" not in captured.out
 
 
+@pytest.mark.parametrize("cmd", ["run", "montecarlo"])
+def test_negative_max_iters_exits_1(cmd, tmp_path, capsys):
+    # montecarlo used to exit 0 with 0-iteration rows and a summary of zeros
+    out = tmp_path / "mc.csv"
+    argv = (["run", "--algo", "alg2", "--problem", pj("chain3.json")] if cmd == "run" else
+            ["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0,0.1", "--runs", "2",
+             "--out", str(out)])
+    assert main(argv + ["--max-iters", "-5"]) == 1
+    assert "--max-iters must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_exhausted_exits_3(capsys):
     assert main(["run", "--algo", "alg1", "--problem", pj("chain3.json"),
                  "--eps", "1e-12", "--max-iters", "3"]) == 3

@@ -1,5 +1,7 @@
 """Solver loops: momentum sequence, dual evaluation, both algorithms, checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from dualdec import (ValidationError, build_network, build_opf_instance, build_s
                      check_lyapunov_step, check_quadratic_model, draw_links, eval_dual,
                      load_case, load_instance, neighbors_active, random_instance, run_alg1,
                      run_alg2, run_unaccelerated, solve_kkt, solve_local, theta_next)
-from dualdec.engine import TRACE_HEADER, eval_dual_batch
+from dualdec.engine import TRACE_HEADER
+from dualdec.model import ProblemInstance
 from dualdec.stepsize import StepsizeTable
 
 CHAIN = load_instance(CASES / "chain3.json")
@@ -19,10 +22,9 @@ CHAIN_STAR = solve_kkt(CHAIN)
 
 
 def corrupt(table: StepsizeTable, factor: float) -> StepsizeTable:
-    """Step sizes scaled past the 1/L_i safety bound, dodging validation."""
+    """Step sizes factor / L_i; factor > 1 goes past the safe bound 1/L_i."""
     return StepsizeTable(sigma=table.sigma, out_norm=table.out_norm, L=table.L,
-                         eta={i: factor / table.L[i] for i in table.L},
-                         safety=1.0)
+                         eta={i: factor / table.L[i] for i in table.L})
 
 
 # -------------------------------------------------------------- theta
@@ -68,17 +70,6 @@ def test_eval_dual_pair_anchors(instance_a):
     np.testing.assert_array_equal(ev.u, [1.0, 1.0])
     ev = eval_dual(instance_a, np.array([1.0]))
     assert (ev.q, ev.grad[0]) == (-3.0, -4.0)
-
-
-def test_eval_dual_batch_matches_loop(chain3):
-    rng = np.random.default_rng(3)
-    lams = rng.normal(size=(3, 32)) * 2  # one multiplier per column
-    qs, grads, us = eval_dual_batch(chain3, lams)
-    for s in range(32):
-        ev = eval_dual(chain3, lams[:, s])
-        assert qs[s] == pytest.approx(ev.q, abs=1e-12)
-        np.testing.assert_allclose(grads[:, s], ev.grad, atol=1e-12)
-        np.testing.assert_allclose(us[:, s], ev.u, atol=1e-12)
 
 
 def test_gradient_matches_central_differences(chain3):
@@ -226,7 +217,7 @@ def test_update_flags_follow_link_draws():
 def test_unaccelerated_closed_form(instance_a):
     # eta_1 = 1/4 makes the fixed-point iteration lam -> lam/2 - 1/2,
     # i.e. lam(k) = -1 + 2^-k, exactly representable in binary floats
-    tab = build_stepsizes(instance_a, safety=0.5)
+    tab = corrupt(build_stepsizes(instance_a), 0.5)
     net = build_network(instance_a, 0.0)
     tr = run_unaccelerated(instance_a, tab, net, 30, 1e-12)
     assert tr.algo == "unaccel"
@@ -317,6 +308,29 @@ def test_alg2_matches_per_agent_reference(inst, gamma):
     np.testing.assert_array_equal(tr.updates, fired)
 
 
+def dense_twin(inst):
+    """The same instance with every cost declared dense, so no closed form applies."""
+    return ProblemInstance(agents=tuple(dataclasses.replace(a, diag=None) for a in inst.agents))
+
+
+IEEE14 = build_opf_instance(load_case(CASES / "ieee14.json"))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("inst", [CHAIN, random_instance(5, seed=0), IEEE14],
+                         ids=["chain3", "rand5", "ieee14"])
+def test_local_solve_branches_agree(inst, gamma):
+    # the kernel's vectorized clip against its per-agent solve_local branch
+    twin = dense_twin(inst)
+    assert inst.qdiag_vec is not None and twin.qdiag_vec is None
+    tab = build_stepsizes(inst)
+    a = run_alg2(inst, tab, build_network(inst, gamma, seed=4), 200, 0.0)
+    b = run_alg2(twin, tab, build_network(twin, gamma, seed=4), 200, 0.0)
+    assert a.iters == b.iters == 200
+    np.testing.assert_array_equal(a.updates, b.updates)
+    np.testing.assert_allclose(a.lam, b.lam, rtol=0, atol=1e-10)
+
+
 def test_ieee14_iteration_counts_pinned():
     inst = build_opf_instance(load_case(CASES / "ieee14.json"))
     tab = build_stepsizes(inst)
@@ -336,6 +350,16 @@ def test_bad_eps_rejected(eps):
         run_alg1(CHAIN, CHAIN_TAB, 10, eps)
     with pytest.raises(ValidationError, match="eps"):
         run_alg2(CHAIN, CHAIN_TAB, net, 10, eps)
+
+
+def test_negative_max_iters_rejected():
+    net = build_network(CHAIN, 0.0)
+    for run in (run_alg2, run_unaccelerated):
+        with pytest.raises(ValidationError, match="max_iters must be >= 0"):
+            run(CHAIN, CHAIN_TAB, net, -5, 1e-6)
+        assert run(CHAIN, CHAIN_TAB, net, 0, 1e-6).iters == 0
+    with pytest.raises(ValidationError, match="max_iters must be >= 0"):
+        run_alg1(CHAIN, CHAIN_TAB, -1, 1e-6)
 
 
 def test_nan_lam0_rejected():

@@ -1,8 +1,11 @@
 """Smoke runs of the experiment scripts as subprocesses."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import CASES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -18,3 +21,28 @@ def test_rate_check_short_run(tmp_path):
         ["k=50", "k=100"]
     lines = out.read_text().splitlines()
     assert len(lines) == 101 and lines[0] == "k,det_gap,det_bound,mean_gap,stoch_bound"
+
+
+def test_gamma_sweep_short_run(tmp_path):
+    runs, gaps = tmp_path / "runs.csv", tmp_path / "gaps.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "gamma_sweep.py"), "--runs", "2", "--iters", "50",
+         "--out", str(runs), "--out-gaps", str(gaps)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = runs.read_text().splitlines()
+    assert rows[0] == "gamma,seed,iters,converged" and len(rows) == 1 + 4 * 2
+    lines = gaps.read_text().splitlines()
+    assert lines[0] == "k,gamma=0.0,gamma=0.1,gamma=0.3,gamma=0.5" and len(lines) == 51
+
+
+def test_run_opf_two_bus(tmp_path):
+    trace = tmp_path / "trace.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_opf.py"), "--case", str(CASES / "opf_2bus.json"),
+         "--max-iters", "5000", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    k = int(re.search(r"k=(\d+) converged=True", proc.stdout).group(1))
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "k,q,residual,gap,V,updates" and len(lines) == 1 + k

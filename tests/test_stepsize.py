@@ -35,8 +35,6 @@ def test_pair_table(instance_a):
     assert t.out_norm == {1: 1.0, 2: 1.0}
     assert t.L == {1: 2.0, 2: 1.0}
     assert t.eta == {1: 0.5, 2: 1.0}
-    t2 = build_stepsizes(instance_a, safety=0.5)
-    assert t2.eta == {1: 0.25, 2: 0.5}
 
 
 def test_chain_table(chain3):
@@ -63,15 +61,6 @@ def test_locality(chain3):
     assert mod.L[1] != base.L[1]
     assert mod.L[2] != base.L[2]
 
-
-@pytest.mark.parametrize("safety", [0.0, -0.5, 1.0001, 10.0])
-def test_safety_range(instance_a, safety):
-    with pytest.raises(ValidationError, match="safety factor"):
-        build_stepsizes(instance_a, safety=safety)
-
-
-def test_safety_boundary_ok(instance_a):
-    assert build_stepsizes(instance_a, safety=1.0).safety == 1.0
 
 
 def test_rejects_agent_without_any_coupling():

@@ -1,13 +1,12 @@
-"""Local box-constrained QP solves: closed form, accelerated PGD, batching."""
+"""Local box-constrained QP solves: closed form and accelerated PGD."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdec import eval_dual, dual_value_term, random_instance, solve_local
+from dualdec import eval_dual, solve_local
 from dualdec.model import AgentSpec
-from dualdec.subsolver import solve_local_batch
 
 RNG = np.random.default_rng(1234)
 
@@ -44,12 +43,15 @@ def test_closed_form_general_diagonal():
 
 
 def test_pgd_equals_closed_form():
-    ag = diag_agent([2.0, 0.5, 1.0], [0.3, -1.0, 2.0], [-2.0, -2.0, -2.0],
-                    [2.0, 2.0, 2.0])
+    d = [2.0, 0.5, 1.0]
+    ag = diag_agent(d, [0.3, -1.0, 2.0], [-2.0, -2.0, -2.0], [2.0, 2.0, 2.0])
+    # the same cost declared dense takes the projected-gradient path
+    twin = dense_agent(np.diag(d), ag.c, ag.lo, ag.hi)
+    assert ag.is_diagonal and not twin.is_diagonal
     for trial in range(50):
         a = RNG.normal(size=3) * 3
-        u_closed = solve_local(ag, a, method="closed")
-        u_pgd = solve_local(ag, a, method="pgd")
+        u_closed = solve_local(ag, a)
+        u_pgd = solve_local(twin, a)
         np.testing.assert_allclose(u_pgd, u_closed, atol=1e-9)
 
 
@@ -108,17 +110,14 @@ def test_pgd_raises_when_starved():
         solve_local(ag, np.array([4.0, -3.0]), max_iters=2)
 
 
-def test_batch_matches_loop():
-    ag = diag_agent([1.0, 2.0], [0.5, 0.0], [-3.0, -3.0], [3.0, 3.0])
-    A = RNG.normal(size=(2, 64)) * 5
-    U = solve_local_batch(ag, A)
-    for col in range(A.shape[1]):
-        np.testing.assert_array_equal(U[:, col], solve_local(ag, A[:, col]))
-
-
 def test_dual_value_terms_sum_to_dual(chain3):
     lam = np.array([0.3, -1.2, 0.7])
     ev = eval_dual(chain3, lam)
-    total = sum(dual_value_term(chain3, i, lam, ev.u[chain3.u_slice(i)])
-                for i in chain3.ids)
+    # agent i's term: f_i(u_i) - <lam_i, g_i> + <sum_{j in M_i} G_j^i' lam_j, u_i>
+    a = chain3.coupling_csr_T @ lam
+    total = 0.0
+    for ag in chain3.agents:
+        sl = chain3.u_slice(ag.id)
+        total += (ag.cost(ev.u[sl]) - float(np.dot(lam[chain3.lam_slice(ag.id)], ag.g))
+                  + float(np.dot(a[sl], ev.u[sl])))
     assert total == pytest.approx(ev.q, abs=1e-12)

@@ -139,7 +139,9 @@ def _cmd_montecarlo(args, parser) -> int:
         for r in range(args.runs):
             seed = args.seed + r
             net = netsim.build_network(instance, gamma, seed=seed)
-            trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps)
+            # the CSV needs only iters and converged: skip the logging re-solve
+            trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps,
+                                    record="none")
             rows.append((gamma, seed, trace.iters, 1 if trace.converged else 0))
     rows.sort(key=lambda t: (t[0], t[1]))
     out = Path(args.out)

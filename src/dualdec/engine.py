@@ -26,6 +26,10 @@ resolves ``solve_local`` and ``eval_dual`` through this module's globals.
 All drivers log, per iteration, the dual value and gradient norm at the
 shared multiplier lam(k) (agents' own blocks re-solved jointly), plus the
 optional distance diagnostics when the optimal multiplier is supplied.
+``run_alg2(record="none")`` skips that re-solve and keeps only the
+stop state, theta and the update flags.  Without momentum the interpolant
+is lam(k) itself, so the logging solve at lam(k) is reused as the next
+iteration's local solve.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .model import ProblemInstance, ValidationError, blocks_to_csr, primal_cost
 from .netsim import NetworkModel, activation_matrix
@@ -52,6 +57,7 @@ DEFAULT_EPS = 1e-6
 MODEL_SLACK = 1e-9  # absolute slack of check_quadratic_model
 TRACE_HEADER = "k,q,residual,gap,V,updates"
 LINK_BLOCK = 64  # iterations of link states drawn per activation_matrix call
+RECORDS = ("full", "none")
 
 
 def theta_next(theta: float) -> float:
@@ -67,12 +73,23 @@ class DualEval(NamedTuple):
     u: np.ndarray
 
 
+def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a float CSR matrix and a float vector, without scipy's
+    dispatch: the same C routine into the same zeroed buffer, so the same bits."""
+    m, n = A.shape
+    y = np.zeros(m)
+    _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
 def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     """Every agent's local minimizer at the stacked pressure ``a``: one
     vectorized clip for diagonal costs, else ``solve_local`` per agent."""
     d = instance.qdiag_vec
     if d is not None:
-        return np.clip(-(instance.c_vec + a) / d, instance.lo_vec, instance.hi_vec)
+        # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
+        return np.minimum(np.maximum(-(instance.c_vec + a) / d, instance.lo_vec),
+                          instance.hi_vec)
     u = np.empty(instance.n_total)
     for ag in instance.agents:
         sl = instance.u_slice(ag.id)
@@ -89,10 +106,10 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray) -> DualEval:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.m_total,):
         raise ValueError(f"lam has shape {lam.shape}, expected ({instance.m_total},)")
-    a = instance.coupling_csr_T @ lam
+    a = _matvec(instance.coupling_csr_T, lam)
     u = _local_argmin(instance, a)
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
-    grad = instance.coupling_csr @ u - instance.g_vec
+    grad = _matvec(instance.coupling_csr, u) - instance.g_vec
     return DualEval(q=q, grad=grad, u=u)
 
 
@@ -104,7 +121,9 @@ class RunTrace:
     ``residual`` are evaluated at that shared multiplier.  ``gap`` and
     ``V`` are populated only when the run was given the optimal
     multiplier; ``updates[k-1, p]`` says whether agent p (ascending id)
-    took its gradient step at iteration k.
+    took its gradient step at iteration k.  An unrecorded run
+    (``record="none"``) leaves ``q``, ``residual``, ``lam`` and
+    ``u_final`` as None.
     """
 
     algo: str
@@ -115,10 +134,10 @@ class RunTrace:
     converged: bool
     iters: int
     theta: np.ndarray
-    q: np.ndarray
-    residual: np.ndarray
+    q: np.ndarray | None
+    residual: np.ndarray | None
     updates: np.ndarray
-    lam: np.ndarray
+    lam: np.ndarray | None
     gap: np.ndarray | None = None
     V: np.ndarray | None = None
     q_star: float | None = None
@@ -127,6 +146,8 @@ class RunTrace:
 
     def lam_at(self, k: int) -> np.ndarray:
         """lam(k), with lam(0) = 0."""
+        if self.lam is None:
+            raise ValueError("the run did not record its multipliers")
         if k == 0:
             return np.zeros(self.instance.m_total)
         return self.lam[k - 1]
@@ -144,6 +165,8 @@ class RunTrace:
 
     def to_csv(self, path) -> None:
         """Write ``k,q,residual,gap,V,updates`` rows; floats via repr."""
+        if self.q is None:
+            raise ValueError("the run did not record q and residual (record='none')")
         lines = [TRACE_HEADER]
         for k in range(1, self.iters + 1):
             gap = repr(float(self.gap[k - 1])) if self.gap is not None else ""
@@ -214,8 +237,25 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
     )
 
 
-def _checked_inputs(instance, max_iters, eps, lam0, lambda_star):
-    """Validate a run's budget, tolerance and optional multipliers at the API boundary."""
+def _link_block(plan: _Plan, network: NetworkModel | None, ks: range, n_agents: int):
+    """Link states of iterations ``ks`` (one row each), as the up flag of
+    every contribution row and whether each agent's in-links are all up."""
+    up = np.ones((len(ks), plan.n_links + 1), dtype=bool)
+    if network is not None:
+        up[:, :-1] = activation_matrix(network, ks)
+    rows, edges = np.nonzero(~up[:, plan.in_link])
+    fired = np.ones((len(ks), n_agents), dtype=bool)
+    fired[rows, plan.in_agent[edges]] = False
+    return up[:, plan.c_link], fired
+
+
+def _checked_inputs(instance, max_iters, eps, lam0, lambda_star, record):
+    """Validate a run's budget, tolerance, record level and optional
+    multipliers at the API boundary."""
+    if record not in RECORDS:
+        raise ValidationError(f"record must be one of {RECORDS}, got {record!r}")
+    if record == "none" and lambda_star is not None:
+        raise ValidationError("record='none' logs no gap or V; do not pass lambda_star")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
     eps = float(eps)
@@ -234,10 +274,13 @@ def _checked_inputs(instance, max_iters, eps, lam0, lambda_star):
     return eps, out[0], out[1]
 
 
-def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, lam0, algo):
+def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, lam0, algo,
+         record="full"):
     """The one iteration loop: every driver is this kernel with a network
     (or none, i.e. every link always up) and momentum on or off."""
-    eps, lam0, lambda_star = _checked_inputs(instance, max_iters, eps, lam0, lambda_star)
+    eps, lam0, lambda_star = _checked_inputs(instance, max_iters, eps, lam0, lambda_star,
+                                             record)
+    log = record == "full"
     plan = _plan(instance, stepsizes, network)
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
@@ -247,40 +290,46 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         q_star = eval_dual(instance, lambda_star).q
         v_weight = 1.0 / (2.0 * np.repeat(alpha_arr * eta_arr, [a.m for a in instance.agents]))
     g = instance.g_vec
+    A_T = instance.coupling_csr_T
+    n_blocks = len(plan.starts)
 
     lam = np.zeros(instance.m_total) if lam0 is None else lam0
     hat = lam                              # interpolated multipliers
     recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
-    up = np.ones(plan.n_links + 1, dtype=bool)
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
-    theta, converged, iters, ev = 1.0, False, 0, None
+    theta, coef, converged, iters, ev = 1.0, 1.0, False, 0, None
 
     for k in range(1, max_iters + 1):
-        if network is not None:
-            if (k - 1) % LINK_BLOCK == 0:
-                draws = activation_matrix(network, range(k, min(k + LINK_BLOCK, max_iters + 1)))
-            up[:-1] = draws[(k - 1) % LINK_BLOCK]
-        # local solves at the interpolated multipliers
-        u = _local_argmin(instance, instance.coupling_csr_T @ hat)
+        b = (k - 1) % LINK_BLOCK
+        if b == 0:
+            ks = range(k, min(k + LINK_BLOCK, max_iters + 1))
+            c_up, fired_blk = _link_block(plan, network, ks, n_agents)
+            row_fired = fired_blk[:, plan.row_agent]
+        # local solves at the interpolated multipliers; after a zero momentum
+        # coefficient hat equals lam(k-1), where the last log already solved
+        if ev is not None and coef == 0.0 and np.all(hat == lam):
+            u = ev.u
+        else:
+            u = _local_argmin(instance, _matvec(A_T, hat))
         # primal exchange: a contribution is refreshed only over a link that is up
-        recv = np.where(up[plan.c_link], plan.C @ u, recv)
-        s = plan.S @ recv - g
+        recv = np.where(c_up[b], _matvec(plan.C, u), recv)
+        s = _matvec(plan.S, recv) - g
         # gradient step, held unless every in-neighbor link is up
-        fired = np.bincount(plan.in_agent[~up[plan.in_link]], minlength=n_agents) == 0
-        lam_new = np.where(fired[plan.row_agent], hat + plan.eta_rows * s, hat)
+        fired = fired_blk[b]
+        lam_new = np.where(row_fired[b], hat + plan.eta_rows * s, hat)
         # stop once each agent's residual from its cached blocks is below eps (NaN never is)
-        ok = bool(np.all(np.sqrt(np.add.reduceat(s * s, plan.starts)) < eps))
+        ok = np.count_nonzero(np.sqrt(np.add.reduceat(s * s, plan.starts)) < eps) == n_blocks
         # momentum interpolation (every tracker copy of lam_j equals lam_j)
         theta_new = theta_next(theta) if accelerate else 1.0
         coef = (theta - 1.0) / theta_new
         hat = lam_new + coef * (lam_new - lam)
-        # log at the shared multiplier
-        ev = eval_dual(instance, lam_new)
-        log_q.append(ev.q)
-        log_res.append(float(np.linalg.norm(ev.grad)))
-        log_lam.append(lam_new)
         log_upd.append(fired)
         log_theta.append(theta)
+        if log:  # at the shared multiplier
+            ev = eval_dual(instance, lam_new)
+            log_q.append(ev.q)
+            log_res.append(float(np.linalg.norm(ev.grad)))
+            log_lam.append(lam_new)
         if lambda_star is not None:
             log_gap.append(q_star - ev.q)
             omega = theta * lam_new - (theta - 1.0) * lam - lambda_star
@@ -294,10 +343,13 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
     return RunTrace(
         algo=algo, instance=instance, eta=eta_arr, alpha=alpha_arr,
         eps=eps, converged=converged, iters=iters,
-        theta=np.array(log_theta), q=np.array(log_q), residual=np.array(log_res),
+        theta=np.array(log_theta),
+        q=np.array(log_q) if log else None,
+        residual=np.array(log_res) if log else None,
         updates=(np.array(log_upd, dtype=bool).reshape(iters, n_agents)
                  if iters else np.zeros((0, n_agents), dtype=bool)),
-        lam=(np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m))),
+        lam=(np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
+        if log else None,
         gap=np.array(log_gap) if lambda_star is not None else None,
         V=np.array(log_V) if lambda_star is not None else None,
         q_star=q_star, lambda_star=lambda_star, u_final=None if ev is None else ev.u,
@@ -320,14 +372,18 @@ def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int
 def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel,
              max_iters: int, eps: float = DEFAULT_EPS, *,
              lambda_star: np.ndarray | None = None,
-             lam0: np.ndarray | None = None) -> RunTrace:
+             lam0: np.ndarray | None = None, record: str = "full") -> RunTrace:
     """Tracker-based accelerated dual ascent over an unreliable network.
 
     Stopping uses each agent's most recently received neighbor
     contributions (zero before anything arrives over a link); the trace
     additionally records the true residual at the shared multiplier.
+    ``record="none"`` skips that logging re-solve and keeps only
+    ``iters``, ``converged``, ``theta`` and ``updates``, which are the
+    same as a ``"full"`` run's; it rejects ``lambda_star``.
     """
-    return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, lam0, "alg2")
+    return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, lam0, "alg2",
+                record)
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,

@@ -53,16 +53,26 @@ class ValidationError(ValueError):
 
 
 def blocks_to_csr(shape: tuple[int, int], blocks) -> sp.csr_array:
-    """CSR matrix holding the nonzeros of dense ``(row, col, B)`` blocks at those offsets."""
-    # the empty first parts make a matrix with no blocks an all-zero one
-    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for r0, c0, B in blocks:
-        r, c = np.nonzero(B)
-        rows.append(r + r0)
-        cols.append(c + c0)
-        vals.append(B[r, c])
-    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=shape)
+    """CSR matrix holding the nonzeros of dense ``(row, col, B)`` blocks at those offsets.
+
+    The blocks must not overlap.  All blocks are flattened into one
+    vector, so their nonzeros are found, placed and sorted in a few
+    array passes rather than per block.
+    """
+    blocks = list(blocks)
+    flat = np.concatenate([np.zeros(0)] + [np.ravel(B) for _, _, B in blocks])
+    r0, c0, width, size = np.array([(r, c, B.shape[1], B.size) for r, c, B in blocks],
+                                   dtype=np.intp).reshape(-1, 4).T
+    end = np.cumsum(size)
+    nz = np.flatnonzero(flat)
+    blk = np.searchsorted(end, nz, side="right")  # the block holding each nonzero
+    off = nz - (end[blk] - size[blk])
+    rows = r0[blk] + off // width[blk]
+    cols = c0[blk] + off % width[blk]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((flat[nz[order]], cols[order], indptr), shape=shape)
 
 
 def _farray(x, name: str) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared fixtures: the bundled case files and a tiny hand-checkable builder."""
 
+import functools
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from dualdec import load_instance
 from dualdec.model import AgentSpec, ProblemInstance
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+GRID_PY = CASES.parent / "perfbench" / "grid.py"
 
 
 def make_pair(hi1: float = 10.0, g: float = 2.0) -> ProblemInstance:
@@ -22,6 +25,17 @@ def make_pair(hi1: float = 10.0, g: float = 2.0) -> ProblemInstance:
     a2 = AgentSpec(id=2, dim=1, Q=np.empty(0), diag=[1.0], c=[0.0], lo=[-10.0],
                    hi=[10.0], m=0, g=[], blocks={})
     return ProblemInstance(agents=(a1, a2))
+
+
+@functools.cache
+def mesh_grid(rows: int = 6, cols: int = 6, h: int = 24) -> ProblemInstance:
+    """The benchmark's seeded mesh-grid DC-OPF instance (seed 0), from perfbench/grid.py."""
+    from dualdec import build_opf_instance
+
+    spec = importlib.util.spec_from_file_location("perfbench_grid", GRID_PY)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return build_opf_instance(grid.mesh_case(rows, cols, h, seed=0))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CASES
+from dualdec import build_network, build_stepsizes, random_instance, run_alg2, save_instance
 from dualdec.cli import main
 
 
@@ -185,6 +186,26 @@ def test_montecarlo_gamma_zero_has_no_spread(tmp_path, capsys):
     capsys.readouterr()
     iters = [int(ln.split(",")[2]) for ln in out.read_text().splitlines()[1:]]
     assert len(set(iters)) == 1
+
+
+def test_montecarlo_rows_equal_logged_runs(tmp_path, capsys):
+    # montecarlo skips the logging re-solve; its rows must equal fully logged runs
+    inst = random_instance(5, seed=0)
+    problem, out = tmp_path / "rand5.json", tmp_path / "mc.csv"
+    save_instance(inst, problem)
+    assert main(["montecarlo", "--problem", str(problem), "--gammas", "0,0.3,0.5",
+                 "--runs", "3", "--seed", "7", "--eps", "1e-4", "--max-iters", "400",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = build_stepsizes(inst)
+    want = ["gamma,seed,iters,converged"]
+    for gamma in (0.0, 0.3, 0.5):
+        for seed in (7, 8, 9):
+            tr = run_alg2(inst, table, build_network(inst, gamma, seed=seed), 400, 1e-4)
+            assert tr.q is not None and len(tr.q) == tr.iters
+            want.append(f"{gamma!r},{seed},{tr.iters},{int(tr.converged)}")
+    assert out.read_text().splitlines() == want
+    assert {ln.split(",")[3] for ln in want[1:]} == {"0", "1"}
 
 
 def test_montecarlo_byte_deterministic(tmp_path, capsys):

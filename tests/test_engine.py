@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES
+from conftest import CASES, mesh_grid
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
                      check_lyapunov_step, check_quadratic_model, draw_links, eval_dual,
                      load_case, load_instance, neighbors_active, random_instance, run_alg1,
                      run_alg2, run_unaccelerated, solve_kkt, solve_local, theta_next)
-from dualdec.engine import TRACE_HEADER
-from dualdec.model import ProblemInstance
+from dualdec import engine
+from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan
+from dualdec.model import AgentSpec, ProblemInstance
 from dualdec.stepsize import StepsizeTable
 
 CHAIN = load_instance(CASES / "chain3.json")
@@ -329,6 +330,86 @@ def test_local_solve_branches_agree(inst, gamma):
     assert a.iters == b.iters == 200
     np.testing.assert_array_equal(a.updates, b.updates)
     np.testing.assert_allclose(a.lam, b.lam, rtol=0, atol=1e-10)
+
+
+DENSE10 = random_instance(10, seed=0, diagonal=False)
+KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": IEEE14,
+                "dense10": DENSE10}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_record_none_matches_full(name, gamma):
+    inst = KERNEL_CASES[name]
+    tab = build_stepsizes(inst)
+    net = build_network(inst, gamma, seed=4)
+    full = run_alg2(inst, tab, net, 400, 1e-4)
+    bare = run_alg2(inst, tab, net, 400, 1e-4, record="none")
+    assert (bare.iters, bare.converged) == (full.iters, full.converged)
+    np.testing.assert_array_equal(bare.updates, full.updates)
+    np.testing.assert_array_equal(bare.theta, full.theta)
+    assert bare.q is bare.residual is bare.lam is bare.u_final is None
+
+
+def test_record_none_rejects_lambda_star():
+    with pytest.raises(ValidationError, match="lambda_star"):
+        run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10,
+                 lambda_star=CHAIN_STAR.lam, record="none")
+
+
+def test_unknown_record_level_rejected():
+    with pytest.raises(ValidationError, match="record"):
+        run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10, record="scalars")
+
+
+def test_unrecorded_trace_has_no_csv(tmp_path):
+    tr = run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10, record="none")
+    with pytest.raises(ValueError, match="record"):
+        tr.to_csv(tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES) + ["grid6"])
+def test_matvec_is_scipy_matvec_bit_for_bit(name):
+    # _matvec calls scipy's csr_matvec directly; a later scipy must still agree with A @ x
+    inst = mesh_grid() if name == "grid6" else KERNEL_CASES[name]
+    plan = _plan(inst, build_stepsizes(inst), build_network(inst, 0.3, seed=1))
+    rng = np.random.default_rng(0)
+    for A in (inst.coupling_csr, inst.coupling_csr_T, plan.C, plan.S):
+        x = rng.standard_normal(A.shape[1])
+        x[::3], x[1::5] = 0.0, -0.0
+        for v in (x, np.zeros(A.shape[1]), -np.zeros(A.shape[1])):
+            assert _matvec(A, v).tobytes() == (A @ v).tobytes()
+
+
+def test_local_argmin_is_np_clip_bit_for_bit():
+    # bounds with signed zeros and equal ends; pressures with signed zeros, NaN, inf, bounds
+    lo = np.array([-10.0, -0.0, 0.0, 0.0, 2.0, -1.0, -0.0])
+    hi = np.array([10.0, 0.0, 0.0, 1.0, 2.0, -1.0, -0.0])
+    inst = ProblemInstance(agents=(AgentSpec(
+        id=1, dim=7, Q=np.empty(0), diag=np.ones(7), c=np.zeros(7), lo=lo, hi=hi, m=1,
+        g=[0.0], blocks={1: np.ones((1, 7))}),))
+    for val in (0.0, -0.0, np.nan, np.inf, -np.inf, 10.0, -10.0, -2.0, 1.0, 1e308, 5e-324):
+        a = np.full(7, val)
+        want = np.clip(-(inst.c_vec + a) / inst.qdiag_vec, lo, hi)
+        assert _local_argmin(inst, a).tobytes() == want.tobytes(), val
+
+
+def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
+    # unaccel's interpolant is lam(k-1), where the previous log already solved
+    calls = []
+    orig = engine.solve_local
+    monkeypatch.setattr(engine, "solve_local", lambda a, p: calls.append(a.id) or orig(a, p))
+    net = build_network(DENSE10, 0.3, seed=1)
+    tab = build_stepsizes(DENSE10)
+    tr = run_unaccelerated(DENSE10, tab, net, 20, 0.0)
+    assert len(calls) == 10 * (tr.iters + 1)
+    calls.clear()
+    tr = run_alg2(DENSE10, tab, net, 20, 0.0)  # only k = 2 follows a zero coefficient
+    assert len(calls) == 10 * (2 * tr.iters - 1)
+    calls.clear()
+    run_alg2(DENSE10, tab, net, 20, 0.0, record="none")
+    assert len(calls) == 10 * 20
 
 
 def test_ieee14_iteration_counts_pinned():

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pair
-from dualdec import ValidationError, constraint_residual, primal_cost, random_instance
-from dualdec.model import (AgentSpec, ProblemInstance, instance_from_dict,
+from conftest import CASES, make_pair, mesh_grid
+from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
+                     constraint_residual, engine, load_case, primal_cost, random_instance)
+from dualdec.model import (AgentSpec, ProblemInstance, blocks_to_csr, instance_from_dict,
                            instance_to_dict, load_instance, save_instance)
 
 
@@ -124,6 +126,56 @@ def test_coupling_csr_matches_dense(inst):
     assert np.array_equal(inst.coupling_csr_T.toarray(), A.T)
     assert np.array_equal(inst.coupling_matrix, A)
     assert inst.coupling_csr.nnz == np.count_nonzero(A)
+
+
+def blocks_to_csr_reference(shape, blocks):
+    """The per-block construction: each block's nonzeros, then one COO -> CSR conversion."""
+    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for r0, c0, B in blocks:
+        r, c = np.nonzero(B)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(B[r, c])
+    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=shape)
+
+
+def _block_sets(inst, monkeypatch):
+    """The coupling block lists of ``inst`` and the lists ``engine._plan`` builds from it."""
+    sets = [((inst.m_total, inst.n_total), list(inst._coupling_blocks(False))),
+            ((inst.n_total, inst.m_total), list(inst._coupling_blocks(True)))]
+
+    def record(shape, blocks):
+        sets.append((shape, list(blocks)))
+        return blocks_to_csr(*sets[-1])
+
+    monkeypatch.setattr(engine, "blocks_to_csr", record)
+    tab = build_stepsizes(inst)
+    engine._plan(inst, tab, build_network(inst, 0.3, seed=1))
+    engine._plan(inst, tab, None)
+    return sets
+
+
+@pytest.mark.parametrize("name", ["rand", "opf", "empty"])
+def test_blocks_to_csr_matches_per_block_reference(name, monkeypatch):
+    if name == "rand":
+        insts = [random_instance(n, seed=s, diagonal=s % 2 == 0)
+                 for n in (4, 5, 10) for s in range(4)]
+    elif name == "opf":
+        insts = [build_opf_instance(load_case(CASES / f)) for f in ("ieee14.json",
+                                                                    "opf_2bus.json")]
+        insts.append(mesh_grid())
+    else:
+        insts = []
+    sets = [s for inst in insts for s in _block_sets(inst, monkeypatch)]
+    sets.append(((3, 4), []))
+    sets.append(((2, 5), [(0, 1, np.zeros((2, 2))), (1, 3, np.array([[0.0, -0.0]]))]))
+    for shape, blocks in sets:
+        got, want = blocks_to_csr(shape, blocks), blocks_to_csr_reference(shape, blocks)
+        assert got.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.array_equal(a, b) and a.dtype == b.dtype, field
 
 
 def test_agents_sorted_by_id():

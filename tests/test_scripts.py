@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts as subprocesses."""
 
+import json
 import re
 import subprocess
 import sys
@@ -46,3 +47,23 @@ def test_run_opf_two_bus(tmp_path):
     k = int(re.search(r"k=(\d+) converged=True", proc.stdout).group(1))
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,q,residual,gap,V,updates" and len(lines) == 1 + k
+
+
+def test_bench_writes_paired_entry(tmp_path):
+    # the same checkout on both sides exercises the alternating pair layout
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--workloads", "dispatch-grid",
+         "--seeds", "1", "--seconds", "1", "--label", "smoke", "--against", str(root),
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (path,) = tmp_path.glob("BENCH_*_smoke.json")
+    entry = json.loads(path.read_text())
+    assert [(r["tree"], r["position"]) for r in entry["runs"]] == [("this", 0), ("against", 1)]
+    for r in entry["runs"]:
+        assert r["result"]["correct"] and r["env"]["nproc"] >= 1
+        assert r["rounds"] == entry["runs"][0]["rounds"] > 0
+        assert any(ln.startswith("solve_s median") for ln in r["lines"])
+    row = entry["summary"]["dispatch-grid"]["rounds"]
+    assert row["pairs"] == 1 and row["ties"] == 1

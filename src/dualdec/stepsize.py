@@ -20,36 +20,16 @@ from .model import ProblemInstance, ValidationError
 
 __all__ = ["StepsizeTable", "spectral_norm", "build_stepsizes"]
 
-POWER_TOL = 1e-10
-POWER_MAX_ITERS = 10_000
-
-
 def spectral_norm(M) -> float:
-    """Largest singular value via power iteration on M'M.
+    """Largest singular value ||M||_2, exact (LAPACK SVD); ValueError on an empty matrix.
 
-    Deterministic all-ones start, relative Rayleigh tolerance
-    ``POWER_TOL``.  Raises ValueError on an empty matrix and RuntimeError
-    if the iteration fails to settle within ``POWER_MAX_ITERS``.
+    An exact value matters: an estimate from below makes L_i low and
+    eta_i = 1/L_i larger than the safe step.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         raise ValueError("spectral_norm: empty matrix")
-    A = M.T @ M
-    n = A.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    ray_prev = np.inf
-    for _ in range(POWER_MAX_ITERS):
-        w = A @ v
-        ray = float(np.dot(v, w))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(ray - ray_prev) <= POWER_TOL * max(abs(ray), 1e-300):
-            return float(np.sqrt(max(ray, 0.0)))
-        ray_prev = ray
-    raise RuntimeError(
-        f"spectral_norm: power iteration did not converge in {POWER_MAX_ITERS} iterations")
+    return float(np.linalg.norm(M, 2))
 
 
 @dataclass(frozen=True)

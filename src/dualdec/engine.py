@@ -56,7 +56,7 @@ __all__ = [
 DEFAULT_EPS = 1e-6
 MODEL_SLACK = 1e-9  # absolute slack of check_quadratic_model
 TRACE_HEADER = "k,q,residual,gap,V,updates"
-LINK_BLOCK = 64  # iterations of link states drawn per activation_matrix call
+LINK_BLOCK = 64  # iterations of link states (and the masks from them) made at once
 RECORDS = ("full", "none")
 
 
@@ -307,7 +307,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             row_fired = fired_blk[:, plan.row_agent]
         # local solves at the interpolated multipliers; after a zero momentum
         # coefficient hat equals lam(k-1), where the last log already solved
-        if ev is not None and coef == 0.0 and np.all(hat == lam):
+        if ev is not None and coef == 0.0 and (hat == lam).all():
             u = ev.u
         else:
             u = _local_argmin(instance, _matvec(A_T, hat))
@@ -348,8 +348,8 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         residual=np.array(log_res) if log else None,
         updates=(np.array(log_upd, dtype=bool).reshape(iters, n_agents)
                  if iters else np.zeros((0, n_agents), dtype=bool)),
-        lam=(np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
-        if log else None,
+        lam=((np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
+             if log else None),
         gap=np.array(log_gap) if lambda_star is not None else None,
         V=np.array(log_V) if lambda_star is not None else None,
         q_star=q_star, lambda_star=lambda_star, u_final=None if ev is None else ev.u,

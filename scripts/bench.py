@@ -10,8 +10,8 @@ checkout too, in alternating order (this tree first on even pairs), so
 that drifts in machine speed fall on both sides alike.  The entry
 ``BENCH_<date>_<label>.json`` keeps, per run, the env line, the metric
 lines as printed, the result JSON and ``rounds``; per workload it
-summarises each end-to-end metric by the median over seeds and, for
-pairs, how often this tree did better.
+summarises each metric (end-to-end, or per-layer with ``--trace 1``) by
+the median over seeds and, for pairs, how often this tree did better.
 """
 
 import argparse
@@ -55,7 +55,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def summarise(runs: list[dict], metrics: list[dict], paired: bool) -> dict:
-    """Per workload and end-to-end metric: median per tree, and pair wins when paired."""
+    """Per workload and metric: median per tree, and pair wins when paired."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         mine = {r["seed"]: r for r in runs if r["workload"] == wl and r["tree"] == "this"}
@@ -117,7 +117,8 @@ def main(argv=None) -> int:
                 runs.append(rec)
                 vals = rec["result"]["metrics"]
                 shown = {k: round(v["value"], 6) for k, v in vals.items()
-                         if k in ("solve_s", "us_per_iter", "rounds")}
+                         if k in ("solve_s", "us_per_iter", "rounds", "engine.run_s",
+                                  "engine.log_calls")}
                 print(f"{wl} seed {seed} {name}: {json.dumps(shown)}", flush=True)
             pair += 1
 

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import CASES, mesh_grid
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
-                     check_lyapunov_step, check_quadratic_model, draw_links, eval_dual,
-                     load_case, load_instance, neighbors_active, random_instance, run_alg1,
-                     run_alg2, run_unaccelerated, solve_kkt, solve_local, theta_next)
-from dualdec import engine
+                     check_lyapunov_step, check_quadratic_model, draw_links, engine,
+                     eval_dual, load_case, load_instance, neighbors_active, random_instance,
+                     run_alg1, run_alg2, run_unaccelerated, solve_kkt, solve_local, theta_next)
 from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan
 from dualdec.model import AgentSpec, ProblemInstance
 from dualdec.stepsize import StepsizeTable

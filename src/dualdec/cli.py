@@ -1,7 +1,8 @@
 """Command line front end: validate, run, montecarlo.
 
 Exit codes: 0 success, 1 bad flags, 2 validation/load failure,
-3 iteration budget exhausted before the stopping criterion.
+3 the run stopped unconverged (iteration budget exhausted, or a
+non-finite multiplier); ``run`` prints the stop reason.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ def _cmd_run(args, parser) -> int:
         trace.to_csv(args.out)
     if trace.iters:
         print(f"k={trace.iters} q={float(trace.q[-1])!r} "
-              f"residual={float(trace.residual[-1])!r} converged={trace.converged}")
+              f"residual={float(trace.residual[-1])!r} converged={trace.converged} "
+              f"stop={trace.stop}")
     else:
-        print("k=0 (empty run)")
+        print(f"k=0 (empty run) stop={trace.stop}")
     return 0 if trace.converged else 3
 
 

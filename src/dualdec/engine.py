@@ -84,16 +84,20 @@ def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
 
 def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     """Every agent's local minimizer at the stacked pressure ``a``: one
-    vectorized clip for diagonal costs, else ``solve_local`` per agent."""
+    vectorized clip for diagonal costs, and one ``solve_local`` call per
+    stack of same-dimension dense agents."""
     d = instance.qdiag_vec
     if d is not None:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
         return np.minimum(np.maximum(-(instance.c_vec + a) / d, instance.lo_vec),
                           instance.hi_vec)
     u = np.empty(instance.n_total)
-    for ag in instance.agents:
-        sl = instance.u_slice(ag.id)
-        u[sl] = solve_local(ag, a[sl])
+    cols, diag = instance.diag_columns
+    if len(cols):
+        u[cols] = np.minimum(np.maximum(-(instance.c_vec[cols] + a[cols]) / diag,
+                                        instance.lo_vec[cols]), instance.hi_vec[cols])
+    for st in instance.dense_stacks:
+        u[st.cols] = solve_local(st, a[st.cols].reshape(st.c.shape)).ravel()
     return u
 
 
@@ -118,7 +122,11 @@ class RunTrace:
     """Per-iteration log of one run.
 
     ``lam[k-1]`` is the stacked multiplier after iteration k; ``q`` and
-    ``residual`` are evaluated at that shared multiplier.  ``gap`` and
+    ``residual`` are evaluated at that shared multiplier.  ``stop`` says
+    why the run ended: ``"converged"`` (the stop test passed),
+    ``"budget"`` (``max_iters`` ran out) or ``"nonfinite"`` (iteration
+    ``iters + 1`` made a multiplier or its interpolant inf or NaN; that
+    iteration is not recorded).  ``gap`` and
     ``V`` are populated only when the run was given the optimal
     multiplier; ``updates[k-1, p]`` says whether agent p (ascending id)
     took its gradient step at iteration k.  An unrecorded run
@@ -132,6 +140,7 @@ class RunTrace:
     alpha: np.ndarray
     eps: float
     converged: bool
+    stop: str
     iters: int
     theta: np.ndarray
     q: np.ndarray | None
@@ -297,7 +306,8 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
     hat = lam                              # interpolated multipliers
     recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
-    theta, coef, converged, iters, ev = 1.0, 1.0, False, 0, None
+    theta, coef, stop, iters, ev = 1.0, 1.0, "budget", 0, None
+    zero = np.zeros(instance.m_total)
 
     for k in range(1, max_iters + 1):
         b = (k - 1) % LINK_BLOCK
@@ -323,6 +333,11 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         theta_new = theta_next(theta) if accelerate else 1.0
         coef = (theta - 1.0) / theta_new
         hat = lam_new + coef * (lam_new - lam)
+        # one scalar probe, no array: 0 * inf and 0 * nan are nan, so this is 0
+        # exactly when hat (and with it lam_new) is finite
+        if not np.dot(hat, zero) == 0.0:
+            stop = "nonfinite"
+            break
         log_upd.append(fired)
         log_theta.append(theta)
         if log:  # at the shared multiplier
@@ -336,13 +351,13 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             log_V.append(float(np.dot(omega * omega, v_weight)))
         lam, theta, iters = lam_new, theta_new, k
         if ok:
-            converged = True
+            stop = "converged"
             break
 
     m = instance.m_total
     return RunTrace(
         algo=algo, instance=instance, eta=eta_arr, alpha=alpha_arr,
-        eps=eps, converged=converged, iters=iters,
+        eps=eps, converged=stop == "converged", stop=stop, iters=iters,
         theta=np.array(log_theta),
         q=np.array(log_q) if log else None,
         residual=np.array(log_res) if log else None,
@@ -363,8 +378,9 @@ def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int
 
     Stops at the first iteration where every agent's own residual norm
     (at that iteration's local solutions) drops below ``eps``.
-    Non-convergence within ``max_iters`` is reported on the trace, not
-    raised.  ``lam0`` warm-starts lam(0) (default zero).
+    Non-convergence within ``max_iters``, or a multiplier that overflows
+    to inf or NaN, is reported on the trace (``stop``), not raised.
+    ``lam0`` warm-starts lam(0) (default zero).
     """
     return _run(instance, stepsizes, None, max_iters, eps, True, lambda_star, lam0, "alg1")
 

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +31,7 @@ import scipy.sparse as sp
 __all__ = [
     "ValidationError",
     "AgentSpec",
+    "AgentStack",
     "InfluenceGraph",
     "ProblemInstance",
     "derive_graph",
@@ -207,6 +209,11 @@ class AgentSpec:
     def is_diagonal(self) -> bool:
         return self.diag is not None
 
+    @cached_property
+    def stack(self) -> AgentStack:
+        """This agent alone as a stack of one, for the lock-step local solve."""
+        return AgentStack.of((self,), np.arange(self.dim), np.zeros(1, dtype=np.intp))
+
     def cost(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
         if self.diag is not None:
@@ -214,6 +221,42 @@ class AgentSpec:
         else:
             quad = 0.5 * float(u @ self.Q @ u)
         return quad + float(np.dot(self.c, u))
+
+
+class AgentStack(NamedTuple):
+    """Agents of one dimension d stacked for a lock-step local solve.
+
+    Row r of every array belongs to agent ``ids[r]``.  ``cols`` lists the
+    agents' columns in their instance's decision vector, agent after
+    agent, and ``pos`` their positions in ``instance.agents``.
+    """
+
+    ids: tuple[int, ...]
+    Q: np.ndarray     # (k, d, d)
+    c: np.ndarray     # (k, d)
+    lo: np.ndarray    # (k, d)
+    hi: np.ndarray    # (k, d)
+    L: np.ndarray     # (k, 1): eig_max, the Lipschitz constant of each local gradient
+    cols: np.ndarray  # (k * d,)
+    pos: np.ndarray   # (k,)
+
+    @classmethod
+    def of(cls, agents, cols, pos) -> AgentStack:
+        agents = tuple(agents)
+        if len({a.dim for a in agents}) != 1:
+            raise ValueError("a stack holds agents of one dimension")
+
+        def frozen(x):
+            x = np.array(x)
+            x.setflags(write=False)
+            return x
+
+        return cls(ids=tuple(a.id for a in agents),
+                   Q=frozen([a.Q for a in agents]), c=frozen([a.c for a in agents]),
+                   lo=frozen([a.lo for a in agents]), hi=frozen([a.hi for a in agents]),
+                   L=frozen([[a.eig_max] for a in agents]),
+                   cols=frozen(np.asarray(cols, dtype=np.intp)),
+                   pos=frozen(np.asarray(pos, dtype=np.intp)))
 
 
 @dataclass(frozen=True)
@@ -381,6 +424,36 @@ class ProblemInstance:
             return v
         return None
 
+    def _columns(self, agents) -> np.ndarray:
+        """The agents' columns in a stacked decision vector, agent after agent."""
+        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            np.arange(self._u_offsets[a.id].start, self._u_offsets[a.id].stop)
+            for a in agents])
+
+    @cached_property
+    def dense_stacks(self) -> tuple[AgentStack, ...]:
+        """The agents with a dense cost, one stack per dimension (ascending),
+        ids ascending within a stack."""
+        groups: dict[int, list[int]] = {}
+        for p, a in enumerate(self.agents):
+            if not a.is_diagonal:
+                groups.setdefault(a.dim, []).append(p)
+        stacks = []
+        for d in sorted(groups):
+            agents = [self.agents[p] for p in groups[d]]
+            stacks.append(AgentStack.of(agents, self._columns(agents), groups[d]))
+        return tuple(stacks)
+
+    @cached_property
+    def diag_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns of the agents with a diagonal cost, and their cost diagonal."""
+        diag = [a for a in self.agents if a.is_diagonal]
+        cols = self._columns(diag)
+        d = np.concatenate([np.zeros(0)] + [a.diag for a in diag])
+        cols.setflags(write=False)
+        d.setflags(write=False)
+        return cols, d
+
     @cached_property
     def _out_stacks(self) -> dict[int, np.ndarray]:
         out = {}
@@ -398,14 +471,28 @@ class ProblemInstance:
 
 
 def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
-    """Total separable cost sum_i 1/2 u_i' Q_i u_i + c_i' u_i."""
+    """Total separable cost sum_i 1/2 u_i' Q_i u_i + c_i' u_i.
+
+    Dense costs are evaluated a stack at a time with the same per-agent
+    BLAS products as ``AgentSpec.cost`` and summed over agents in id
+    order, so the total equals the per-agent sum bit for bit.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n_total,):
         raise ValidationError(f"u has shape {u.shape}, expected ({instance.n_total},)")
     d = instance.qdiag_vec
     if d is not None:
         return 0.5 * float(np.dot(u, d * u)) + float(np.dot(instance.c_vec, u))
-    return sum(a.cost(u[instance.u_slice(a.id)]) for a in instance.agents)
+    cost = np.empty(len(instance.agents))
+    for st in instance.dense_stacks:
+        x = u[st.cols].reshape(st.c.shape)
+        row, col = x[:, None, :], x[:, :, None]
+        cost[st.pos] = 0.5 * (row @ st.Q @ col)[:, 0, 0] + (st.c[:, None, :] @ col)[:, 0, 0]
+    if len(instance.diag_columns[0]):
+        for p, a in enumerate(instance.agents):
+            if a.is_diagonal:
+                cost[p] = a.cost(u[instance.u_slice(a.id)])
+    return sum(cost.tolist())
 
 
 def constraint_residual(instance: ProblemInstance, u: np.ndarray):
@@ -416,7 +503,7 @@ def constraint_residual(instance: ProblemInstance, u: np.ndarray):
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n_total,):
         raise ValidationError(f"u has shape {u.shape}, expected ({instance.n_total},)")
-    res = instance.coupling_matrix @ u - instance.g_vec
+    res = instance.coupling_csr @ u - instance.g_vec
     return res, float(np.linalg.norm(res))
 
 

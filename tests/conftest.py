@@ -27,6 +27,42 @@ def make_pair(hi1: float = 10.0, g: float = 2.0) -> ProblemInstance:
     return ProblemInstance(agents=(a1, a2))
 
 
+def solve_pgd_reference(agent: AgentSpec, a: np.ndarray, max_iters: int = 100_000,
+                        counts: dict | None = None) -> np.ndarray:
+    """One dense agent's local solve as a loop of its own: the per-agent
+    accelerated projected gradient that the stacked solver replaced.
+
+    ``counts``, when given, receives the inner iterations and restarts.
+    """
+    tol = 1e-12  # subsolver.FIXED_POINT_TOL
+    Q, lo, hi = agent.Q, agent.lo, agent.hi
+    b = agent.c + a
+    L = agent.eig_max
+    x = np.clip(np.linalg.solve(Q, -b), lo, hi)
+    y = x
+    t = 1.0
+    resid = np.inf
+    for it in range(max_iters):
+        x_new = np.clip(y - (Q @ y + b) / L, lo, hi)
+        step = x_new - np.clip(x_new - (Q @ x_new + b) / L, lo, hi)
+        resid = float(np.linalg.norm(step))
+        if resid <= tol:
+            if counts is not None:
+                counts["iters"] = counts.get("iters", 0) + it + 1
+            return x_new
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        if float(np.dot(y - x_new, x_new - x)) > 0.0:
+            t_new = 1.0
+            y = x_new
+            if counts is not None:
+                counts["restarts"] = counts.get("restarts", 0) + 1
+        else:
+            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+    raise RuntimeError(f"agent {agent.id}: local QP solve stalled at fixed-point residual "
+                       f"{resid:.3e} after {max_iters} iterations")
+
+
 @functools.cache
 def mesh_grid(rows: int = 6, cols: int = 6, h: int = 24) -> ProblemInstance:
     """The benchmark's seeded mesh-grid DC-OPF instance (seed 0), from perfbench/grid.py."""

@@ -112,6 +112,17 @@ def test_run_exhausted_exits_3(capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_iters, code, tail", [
+    ("10000", 0, " converged=True stop=converged"),
+    ("3", 3, " converged=False stop=budget"),
+    ("0", 3, "k=0 (empty run) stop=budget"),
+])
+def test_run_prints_stop_reason(max_iters, code, tail, capsys):
+    assert main(["run", "--algo", "alg2", "--problem", pj("chain3.json"), "--gamma", "0.3",
+                 "--max-iters", max_iters]) == code
+    assert capsys.readouterr().out.rstrip("\n").endswith(tail)
+
+
 # ------------------------------------------------------------- run cmd
 
 

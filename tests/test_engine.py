@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, mesh_grid
+from conftest import CASES, mesh_grid, solve_pgd_reference
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
                      check_lyapunov_step, check_quadratic_model, draw_links, engine,
                      eval_dual, load_case, load_instance, neighbors_active, random_instance,
@@ -332,6 +332,39 @@ def test_local_solve_branches_agree(inst, gamma):
 
 
 DENSE10 = random_instance(10, seed=0, diagonal=False)
+# the odd ids declared diagonal: clip columns and dense stacks in one instance
+MIXED10 = ProblemInstance(agents=tuple(
+    dataclasses.replace(a, diag=np.diag(a.Q)) if a.id % 2 else a for a in DENSE10.agents))
+
+
+def per_agent_argmin(instance, a):
+    """Every agent's local minimizer, one agent at a time."""
+    u = np.empty(instance.n_total)
+    for ag in instance.agents:
+        sl = instance.u_slice(ag.id)
+        u[sl] = (np.clip(-(ag.c + a[sl]) / ag.diag, ag.lo, ag.hi) if ag.is_diagonal
+                 else solve_pgd_reference(ag, a[sl]))
+    return u
+
+
+def per_agent_cost(instance, u):
+    return sum(a.cost(u[instance.u_slice(a.id)]) for a in instance.agents)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("name", ["mixed10", "dense10"])
+def test_stacked_kernel_is_per_agent_solves_bit_for_bit(name, gamma, monkeypatch):
+    inst = {"mixed10": MIXED10, "dense10": DENSE10}[name]
+    assert len(inst.dense_stacks) > 1
+    tab = build_stepsizes(inst)
+    net = build_network(inst, gamma, seed=4)
+    star = solve_kkt(inst).lam
+    stacked = run_alg2(inst, tab, net, 150, 0.0, lambda_star=star)
+    monkeypatch.setattr(engine, "_local_argmin", per_agent_argmin)
+    monkeypatch.setattr(engine, "primal_cost", per_agent_cost)
+    alone = run_alg2(inst, tab, net, 150, 0.0, lambda_star=star)
+    for f in ("lam", "q", "residual", "gap", "V", "updates", "u_final", "theta"):
+        assert getattr(stacked, f).tobytes() == getattr(alone, f).tobytes(), f
 KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": IEEE14,
                 "dense10": DENSE10}
 
@@ -395,10 +428,11 @@ def test_local_argmin_is_np_clip_bit_for_bit():
 
 
 def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
-    # unaccel's interpolant is lam(k-1), where the previous log already solved
+    # unaccel's interpolant is lam(k-1), where the previous log already solved;
+    # the kernel solves a stack of agents per call, so count the agents solved
     calls = []
     orig = engine.solve_local
-    monkeypatch.setattr(engine, "solve_local", lambda a, p: calls.append(a.id) or orig(a, p))
+    monkeypatch.setattr(engine, "solve_local", lambda s, p: calls.extend(s.ids) or orig(s, p))
     net = build_network(DENSE10, 0.3, seed=1)
     tab = build_stepsizes(DENSE10)
     tr = run_unaccelerated(DENSE10, tab, net, 20, 0.0)
@@ -463,13 +497,38 @@ def test_bad_lambda_star_rejected(bad):
 
 
 def test_stop_test_is_nan_safe():
-    # steps this large overflow to inf and then NaN by k=3; a NaN residual
-    # used to pass the stop test and report convergence at k=4
+    # steps this large overflow to inf at k=2 and then to NaN; a NaN residual
+    # used to pass the stop test and report convergence at k=4, and a
+    # non-finite multiplier now ends the run before that iteration is logged
     bad = corrupt(CHAIN_TAB, 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         tr = run_alg1(CHAIN, bad, 50, 1e-6)
-    assert np.isnan(tr.lam[-1]).all()
-    assert not tr.converged and tr.iters == 50
+    assert not tr.converged and tr.stop == "nonfinite" and tr.iters == 1
+    assert np.isfinite(tr.lam).all() and tr.updates.shape == (1, 3)
+
+
+def test_stop_reasons():
+    net = build_network(CHAIN, 0.3, seed=1)
+    done = run_alg2(CHAIN, CHAIN_TAB, net, 10_000, 1e-6)
+    short = run_alg2(CHAIN, CHAIN_TAB, net, 5, 1e-6)
+    empty = run_alg2(CHAIN, CHAIN_TAB, net, 0, 1e-6)
+    assert (done.stop, done.converged) == ("converged", True) and done.iters < 10_000
+    assert (short.stop, short.converged, short.iters) == ("budget", False, 5)
+    assert (empty.stop, empty.iters) == ("budget", 0)
+    bare = run_alg2(CHAIN, CHAIN_TAB, net, 10_000, 1e-6, record="none")
+    assert (bare.stop, bare.iters) == ("converged", done.iters)
+
+
+def test_nonfinite_multiplier_ends_a_dense_run_at_once():
+    # a local solve at an inf pressure would spin the projected gradient to
+    # its 100000-step budget; the run must stop before it gets there
+    tab = build_stepsizes(DENSE10)
+    net = build_network(DENSE10, 0.2, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (run_alg2, run_unaccelerated):
+            tr = run(DENSE10, corrupt(tab, 1e308), net, 50, 1e-6)
+            assert tr.stop == "nonfinite" and not tr.converged and tr.iters < 5
+            assert np.isfinite(tr.lam).all()
 
 
 # ------------------------------------------------------------- checks

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +68,41 @@ def test_bench_writes_paired_entry(tmp_path):
         assert any(ln.startswith("solve_s median") for ln in r["lines"])
     row = entry["summary"]["dispatch-grid"]["rounds"]
     assert row["pairs"] == 1 and row["ties"] == 1
+
+
+def test_digests_against_itself(tmp_path):
+    # one instance's digests, computed in both trees by fresh processes
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "digests.py"), "--against", str(root), "chain3/"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "10 digests, 0 differ"
+    rows = [ln.split() for ln in lines[:-1]]
+    assert {r[1] for r in rows} == {"chain3/steps", "chain3/eval_dual", "chain3/alg1",
+                                    "chain3/alg2-g0.1-eps1e-4"} | {
+        f"chain3/{a}-g{g}" for a in ("alg2", "unaccel") for g in (0.0, 0.3, 0.5)}
+    assert all(r[0] == "same" and r[2] == r[3] and len(r[2]) == 64 for r in rows)
+    # alg2 at gamma 0 is alg1 bit for bit (criterion 7)
+    by_name = {r[1]: r[2] for r in rows}
+    assert by_name["chain3/alg1"] == by_name["chain3/alg2-g0.0"]
+
+
+def test_digests_flag_a_changed_tree(tmp_path):
+    # a copy whose chain3 costs differ: same step table, different run
+    root, other = SCRIPTS.parent, tmp_path / "other"
+    shutil.copytree(root / "src", other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(root / "cases", other / "cases")
+    case = json.loads((other / "cases" / "chain3.json").read_text())
+    case["agents"][0]["c"][0] += 1.0
+    (other / "cases" / "chain3.json").write_text(json.dumps(case))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "digests.py"), "--against", str(other),
+         "chain3/steps", "chain3/alg1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    status = {ln.split()[1]: ln.split()[0] for ln in proc.stdout.splitlines()[:-1]}
+    assert status == {"chain3/steps": "same", "chain3/alg1": "DIFF"}
+    assert proc.stdout.splitlines()[-1] == "2 digests, 1 differ"

@@ -1,12 +1,15 @@
 """Local box-constrained QP solves: closed form and accelerated PGD."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdec import eval_dual, solve_local
-from dualdec.model import AgentSpec
+from conftest import solve_pgd_reference
+from dualdec import eval_dual, primal_cost, random_instance, solve_local
+from dualdec.model import AgentSpec, AgentStack, ProblemInstance
 
 RNG = np.random.default_rng(1234)
 
@@ -121,3 +124,85 @@ def test_dual_value_terms_sum_to_dual(chain3):
         total += (ag.cost(ev.u[sl]) - float(np.dot(lam[chain3.lam_slice(ag.id)], ag.g))
                   + float(np.dot(a[sl], ev.u[sl])))
     assert total == pytest.approx(ev.q, abs=1e-12)
+
+
+# ------------------------------------------------------- stacked solves
+
+
+def random_dense_agents(rng, k, d, *, wide=False, equal_bounds=False):
+    """k dense agents of dimension d (ids 10, 11, ...); ``wide`` boxes are +-1e6."""
+    agents = []
+    for i in range(k):
+        A = rng.normal(size=(d, d))
+        lo, hi = -rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d)
+        if wide:
+            lo, hi = np.full(d, -1e6), np.full(d, 1e6)
+        if equal_bounds:
+            pinned = rng.random(d) < 0.3
+            hi[pinned] = lo[pinned]
+        agents.append(AgentSpec(id=10 + i, dim=d, Q=A.T @ A / d + 0.3 * np.eye(d),
+                                c=rng.normal(size=d), lo=lo, hi=hi, m=0, g=[], blocks={}))
+    return agents
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pressure", ["inactive", "active", "equal-bounds"])
+def test_stacked_solve_is_per_agent_reference_bit_for_bit(d, pressure):
+    # small pressures leave the box inactive; large ones pin coordinates and
+    # take several restarted inner steps; lo == hi pins some coordinates outright
+    rng = np.random.default_rng(100 * d + len(pressure))
+    counts = {}
+    for trial in range(40):
+        k = int(rng.integers(1, 7))
+        agents = random_dense_agents(rng, k, d, wide=pressure == "inactive",
+                                     equal_bounds=pressure == "equal-bounds")
+        scale = 0.01 if pressure == "inactive" else 5.0
+        a = rng.normal(size=(k, d)) * scale
+        st = AgentStack.of(agents, np.arange(k * d), np.arange(k))
+        got = solve_local(st, a)
+        assert got.shape == (k, d)
+        for r, ag in enumerate(agents):
+            want = solve_pgd_reference(ag, a[r], counts=counts)
+            assert got[r].tobytes() == want.tobytes()
+            assert solve_local(ag, a[r]).tobytes() == want.tobytes()
+    if pressure == "active" and d > 1:
+        assert counts["iters"] > 40 * 3 and counts["restarts"] > 0
+
+
+def test_stack_names_the_agent_that_stalls():
+    rng = np.random.default_rng(7)
+    easy = random_dense_agents(rng, 2, 2, wide=True)
+    slow = AgentSpec(id=77, dim=2, Q=np.array([[2.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
+                     lo=[-5.0, -5.0], hi=[5.0, 5.0], m=0, g=[], blocks={})
+    agents = [easy[0], slow, easy[1]]
+    a = np.array([[0.01, 0.02], [4.0, -3.0], [0.0, -0.01]])
+    for ag, row in zip(agents, a):
+        counts = {}
+        solve_pgd_reference(ag, row, counts=counts)
+        assert (counts["iters"] > 2) == (ag is slow)
+    with pytest.raises(RuntimeError, match="local QP solve stalled") as info:
+        solve_local(AgentStack.of(agents, np.arange(6), np.arange(3)), a, max_iters=2)
+    msg = str(info.value)
+    assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
+    with pytest.raises(ValueError, match="one dimension"):
+        AgentStack.of([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
+
+
+def mixed_twin(inst):
+    """``inst`` with the odd ids' costs declared diagonal (their Q's diagonal)."""
+    return ProblemInstance(agents=tuple(
+        dataclasses.replace(a, diag=np.diag(a.Q)) if a.id % 2 else a for a in inst.agents))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["dense10", "mixed10"])
+def test_stacked_primal_cost_is_per_agent_sum(mixed):
+    inst = random_instance(10, seed=0, diagonal=False)
+    if mixed:
+        inst = mixed_twin(inst)
+        assert inst.qdiag_vec is None and len(inst.diag_columns[0]) > 0
+    assert len(inst.dense_stacks) > 1
+    rng = np.random.default_rng(3)
+    for trial in range(50):
+        u = rng.normal(size=inst.n_total) * 10.0 ** rng.integers(-3, 4)
+        want = sum(a.cost(u[inst.u_slice(a.id)]) for a in inst.agents)
+        assert primal_cost(inst, u) == want

@@ -45,24 +45,39 @@ ITERS = 1500
 GRID_ITERS = 600
 NET_SEED = 3
 GAMMAS = (0.0, 0.3, 0.5)
+RUNS = (["alg1"] + [f"{algo}-g{g}" for g in GAMMAS for algo in ("alg2", "unaccel")]
+        + ["alg2-g0.1-eps1e-4"])
 
 
 def _instances(tree: Path) -> dict:
-    """Name -> thunk building the instance from ``tree``'s dualdec."""
+    """Name -> function building the instance with ``tree``'s dualdec."""
     from dualdec import build_opf_instance, load_case, load_instance, random_instance
     from dualdec.model import ProblemInstance
 
-    def twin(inst, declare_dense):
+    def twin(inst, diagonal_ids=()):
+        """``inst`` with the costs of ``diagonal_ids`` declared diagonal, the rest dense."""
         return ProblemInstance(agents=tuple(
-            dataclasses.replace(a, diag=None) if declare_dense(a) else
-            dataclasses.replace(a, diag=np.diag(a.Q)) for a in inst.agents))
+            dataclasses.replace(a, diag=np.diag(a.Q)) if a.id in diagonal_ids else
+            dataclasses.replace(a, diag=None) for a in inst.agents))
+
+    def rand5():
+        return random_instance(5, seed=0)
+
+    def dense10():
+        return random_instance(10, seed=0, diagonal=False)
 
     def denseq():
-        # perfbench's perturb_costs(dense10, seed 1, 0.1)
+        # perfbench's perturb_costs(dense10, seed 1, scale 0.1)
         rng = np.random.default_rng(1)
         return ProblemInstance(agents=tuple(
             dataclasses.replace(a, c=a.c + 0.1 * rng.uniform(-1.0, 1.0, a.dim))
-            for a in random_instance(10, seed=0, diagonal=False).agents))
+            for a in dense10().agents))
+
+    def chain3():
+        return load_instance(tree / "cases" / "chain3.json")
+
+    def ieee14():
+        return build_opf_instance(load_case(tree / "cases" / "ieee14.json"))
 
     def grid6():
         spec = importlib.util.spec_from_file_location("perfbench_grid",
@@ -71,24 +86,33 @@ def _instances(tree: Path) -> dict:
         spec.loader.exec_module(grid)
         return build_opf_instance(grid.mesh_case(6, 6, 24, seed=0))
 
-    rand5 = lambda: random_instance(5, seed=0)  # noqa: E731
-    chain3 = lambda: load_instance(tree / "cases" / "chain3.json")  # noqa: E731
-    ieee14 = lambda: build_opf_instance(load_case(tree / "cases" / "ieee14.json"))  # noqa: E731
-    dense = lambda a: True  # noqa: E731
     return {
         "rand5": rand5,
-        "rand5s42": lambda: random_instance(5, seed=42),
-        "dense10": lambda: random_instance(10, seed=0, diagonal=False),
+        "rand5s42": functools.partial(random_instance, 5, seed=42),
+        "dense10": dense10,
         "denseq": denseq,
         "ieee14": ieee14,
         "chain3": chain3,
         "grid6": grid6,
-        "rand5-dense": lambda: twin(rand5(), dense),
-        "chain3-dense": lambda: twin(chain3(), dense),
-        "ieee14-dense": lambda: twin(ieee14(), dense),
-        "mixed": lambda: twin(random_instance(10, seed=0, diagonal=False),
-                              lambda a: a.id % 2 == 0),
+        "rand5-dense": lambda: twin(rand5()),
+        "chain3-dense": lambda: twin(chain3()),
+        "ieee14-dense": lambda: twin(ieee14()),
+        "mixed": lambda: twin(dense10(), diagonal_ids=range(1, 11, 2)),
     }
+
+
+def _run(key: str, inst, tab, star, iters: int):
+    """The run named ``key`` in ``RUNS``."""
+    from dualdec import build_network, run_alg1, run_alg2, run_unaccelerated
+
+    if key == "alg1":
+        return run_alg1(inst, tab, iters, 0.0, lambda_star=star)
+    if key == "alg2-g0.1-eps1e-4":
+        return run_alg2(inst, tab, build_network(inst, 0.1, seed=NET_SEED), iters, 1e-4)
+    algo, gamma = key.split("-g")
+    run = run_alg2 if algo == "alg2" else run_unaccelerated
+    net = build_network(inst, float(gamma), seed=NET_SEED)
+    return run(inst, tab, net, iters, 0.0, lambda_star=star)
 
 
 def _sha(*parts) -> str:
@@ -126,8 +150,7 @@ def _montecarlo_digest(problem: Path, argv: list[str], tmp: Path) -> str:
 
 def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
     """Digest name -> sha256 for ``tree``; ``dualdec`` must come from ``tree/src``."""
-    from dualdec import (build_network, build_stepsizes, eval_dual, run_alg1, run_alg2,
-                         run_unaccelerated, save_instance, solve_kkt)
+    from dualdec import build_stepsizes, eval_dual, random_instance, save_instance, solve_kkt
 
     def wanted(name):
         return not prefixes or any(name.startswith(p) for p in prefixes)
@@ -136,35 +159,22 @@ def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as td:
         tmp = Path(td)
         for name, build in _instances(tree).items():
-            inst = functools.cache(build)
-            iters = GRID_ITERS if name == "grid6" else ITERS
-            runs = {"alg1": lambda i, t, s: run_alg1(i, t, iters, 0.0, lambda_star=s)}
-            for g in GAMMAS:
-                for algo, run in (("alg2", run_alg2), ("unaccel", run_unaccelerated)):
-                    runs[f"{algo}-g{g}"] = functools.partial(
-                        lambda i, t, s, run, g: run(i, t, build_network(i, g, seed=NET_SEED),
-                                                    iters, 0.0, lambda_star=s), run=run, g=g)
-            runs["alg2-g0.1-eps1e-4"] = lambda i, t, s: run_alg2(
-                i, t, build_network(i, 0.1, seed=NET_SEED), iters, 1e-4)
-            keys = [f"{name}/steps", f"{name}/eval_dual"] + [f"{name}/{r}" for r in runs]
-            if not any(wanted(k) for k in keys):
+            runs = [r for r in RUNS if wanted(f"{name}/{r}")]
+            if not (runs or wanted(f"{name}/steps") or wanted(f"{name}/eval_dual")):
                 continue
-            tab = build_stepsizes(inst())
-            ids = inst().ids
-            if wanted(keys[0]):
-                out[keys[0]] = _sha(*(np.array([getattr(tab, f)[i] for i in ids])
-                                      for f in ("eta", "L", "out_norm", "sigma")))
-            if wanted(keys[1]):
-                lam = np.linspace(-1.0, 1.0, inst().m_total)
-                ev = eval_dual(inst(), lam)
-                out[keys[1]] = _sha(np.array([ev.q]), ev.grad, ev.u)
-            star = solve_kkt(inst()).lam if any(wanted(k) for k in keys[2:]) else None
-            for r, run in runs.items():
-                if wanted(f"{name}/{r}"):
-                    out[f"{name}/{r}"] = _run_digest(run(inst(), tab, star), tmp)
+            inst = build()
+            tab = build_stepsizes(inst)
+            if wanted(f"{name}/steps"):
+                out[f"{name}/steps"] = _sha(*(np.array([getattr(tab, f)[i] for i in inst.ids])
+                                              for f in ("eta", "L", "out_norm", "sigma")))
+            if wanted(f"{name}/eval_dual"):
+                ev = eval_dual(inst, np.linspace(-1.0, 1.0, inst.m_total))
+                out[f"{name}/eval_dual"] = _sha(np.array([ev.q]), ev.grad, ev.u)
+            star = solve_kkt(inst).lam if runs else None
+            iters = GRID_ITERS if name == "grid6" else ITERS
+            for r in runs:
+                out[f"{name}/{r}"] = _run_digest(_run(r, inst, tab, star, iters), tmp)
         if wanted("montecarlo/rand5"):
-            from dualdec import random_instance
-
             save_instance(random_instance(5, seed=0), tmp / "rand5.json")
             out["montecarlo/rand5"] = _montecarlo_digest(
                 tmp / "rand5.json", ["--gammas", "0.0,0.1,0.3,0.5", "--runs", "20",

@@ -315,6 +315,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             ks = range(k, min(k + LINK_BLOCK, max_iters + 1))
             c_up, fired_blk = _link_block(plan, network, ks, n_agents)
             row_fired = fired_blk[:, plan.row_agent]
+            log_upd.append(fired_blk)  # update flags, cut to iters at the end
         # local solves at the interpolated multipliers; after a zero momentum
         # coefficient hat equals lam(k-1), where the last log already solved
         if ev is not None and coef == 0.0 and (hat == lam).all():
@@ -325,7 +326,6 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         recv = np.where(c_up[b], _matvec(plan.C, u), recv)
         s = _matvec(plan.S, recv) - g
         # gradient step, held unless every in-neighbor link is up
-        fired = fired_blk[b]
         lam_new = np.where(row_fired[b], hat + plan.eta_rows * s, hat)
         # stop once each agent's residual from its cached blocks is below eps (NaN never is)
         ok = np.count_nonzero(np.sqrt(np.add.reduceat(s * s, plan.starts)) < eps) == n_blocks
@@ -335,10 +335,9 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         hat = lam_new + coef * (lam_new - lam)
         # one scalar probe, no array: 0 * inf and 0 * nan are nan, so this is 0
         # exactly when hat (and with it lam_new) is finite
-        if not np.dot(hat, zero) == 0.0:
+        if not hat.dot(zero) == 0.0:
             stop = "nonfinite"
             break
-        log_upd.append(fired)
         log_theta.append(theta)
         if log:  # at the shared multiplier
             ev = eval_dual(instance, lam_new)
@@ -361,7 +360,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         theta=np.array(log_theta),
         q=np.array(log_q) if log else None,
         residual=np.array(log_res) if log else None,
-        updates=(np.array(log_upd, dtype=bool).reshape(iters, n_agents)
+        updates=(np.concatenate(log_upd)[:iters]
                  if iters else np.zeros((0, n_agents), dtype=bool)),
         lam=((np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
              if log else None),

@@ -39,9 +39,10 @@ def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray, *,
 
     ``agent`` is one agent with ``a`` of shape (dim,), or a stack of k
     agents of dimension d with ``a`` of shape (k, d); the result has the
-    shape of ``a``.  Closed form when one agent's Q was declared
-    diagonal, else projected gradient.  Raises RuntimeError naming every
-    agent that fails to reach ``FIXED_POINT_TOL`` within ``max_iters``.
+    shape of ``a``.  A single agent whose Q was declared diagonal takes
+    the closed form; everything else runs projected gradient.  Raises
+    RuntimeError naming every agent that fails to reach
+    ``FIXED_POINT_TOL`` within ``max_iters``.
     """
     a = np.asarray(a, dtype=float)
     if isinstance(agent, AgentStack):

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,7 +211,7 @@ class AgentSpec:
     @cached_property
     def stack(self) -> AgentStack:
         """This agent alone as a stack of one, for the lock-step local solve."""
-        return AgentStack.of((self,), np.arange(self.dim), np.zeros(1, dtype=np.intp))
+        return AgentStack((self,), np.arange(self.dim), [0])
 
     def cost(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
@@ -223,40 +222,64 @@ class AgentSpec:
         return quad + float(np.dot(self.c, u))
 
 
-class AgentStack(NamedTuple):
+def _stacked(rows) -> np.ndarray:
+    x = np.array(list(rows), dtype=float)
+    x.setflags(write=False)
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class AgentStack:
     """Agents of one dimension d stacked for a lock-step local solve.
 
-    Row r of every array belongs to agent ``ids[r]``.  ``cols`` lists the
-    agents' columns in their instance's decision vector, agent after
-    agent, and ``pos`` their positions in ``instance.agents``.
+    Row r of every stacked array belongs to ``agents[r]``.  ``cols`` lists
+    the agents' columns in their instance's decision vector, agent after
+    agent, and ``pos`` their positions in ``instance.agents``.  Each
+    stacked array is built on first use, so evaluating costs does not pay
+    for the eigenvalues that only the solver needs.
     """
 
-    ids: tuple[int, ...]
-    Q: np.ndarray     # (k, d, d)
-    c: np.ndarray     # (k, d)
-    lo: np.ndarray    # (k, d)
-    hi: np.ndarray    # (k, d)
-    L: np.ndarray     # (k, 1): eig_max, the Lipschitz constant of each local gradient
+    agents: tuple[AgentSpec, ...]
     cols: np.ndarray  # (k * d,)
     pos: np.ndarray   # (k,)
 
-    @classmethod
-    def of(cls, agents, cols, pos) -> AgentStack:
-        agents = tuple(agents)
-        if len({a.dim for a in agents}) != 1:
+    def __post_init__(self):
+        object.__setattr__(self, "agents", tuple(self.agents))
+        if len({a.dim for a in self.agents}) != 1:
             raise ValueError("a stack holds agents of one dimension")
+        for name in ("cols", "pos"):
+            v = np.array(getattr(self, name), dtype=np.intp)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
-        def frozen(x):
-            x = np.array(x)
-            x.setflags(write=False)
-            return x
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(a.id for a in self.agents)
 
-        return cls(ids=tuple(a.id for a in agents),
-                   Q=frozen([a.Q for a in agents]), c=frozen([a.c for a in agents]),
-                   lo=frozen([a.lo for a in agents]), hi=frozen([a.hi for a in agents]),
-                   L=frozen([[a.eig_max] for a in agents]),
-                   cols=frozen(np.asarray(cols, dtype=np.intp)),
-                   pos=frozen(np.asarray(pos, dtype=np.intp)))
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """(k, d, d)"""
+        return _stacked(a.Q for a in self.agents)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """(k, d)"""
+        return _stacked(a.c for a in self.agents)
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        """(k, d)"""
+        return _stacked(a.lo for a in self.agents)
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        """(k, d)"""
+        return _stacked(a.hi for a in self.agents)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """(k, 1): eig_max, the Lipschitz constant of each local gradient."""
+        return _stacked([a.eig_max] for a in self.agents)
 
 
 @dataclass(frozen=True)
@@ -441,7 +464,7 @@ class ProblemInstance:
         stacks = []
         for d in sorted(groups):
             agents = [self.agents[p] for p in groups[d]]
-            stacks.append(AgentStack.of(agents, self._columns(agents), groups[d]))
+            stacks.append(AgentStack(agents, self._columns(agents), groups[d]))
         return tuple(stacks)
 
     @cached_property

@@ -158,7 +158,7 @@ def test_stacked_solve_is_per_agent_reference_bit_for_bit(d, pressure):
                                      equal_bounds=pressure == "equal-bounds")
         scale = 0.01 if pressure == "inactive" else 5.0
         a = rng.normal(size=(k, d)) * scale
-        st = AgentStack.of(agents, np.arange(k * d), np.arange(k))
+        st = AgentStack(agents, np.arange(k * d), np.arange(k))
         got = solve_local(st, a)
         assert got.shape == (k, d)
         for r, ag in enumerate(agents):
@@ -181,11 +181,11 @@ def test_stack_names_the_agent_that_stalls():
         solve_pgd_reference(ag, row, counts=counts)
         assert (counts["iters"] > 2) == (ag is slow)
     with pytest.raises(RuntimeError, match="local QP solve stalled") as info:
-        solve_local(AgentStack.of(agents, np.arange(6), np.arange(3)), a, max_iters=2)
+        solve_local(AgentStack(agents, np.arange(6), np.arange(3)), a, max_iters=2)
     msg = str(info.value)
     assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
     with pytest.raises(ValueError, match="one dimension"):
-        AgentStack.of([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
+        AgentStack([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
 
 
 def mixed_twin(inst):

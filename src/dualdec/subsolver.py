@@ -72,7 +72,7 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
     b = st.c + a
     # warm start from the clipped unconstrained minimizer
     x = _clip(np.linalg.solve(Q, -b[:, :, None])[:, :, 0], lo, hi)
-    y, t, resid = x, 1.0, np.inf
+    y, t, resid = x, 1.0, np.inf  # t becomes a (k, 1) column after the first step
     rows = out = None  # stack rows still iterating, once some are done
     for _ in range(max_iters):
         x_new = _clip(y - ((Q @ y[:, :, None])[:, :, 0] + b) / L, lo, hi)
@@ -90,7 +90,7 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
         restart = (_dot(y - x_new, x_new - x) > 0.0)[:, None]
         y = np.where(restart, x_new, x_new + ((t - 1.0) / t_new) * (x_new - x))
         x, t = x_new, np.where(restart, 1.0, t_new)
-        if n_done:
+        if n_done:  # these agents leave with x; their momentum update is dropped
             if rows is None:
                 rows, out = np.arange(len(b)), np.empty_like(b)
             out[rows[done]] = x[done]

@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled case files and a tiny hand-checkable builder."""
 
+import dataclasses
 import functools
 import importlib.util
 from pathlib import Path
@@ -25,6 +26,12 @@ def make_pair(hi1: float = 10.0, g: float = 2.0) -> ProblemInstance:
     a2 = AgentSpec(id=2, dim=1, Q=np.empty(0), diag=[1.0], c=[0.0], lo=[-10.0],
                    hi=[10.0], m=0, g=[], blocks={})
     return ProblemInstance(agents=(a1, a2))
+
+
+def mixed_twin(inst: ProblemInstance) -> ProblemInstance:
+    """``inst`` with the odd ids' costs declared diagonal (their Q's diagonal)."""
+    return ProblemInstance(agents=tuple(
+        dataclasses.replace(a, diag=np.diag(a.Q)) if a.id % 2 else a for a in inst.agents))
 
 
 def solve_pgd_reference(agent: AgentSpec, a: np.ndarray, max_iters: int = 100_000,

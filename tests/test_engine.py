@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, mesh_grid, solve_pgd_reference
+from conftest import CASES, mesh_grid, mixed_twin, solve_pgd_reference
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
                      check_lyapunov_step, check_quadratic_model, draw_links, engine,
                      eval_dual, load_case, load_instance, neighbors_active, random_instance,
@@ -332,9 +332,7 @@ def test_local_solve_branches_agree(inst, gamma):
 
 
 DENSE10 = random_instance(10, seed=0, diagonal=False)
-# the odd ids declared diagonal: clip columns and dense stacks in one instance
-MIXED10 = ProblemInstance(agents=tuple(
-    dataclasses.replace(a, diag=np.diag(a.Q)) if a.id % 2 else a for a in DENSE10.agents))
+MIXED10 = mixed_twin(DENSE10)  # clip columns and dense stacks in one instance
 
 
 def per_agent_argmin(instance, a):
@@ -365,6 +363,8 @@ def test_stacked_kernel_is_per_agent_solves_bit_for_bit(name, gamma, monkeypatch
     alone = run_alg2(inst, tab, net, 150, 0.0, lambda_star=star)
     for f in ("lam", "q", "residual", "gap", "V", "updates", "u_final", "theta"):
         assert getattr(stacked, f).tobytes() == getattr(alone, f).tobytes(), f
+
+
 KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": IEEE14,
                 "dense10": DENSE10}
 

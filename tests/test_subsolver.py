@@ -1,15 +1,13 @@
 """Local box-constrained QP solves: closed form and accelerated PGD."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solve_pgd_reference
+from conftest import mixed_twin, solve_pgd_reference
 from dualdec import eval_dual, primal_cost, random_instance, solve_local
-from dualdec.model import AgentSpec, AgentStack, ProblemInstance
+from dualdec.model import AgentSpec, AgentStack
 
 RNG = np.random.default_rng(1234)
 
@@ -186,12 +184,6 @@ def test_stack_names_the_agent_that_stalls():
     assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
     with pytest.raises(ValueError, match="one dimension"):
         AgentStack([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
-
-
-def mixed_twin(inst):
-    """``inst`` with the odd ids' costs declared diagonal (their Q's diagonal)."""
-    return ProblemInstance(agents=tuple(
-        dataclasses.replace(a, diag=np.diag(a.Q)) if a.id % 2 else a for a in inst.agents))
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["dense10", "mixed10"])

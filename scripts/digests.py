@@ -10,11 +10,15 @@ the benchmark's seed-1 cost shift), ieee14, chain3, the 6x6x24 mesh grid
 from ``perfbench/grid.py``, dense twins of rand5, chain3 and ieee14 (every
 cost declared dense), and mixed (dense10 with the odd ids declared
 diagonal).  Per instance it hashes the step table, ``eval_dual`` at a
-fixed multiplier, and eight runs: alg1; alg2 and unaccel at gamma 0, 0.3
+fixed multiplier, ``solve_kkt`` (``u``, ``lam``, ``q`` and ``method``, as
+``NAME/oracle``) and eight runs: alg1; alg2 and unaccel at gamma 0, 0.3
 and 0.5 (network seed 3, eps 0, 1500 iterations, 600 on the grid,
-``lambda_star`` given); and alg2 at gamma 0.1 stopped by eps 1e-4.  A run
-digest covers ``iters``, ``converged``, ``theta``, ``updates``, ``lam``,
-``q``, ``residual``, ``gap``, ``V``, ``u_final`` and the trace CSV bytes.
+``lambda_star`` given); and alg2 at gamma 0.1 stopped by eps 1e-4.  Each
+run gets two digests.  ``NAME/RUN`` covers the iterates: ``iters``,
+``converged``, ``theta``, ``updates``, ``lam``, ``q``, ``residual`` and
+``u_final``.  ``NAME/RUN/oracle-side`` covers what depends on the
+oracle's answer: ``gap``, ``V`` and the trace CSV bytes.  A change to the
+oracle alone thus moves only ``oracle`` and ``oracle-side`` digests.
 The ``montecarlo`` CSV and summary bytes are hashed on rand5 (the
 sweep-rand5 settings) and chain3.
 
@@ -129,13 +133,15 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
-def _run_digest(tr, tmp: Path) -> str:
+def _run_digests(tr, tmp: Path) -> tuple[str, str]:
+    """Digests of a run's iterates and of its values that depend on ``lambda_star``."""
     csv = b""
     if tr.q is not None:
         tr.to_csv(tmp / "trace.csv")
         csv = (tmp / "trace.csv").read_bytes()
-    return _sha(np.array([tr.iters, tr.converged]), tr.theta, tr.updates, tr.lam, tr.q,
-                tr.residual, tr.gap, tr.V, tr.u_final, csv)
+    return (_sha(np.array([tr.iters, tr.converged]), tr.theta, tr.updates, tr.lam, tr.q,
+                 tr.residual, tr.u_final),
+            _sha(tr.gap, tr.V, csv))
 
 
 def _montecarlo_digest(problem: Path, argv: list[str], tmp: Path) -> str:
@@ -159,8 +165,8 @@ def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as td:
         tmp = Path(td)
         for name, build in _instances(tree).items():
-            runs = [r for r in RUNS if wanted(f"{name}/{r}")]
-            if not (runs or wanted(f"{name}/steps") or wanted(f"{name}/eval_dual")):
+            runs = [r for r in RUNS if wanted(f"{name}/{r}") or wanted(f"{name}/{r}/oracle-side")]
+            if not (runs or any(wanted(f"{name}/{d}") for d in ("steps", "eval_dual", "oracle"))):
                 continue
             inst = build()
             tab = build_stepsizes(inst)
@@ -170,10 +176,17 @@ def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
             if wanted(f"{name}/eval_dual"):
                 ev = eval_dual(inst, np.linspace(-1.0, 1.0, inst.m_total))
                 out[f"{name}/eval_dual"] = _sha(np.array([ev.q]), ev.grad, ev.u)
-            star = solve_kkt(inst).lam if runs else None
+            star = solve_kkt(inst) if runs or wanted(f"{name}/oracle") else None
+            if wanted(f"{name}/oracle"):
+                out[f"{name}/oracle"] = _sha(star.u, star.lam, np.array([star.q]),
+                                             star.method.encode())
             iters = GRID_ITERS if name == "grid6" else ITERS
             for r in runs:
-                out[f"{name}/{r}"] = _run_digest(_run(r, inst, tab, star, iters), tmp)
+                iterates, oracle_side = _run_digests(_run(r, inst, tab, star.lam, iters), tmp)
+                for key, digest in ((f"{name}/{r}", iterates),
+                                    (f"{name}/{r}/oracle-side", oracle_side)):
+                    if wanted(key):
+                        out[key] = digest
         if wanted("montecarlo/rand5"):
             save_instance(random_instance(5, seed=0), tmp / "rand5.json")
             out["montecarlo/rand5"] = _montecarlo_digest(

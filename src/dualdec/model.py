@@ -130,7 +130,7 @@ class AgentSpec:
             if Q.shape != (n, n):
                 raise ValidationError(f"agent {self.id}: Q has shape {Q.shape}, expected ({n}, {n})")
             object.__setattr__(self, "Q", Q)
-        if not np.all(np.isfinite(self.Q)):
+        if not np.isfinite(self.Q).all():
             raise ValidationError(f"agent {self.id}: Q has non-finite entries")
         scale = 1.0 + float(np.abs(self.Q).max())
         if float(np.abs(self.Q - self.Q.T).max()) > _SYM_TOL * scale:
@@ -141,11 +141,11 @@ class AgentSpec:
             if v.shape != (n,):
                 raise ValidationError(f"agent {self.id}: {name} has shape {v.shape}, expected ({n},)")
             object.__setattr__(self, name, v)
-        if not np.all(np.isfinite(self.c)):
+        if not np.isfinite(self.c).all():
             raise ValidationError(f"agent {self.id}: c has non-finite entries")
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise ValidationError(f"agent {self.id}: box bounds must be finite")
-        if np.any(self.lo > self.hi):
+        if (self.lo > self.hi).any():
             raise ValidationError(f"agent {self.id}: lo > hi somewhere")
 
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
@@ -154,7 +154,7 @@ class AgentSpec:
         g = _farray(self.g, f"agent {self.id}: g")
         if g.shape != (self.m,):
             raise ValidationError(f"agent {self.id}: g has shape {g.shape}, expected ({self.m},)")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValidationError(f"agent {self.id}: g has non-finite entries")
         object.__setattr__(self, "g", g)
 
@@ -167,7 +167,7 @@ class AgentSpec:
                 raise ValidationError(
                     f"agent {self.id}: block for {j} has shape {B.shape}, expected ({self.m}, n_{j})"
                 )
-            if not np.all(np.isfinite(B)):
+            if not np.isfinite(B).all():
                 raise ValidationError(f"agent {self.id}: block for {j} has non-finite entries")
             blocks[int(j)] = B
         object.__setattr__(self, "blocks", blocks)
@@ -180,10 +180,10 @@ class AgentSpec:
                 raise ValidationError(
                     f"agent {self.id}: diagonal block has {own.shape[1]} columns, expected {n}"
                 )
-            if not np.any(own):
+            if not own.any():
                 raise ValidationError(f"agent {self.id}: zero diagonal block")
             for j, B in blocks.items():
-                if j != self.id and not np.any(B):
+                if j != self.id and not B.any():
                     raise ValidationError(f"agent {self.id}: zero coupling block for agent {j}")
         elif blocks:
             raise ValidationError(f"agent {self.id}: m=0 but blocks declared")

@@ -1,15 +1,39 @@
-"""Ground-truth solutions for small instances, independent of the engine.
+"""Ground-truth solutions, by a route that shares no code with the engine.
 
-Two routes:
+Both routes rest on one sparse Schur-complement solve of the
+equality-constrained QP
 
-* ``solve_kkt`` eliminates variables pinned by a degenerate box
-  (lo == hi), solves the dense equality-constrained KKT system and
-  verifies the remaining variables are strictly interior.  If any box
-  turns out active at the solution it falls back to the second route.
-* ``solve_active_set`` runs plain projected dual ascent (no momentum,
-  no trackers, deliberately small steps eta_i / 10) until the coupling
-  residual drops below 1e-10.  Slow but sturdy, and a code path fully
-  separate from the accelerated drivers it is used to validate.
+    minimize 1/2 u'Qu + c'u   subject to   A u = g,   u_P = p,
+
+where P is a set of pinned entries.  With M = [A; E_P] (E_P the identity
+rows of P) and b = (g, p), the multipliers y = (lam, mu) solve
+
+    H y = -(b + M Q^-1 c),      H = M Q^-1 M',
+
+and u = -Q^-1 (c + M'y).  Q^-1 is block diagonal (1/d for diagonal
+agents, one inverse per dense stack) and is assembled as CSR arrays; H
+has one row per coupling row and pinned entry, is sparse, and is
+factored by ``scipy.sparse.linalg.splu``.  No dense
+KKT matrix, dense Q or dense coupling matrix is formed.
+
+* ``solve_kkt`` pins the entries with lo == hi.  If every other entry
+  lands strictly inside its box the answer is route ``"kkt"``; otherwise
+  the box route takes over.
+* ``solve_active_set`` certifies feasibility first, then runs the
+  primal-dual active-set method of Hintermueller, Ito & Kunisch (2002,
+  SIAM J. Optim.).  With nu = Qu + c + A'lam and kappa the diagonal of
+  Q, an entry is pinned at its lower bound when nu + kappa (lo - u) > 0
+  and at its upper bound when -nu + kappa (u - hi) > 0; the sets are
+  re-solved until they repeat.  A sweep can pin so many entries that some
+  coupling rows keep too few free columns, and its system is then
+  singular.  In that case (and if the sweeps cycle) the primal
+  active-set method takes over from the box point the feasibility check
+  found: it moves one bound at a time and never over-constrains the rows.
+
+Every answer must pass an explicit KKT certificate (``kkt_residual``):
+coupling feasibility, bounds, nu = 0 off the bounds (stationarity and
+complementarity), nu >= 0 at a lower and nu <= 0 at an upper bound.  An
+answer that fails it raises OracleError rather than being returned.
 
 ``certify_feasible`` decides whether the coupling equations intersect
 the boxes at all, via a per-row interval bound plus a bounded
@@ -21,19 +45,19 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
+import scipy.sparse as sp
 from scipy.optimize import lsq_linear
+from scipy.sparse.linalg import splu
 
 from .model import ProblemInstance, primal_cost
-from .stepsize import build_stepsizes
-from .subsolver import solve_local
 
 __all__ = ["OracleError", "InfeasibleError", "OracleSolution",
-           "solve_kkt", "solve_active_set", "certify_feasible"]
+           "solve_kkt", "solve_active_set", "certify_feasible", "kkt_residual"]
 
-ASCENT_TOL = 1e-10
-ASCENT_MAX_ITERS = 1_000_000
 FEASIBLE_TOL = 1e-8  # relative coupling gap that still counts as reachable
+SOLVE_TOL = 1e-8     # relative residual one Schur solve may leave
+CERT_TOL = 1e-8      # scaled KKT violation an answer may have
+MAX_SWEEPS = 100     # active-set re-solves before giving up
 
 
 class OracleError(RuntimeError):
@@ -52,45 +76,202 @@ class OracleSolution(NamedTuple):
 
 
 def solve_kkt(instance: ProblemInstance) -> OracleSolution:
-    """Exact minimizer and multiplier via the dense KKT system.
+    """Exact minimizer and multiplier, with the entries lo == hi pinned.
 
-    Variables with lo == hi are fixed beforehand and the system solved
-    for the rest; if the result is not strictly interior the active-set
-    route takes over.  Raises OracleError on a singular KKT matrix.
+    If the other entries are not strictly interior the active-set route
+    takes over.  Raises OracleError on a singular or ill-conditioned
+    system, or an answer that fails the KKT certificate.
     """
-    A = instance.coupling_matrix
-    Q = block_diag(*(a.Q for a in instance.agents))
-    lo, hi, c, g = instance.lo_vec, instance.hi_vec, instance.c_vec, instance.g_vec
-    pinned = lo == hi
-    free = ~pinned
-    u_p = lo[pinned]
-    nf, m = int(free.sum()), instance.m_total
+    Q, Qinv = _block_diag(instance, False), _block_diag(instance, True)
+    lo, hi = instance.lo_vec, instance.hi_vec
+    u, lam = _schur_solve(instance, Q, Qinv, lo == hi, lo)
+    free = lo != hi
+    margin = 1e-9 * (1.0 + np.abs(u[free]))
+    if not ((u[free] > lo[free] + margin).all() and (u[free] < hi[free] - margin).all()):
+        return _solve_boxes(instance, Q, Qinv, (u, lam))
+    return _certified(instance, Q, u, lam, "kkt")
 
-    K = np.zeros((nf + m, nf + m))
-    K[:nf, :nf] = Q[np.ix_(free, free)]
-    K[:nf, nf:] = A[:, free].T
-    K[nf:, :nf] = A[:, free]
-    rhs = np.concatenate([
-        -c[free] - Q[np.ix_(free, pinned)] @ u_p,
-        g - A[:, pinned] @ u_p,
-    ])
+
+def solve_active_set(instance: ProblemInstance) -> OracleSolution:
+    """Box-aware exact solve by the primal-dual active-set method, with
+    the primal active-set method as its fallback.
+
+    Raises InfeasibleError when no point of the boxes meets the coupling
+    equations, and OracleError when neither method reaches an answer that
+    passes the KKT certificate.
+    """
+    Q, Qinv = _block_diag(instance, False), _block_diag(instance, True)
+    return _solve_boxes(instance, Q, Qinv, None)
+
+
+def _solve_boxes(instance, Q, Qinv, start) -> OracleSolution:
+    """Active-set sweeps from ``start`` = (u, lam) solved with only lo == hi pinned.
+
+    Sweeps that over-constrain the coupling rows (a singular pinned
+    system), cycle, run out or end on an answer that fails the
+    certificate fall back to the primal active-set method.
+    """
+    x = _feasible_point(instance)
+    if x is None:
+        raise InfeasibleError("infeasible: coupling equations unreachable within the boxes")
+    lo = instance.lo_vec
+    if start is None:
+        start = _schur_solve(instance, Q, Qinv, lo == instance.hi_vec, lo)
     try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError("singular KKT system (redundant or inconsistent coupling rows)") from exc
-    if not np.all(np.isfinite(sol)) or \
-            float(np.linalg.norm(K @ sol - rhs)) > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
+        return _pdas(instance, Q, Qinv, *start)
+    except OracleError:
+        return _primal_active_set(instance, Q, Qinv, x, start)
+
+
+def _pdas(instance, Q, Qinv, u, lam) -> OracleSolution:
+    """Primal-dual active-set sweeps (Hintermueller, Ito & Kunisch 2002)."""
+    lo, hi, c = instance.lo_vec, instance.hi_vec, instance.c_vec
+    A = instance.coupling_csr
+    kappa = Q.diagonal()
+    fixed = lo == hi
+    seen = {(fixed.tobytes(), np.zeros_like(fixed).tobytes())}  # the sets solved so far
+    for _ in range(MAX_SWEEPS):
+        nu = Q @ u + c + A.T @ lam
+        upper = (-nu + kappa * (u - hi) > 0) & ~fixed
+        pinned = (nu + kappa * (lo - u) > 0) | upper | fixed
+        key = (pinned.tobytes(), upper.tobytes())
+        if key in seen:
+            return _certified(instance, Q, u, lam, "active_set")
+        seen.add(key)
+        u, lam = _schur_solve(instance, Q, Qinv, pinned, np.where(upper, hi, lo))
+    raise OracleError(f"active sets did not settle in {MAX_SWEEPS} sweeps")
+
+
+def _primal_active_set(instance, Q, Qinv, x, start) -> OracleSolution:
+    """Primal active-set method (Nocedal & Wright, Algorithm 16.3) from ``x``.
+
+    ``x`` lies in the boxes and meets the coupling equations; ``start``
+    solves the system with only lo == hi pinned.  Each step moves toward
+    the solve with the working set pinned, and one bound enters (the
+    first one the step meets) or leaves (the worst-signed multiplier) the
+    set.  A bound enters only along a step that keeps the coupling rows,
+    so the pinned rows stay independent of them.
+    """
+    lo, hi, c = instance.lo_vec, instance.hi_vec, instance.c_vec
+    A = instance.coupling_csr
+    fixed = lo == hi
+    work, upper = fixed.copy(), np.zeros_like(fixed)
+    u, (u_bar, lam) = np.clip(x, lo, hi), start
+    tol = CERT_TOL * _scale(instance)
+    for _ in range(MAX_SWEEPS + 2 * len(u)):
+        p = u_bar - u
+        moving = (p != 0) & ~work
+        room = np.full(len(u), np.inf)
+        room[moving] = np.where(p < 0, lo - u, hi - u)[moving] / p[moving]
+        j = int(np.argmin(room))
+        if room[j] < 1.0:
+            u = u + max(room[j], 0.0) * p
+            upper[j] = p[j] > 0
+            u[j] = hi[j] if upper[j] else lo[j]
+            work[j] = True
+        else:
+            u = u_bar
+            nu = Q @ u + c + A.T @ lam
+            wrong = np.where(work & ~fixed, np.where(upper, nu, -nu), -np.inf)
+            i = int(np.argmax(wrong))
+            if wrong[i] <= tol:
+                return _certified(instance, Q, u, lam, "active_set")
+            work[i] = upper[i] = False
+        u_bar, lam = _schur_solve(instance, Q, Qinv, work, np.where(upper, hi, lo))
+    raise OracleError(f"primal active-set steps did not settle in {MAX_SWEEPS + 2 * len(u)}")
+
+
+def _block_diag(instance: ProblemInstance, invert: bool) -> sp.csr_array:
+    """Q (or its inverse) assembled straight into CSR arrays.
+
+    Diagonal agents give one entry per row; a dense stack's (k, d, d)
+    blocks give d entries per row, in ascending columns.
+    """
+    n = instance.n_total
+    cols, d = instance.diag_columns
+    rows, idx, vals = [cols], [cols], [1.0 / d if invert else d]
+    for st in instance.dense_stacks:
+        B = np.linalg.inv(st.Q) if invert else st.Q
+        dim = B.shape[-1]
+        rows.append(np.repeat(st.cols, dim))
+        idx.append(np.repeat(st.cols.reshape(-1, dim), dim, axis=0).ravel())
+        vals.append(B.ravel())
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_array((np.concatenate(vals)[order], np.concatenate(idx)[order], indptr),
+                        shape=(n, n))
+
+
+def _schur_solve(instance: ProblemInstance, Q, Qinv, pinned: np.ndarray, at: np.ndarray):
+    """Minimizer u and coupling multiplier lam with ``u[pinned] = at[pinned]``.
+
+    Raises OracleError when H is exactly singular, or when the solve
+    leaves a non-finite answer or a relative residual above ``SOLVE_TOL``.
+    """
+    A, g, c = instance.coupling_csr, instance.g_vec, instance.c_vec
+    m, n = A.shape
+    pin = np.flatnonzero(pinned)
+    p = at[pin]
+    M = sp.csr_array((np.concatenate([A.data, np.ones(len(pin))]),
+                      np.concatenate([A.indices, pin]),
+                      np.concatenate([A.indptr, A.indptr[-1] + np.arange(1, len(pin) + 1)])),
+                     shape=(m + len(pin), n))
+    MT = M.T
+    b = np.concatenate([g, p])
+    y = np.zeros(M.shape[0])
+    if len(y):
+        H = (M @ Qinv @ MT).tocsc()
+        try:
+            y = splu(H).solve(-(b + M @ (Qinv @ c)))
+        except RuntimeError as exc:
+            raise OracleError("singular KKT system (redundant or inconsistent coupling rows)") \
+                from exc
+    u = -(Qinv @ (c + MT @ y))
+    u[pin] = p
+    res = np.concatenate([Q @ u + c + MT @ y, M @ u - b])
+    rhs = np.concatenate([c, b])
+    if not (np.isfinite(y).all() and np.isfinite(u).all()) or \
+            float(np.linalg.norm(res)) > SOLVE_TOL * (1.0 + float(np.linalg.norm(rhs))):
         raise OracleError("ill-conditioned KKT system")
-    u_f, lam = sol[:nf], sol[nf:]
+    return u, y[:m]
 
-    margin = 1e-9 * (1.0 + np.abs(u_f))
-    if nf and not (np.all(u_f > lo[free] + margin) and np.all(u_f < hi[free] - margin)):
-        return solve_active_set(instance)
 
-    u = np.empty(instance.n_total)
-    u[pinned] = u_p
-    u[free] = u_f
-    return OracleSolution(u=u, lam=lam, q=primal_cost(instance, u), method="kkt")
+def kkt_residual(instance: ProblemInstance, u: np.ndarray, lam: np.ndarray) -> float:
+    """Largest violation of the KKT conditions at (u, lam), over 1 + max(|c|, |g|).
+
+    With nu = Qu + c + A'lam it covers coupling feasibility A u = g, the
+    bounds, nu = 0 at entries strictly inside their box (stationarity and
+    complementarity), nu >= 0 at a lower bound and nu <= 0 at an upper
+    bound.  An entry with lo == hi may carry either sign.
+    """
+    return _violation(instance, _block_diag(instance, False), u, lam)
+
+
+def _violation(instance: ProblemInstance, Q, u: np.ndarray, lam: np.ndarray) -> float:
+    A, g, c = instance.coupling_csr, instance.g_vec, instance.c_vec
+    lo, hi = instance.lo_vec, instance.hi_vec
+    nu = Q @ u + c + A.T @ lam
+    lower, upper = u <= lo, u >= hi
+    inside = ~(lower | upper)
+    viol = np.concatenate([np.abs(A @ u - g), lo - u, u - hi, np.abs(nu[inside]),
+                           -nu[lower & ~upper], nu[upper & ~lower]])
+    return float(np.max(viol, initial=0.0)) / _scale(instance)
+
+
+def _scale(instance: ProblemInstance) -> float:
+    return 1.0 + float(np.max(np.abs(np.concatenate([instance.c_vec, instance.g_vec]))))
+
+
+def _certified(instance: ProblemInstance, Q, u: np.ndarray, lam: np.ndarray,
+               method: str) -> OracleSolution:
+    """The answer, once it passes the KKT certificate."""
+    r = _violation(instance, Q, u, lam)
+    if not r <= CERT_TOL:
+        raise OracleError(f"{method} answer fails its KKT certificate "
+                          f"(scaled violation {r:.3e} > {CERT_TOL:.0e})")
+    return OracleSolution(u=u, lam=lam, q=primal_cost(instance, u), method=method)
 
 
 def _interval_infeasible(instance: ProblemInstance) -> bool:
@@ -105,55 +286,24 @@ def _interval_infeasible(instance: ProblemInstance) -> bool:
 
 def certify_feasible(instance: ProblemInstance) -> bool:
     """True iff some point in the boxes satisfies every coupling equation."""
+    return _feasible_point(instance) is not None
+
+
+def _feasible_point(instance: ProblemInstance) -> np.ndarray | None:
+    """A point of the boxes that meets the coupling equations to
+    ``FEASIBLE_TOL`` (relative), or None when there is none."""
+    lo, hi = instance.lo_vec, instance.hi_vec
     if instance.m_total == 0:
-        return True
+        return lo.copy()
     if _interval_infeasible(instance):
-        return False
+        return None
     A, g = instance.coupling_matrix, instance.g_vec
-    lo, hi = instance.lo_vec.copy(), instance.hi_vec.copy()
     pinned = lo == hi
     free = ~pinned
+    x = lo.copy()
     target = g - A[:, pinned] @ lo[pinned]
-    if not free.any():
-        return float(np.linalg.norm(target)) <= FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g)))
-    res = lsq_linear(A[:, free], target, bounds=(lo[free], hi[free]),
-                     method="trf", tol=1e-14, max_iter=500)
-    gap = float(np.linalg.norm(A[:, free] @ res.x - target))
-    return gap <= FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g)))
-
-
-def solve_active_set(instance: ProblemInstance) -> OracleSolution:
-    """Box-aware exact solve by long-run plain dual ascent.
-
-    Intended for small instances (sum of dims <= ~50).  Certifies
-    feasibility first and raises InfeasibleError otherwise; raises
-    OracleError if the residual fails to reach ``ASCENT_TOL`` within
-    ``ASCENT_MAX_ITERS`` iterations.
-    """
-    if not certify_feasible(instance):
-        raise InfeasibleError("infeasible: coupling equations unreachable within the boxes")
-    table = build_stepsizes(instance)
-    eta_rows = 0.1 * table.eta_rows(instance)
-    A, g = instance.coupling_matrix, instance.g_vec
-    c, lo, hi = instance.c_vec, instance.lo_vec, instance.hi_vec
-    d = instance.qdiag_vec
-    lam = np.zeros(instance.m_total)
-    res_norm = np.inf
-    for _ in range(ASCENT_MAX_ITERS):
-        a = A.T @ lam
-        if d is not None:
-            u = np.clip(-(c + a) / d, lo, hi)
-        else:
-            u = np.empty(instance.n_total)
-            for ag in instance.agents:
-                sl = instance.u_slice(ag.id)
-                u[sl] = solve_local(ag, a[sl])
-        res = A @ u - g
-        res_norm = float(np.linalg.norm(res))
-        if res_norm <= ASCENT_TOL:
-            return OracleSolution(u=u, lam=lam, q=primal_cost(instance, u), method="active_set")
-        lam = lam + eta_rows * res
-    raise OracleError(
-        f"dual ascent did not reach tol {ASCENT_TOL:.1e} in {ASCENT_MAX_ITERS} iterations "
-        f"(residual {res_norm:.3e})"
-    )
+    if free.any():
+        x[free] = lsq_linear(A[:, free], target, bounds=(lo[free], hi[free]),
+                             method="trf", tol=1e-14, max_iter=500).x
+    gap = float(np.linalg.norm(A[:, free] @ x[free] - target))
+    return x if gap <= FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g))) else None

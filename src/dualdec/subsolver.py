@@ -41,7 +41,8 @@ def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray, *,
     agents of dimension d with ``a`` of shape (k, d); the result has the
     shape of ``a``.  A single agent whose Q was declared diagonal takes
     the closed form; everything else runs projected gradient.  Raises
-    RuntimeError naming every agent that fails to reach
+    RuntimeError naming every agent whose first step leaves a non-finite
+    residual (a non-finite pressure), or that fails to reach
     ``FIXED_POINT_TOL`` within ``max_iters``.
     """
     a = np.asarray(a, dtype=float)
@@ -74,7 +75,7 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
     x = _clip(np.linalg.solve(Q, -b[:, :, None])[:, :, 0], lo, hi)
     y, t, resid = x, 1.0, np.inf  # t becomes a (k, 1) column after the first step
     rows = out = None  # stack rows still iterating, once some are done
-    for _ in range(max_iters):
+    for it in range(max_iters):
         x_new = _clip(y - ((Q @ y[:, :, None])[:, :, 0] + b) / L, lo, hi)
         step = x_new - _clip(x_new - ((Q @ x_new[:, :, None])[:, :, 0] + b) / L, lo, hi)
         resid = np.sqrt(_dot(step, step))
@@ -85,6 +86,11 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
                 return x_new
             out[rows] = x_new
             return out
+        if it == 0 and not np.isfinite(resid).all():  # a non-finite pressure never settles
+            raise RuntimeError("; ".join(
+                f"agent {st.ids[r]}: local QP solve has a non-finite fixed-point residual "
+                f"({res}) at its first step; its pressure is not finite or overflows"
+                for r, res in enumerate(resid) if not np.isfinite(res)))
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         # momentum points uphill: restart
         restart = (_dot(y - x_new, x_new - x) > 0.0)[:, None]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualdec import load_instance
+from dualdec import OracleSolution, build_stepsizes, load_instance, primal_cost, solve_local
 from dualdec.model import AgentSpec, ProblemInstance
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -70,15 +70,83 @@ def solve_pgd_reference(agent: AgentSpec, a: np.ndarray, max_iters: int = 100_00
                        f"{resid:.3e} after {max_iters} iterations")
 
 
+def solve_kkt_dense_reference(instance: ProblemInstance) -> OracleSolution:
+    """The dense KKT route the sparse oracle replaced, as an independent check.
+
+    Entries with lo == hi are eliminated and the (n_f + m)^2 KKT matrix,
+    built from a dense block-diagonal Q and the dense coupling matrix, is
+    solved by numpy.  The free entries must come out strictly inside
+    their boxes.
+    """
+    from scipy.linalg import block_diag
+
+    A = instance.coupling_matrix
+    Q = block_diag(*(a.Q for a in instance.agents))
+    lo, hi, c, g = instance.lo_vec, instance.hi_vec, instance.c_vec, instance.g_vec
+    pinned = lo == hi
+    free = ~pinned
+    u_p = lo[pinned]
+    nf, m = int(free.sum()), instance.m_total
+    K = np.zeros((nf + m, nf + m))
+    K[:nf, :nf] = Q[np.ix_(free, free)]
+    K[:nf, nf:] = A[:, free].T
+    K[nf:, :nf] = A[:, free]
+    rhs = np.concatenate([-c[free] - Q[np.ix_(free, pinned)] @ u_p, g - A[:, pinned] @ u_p])
+    sol = np.linalg.solve(K, rhs)
+    assert np.linalg.norm(K @ sol - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
+    u_f, lam = sol[:nf], sol[nf:]
+    margin = 1e-9 * (1.0 + np.abs(u_f))
+    assert np.all(u_f > lo[free] + margin) and np.all(u_f < hi[free] - margin)
+    u = np.empty(instance.n_total)
+    u[pinned] = u_p
+    u[free] = u_f
+    return OracleSolution(u=u, lam=lam, q=primal_cost(instance, u), method="kkt")
+
+
+def solve_ascent_reference(instance: ProblemInstance, tol: float = 1e-10,
+                           max_iters: int = 1_000_000) -> OracleSolution:
+    """Box-aware reference by long-run plain projected dual ascent.
+
+    No momentum and deliberately small steps eta_i / 10, run until the
+    coupling residual drops below ``tol``: slow but sturdy, and apart
+    from both the oracle and the accelerated drivers.  For small
+    instances only.
+    """
+    eta_rows = 0.1 * build_stepsizes(instance).eta_rows(instance)
+    A, g = instance.coupling_matrix, instance.g_vec
+    c, lo, hi = instance.c_vec, instance.lo_vec, instance.hi_vec
+    d = instance.qdiag_vec
+    lam = np.zeros(instance.m_total)
+    for _ in range(max_iters):
+        a = A.T @ lam
+        if d is not None:
+            u = np.clip(-(c + a) / d, lo, hi)
+        else:
+            u = np.empty(instance.n_total)
+            for ag in instance.agents:
+                sl = instance.u_slice(ag.id)
+                u[sl] = solve_local(ag, a[sl])
+        res = A @ u - g
+        if np.linalg.norm(res) <= tol:
+            return OracleSolution(u=u, lam=lam, q=primal_cost(instance, u), method="ascent")
+        lam = lam + eta_rows * res
+    raise AssertionError(f"dual ascent did not reach tol {tol:.1e} in {max_iters} iterations")
+
+
+def load_grid_module():
+    """perfbench/grid.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_grid", GRID_PY)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid
+
+
 @functools.cache
 def mesh_grid(rows: int = 6, cols: int = 6, h: int = 24) -> ProblemInstance:
     """The benchmark's seeded mesh-grid DC-OPF instance (seed 0), from perfbench/grid.py."""
     from dualdec import build_opf_instance
 
-    spec = importlib.util.spec_from_file_location("perfbench_grid", GRID_PY)
-    grid = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grid)
-    return build_opf_instance(grid.mesh_case(rows, cols, h, seed=0))
+    return build_opf_instance(load_grid_module().mesh_case(rows, cols, h, seed=0))
 
 
 @pytest.fixture(scope="session")

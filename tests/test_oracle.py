@@ -1,13 +1,130 @@
 """Centralized reference solvers kept deliberately apart from the engine."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
-from conftest import make_pair
+from conftest import (CASES, load_grid_module, make_pair, mesh_grid, mixed_twin,
+                      solve_ascent_reference, solve_kkt_dense_reference)
 from dualdec import (InfeasibleError, OracleError, certify_feasible, eval_dual,
-                     load_case, build_opf_instance, primal_cost, random_instance,
-                     solve_active_set, solve_kkt)
+                     load_case, build_opf_instance, load_instance, oracle, primal_cost,
+                     random_instance, solve_active_set, solve_kkt)
 from dualdec.model import AgentSpec, ProblemInstance
+
+
+def boxed(inst: ProblemInstance, b: float) -> ProblemInstance:
+    """``inst`` with every box tightened to [-b, b]."""
+    return ProblemInstance(agents=tuple(
+        dataclasses.replace(a, lo=np.full(a.dim, -b), hi=np.full(a.dim, b))
+        for a in inst.agents))
+
+
+def assert_close(sol, ref, rtol):
+    """u, lam and q agree to ``rtol`` relative to the reference's largest entry."""
+    for got, want in ((sol.u, ref.u), (sol.lam, ref.lam), (np.array([sol.q]), np.array([ref.q]))):
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=rtol * float(np.max(np.abs(want), initial=1.0)))
+
+
+def count_calls(monkeypatch, name):
+    """Calls of ``oracle.<name>`` from now on."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+SCHUR_CASES = {
+    **{f"rand5-s{s}": (lambda s=s: random_instance(5, seed=s)) for s in range(20)},
+    "dense10": lambda: random_instance(10, seed=0, diagonal=False),
+    "mixed": lambda: mixed_twin(random_instance(10, seed=0, diagonal=False)),
+    "chain3": lambda: load_instance(CASES / "chain3.json"),
+    "ieee14": lambda: build_opf_instance(load_case(CASES / "ieee14.json")),
+    "opf_2bus": lambda: build_opf_instance(load_case(CASES / "opf_2bus.json")),
+    "grid6": mesh_grid,
+}
+
+
+@pytest.mark.parametrize("name", list(SCHUR_CASES))
+def test_schur_route_matches_dense_reference(name):
+    inst = SCHUR_CASES[name]()
+    sol = solve_kkt(inst)
+    assert sol.method == "kkt"
+    assert_close(sol, solve_kkt_dense_reference(inst), 1e-10)
+    pinned = inst.lo_vec == inst.hi_vec
+    assert np.array_equal(sol.u[pinned], inst.lo_vec[pinned])
+    assert oracle.kkt_residual(inst, sol.u, sol.lam) <= oracle.CERT_TOL
+
+
+def test_active_set_matches_ascent_reference(monkeypatch):
+    solves = count_calls(monkeypatch, "_schur_solve")
+    cases = {"pair": make_pair(hi1=0.5)}
+    for seed in range(16):
+        inst = boxed(random_instance(4, seed=seed), 0.8)
+        if certify_feasible(inst):
+            cases[f"rand4-s{seed}"] = inst
+        else:
+            with pytest.raises(InfeasibleError):
+                solve_active_set(inst)
+    assert len(cases) == 9
+    sweeps = {}
+    for name, inst in cases.items():
+        solves.clear()
+        sol = solve_active_set(inst)
+        sweeps[name] = len(solves) - 1  # re-solves after the one with only lo == hi pinned
+        assert sol.method == "active_set"
+        assert_close(sol, solve_ascent_reference(inst), 1e-8)
+    assert sweeps["pair"] == 1 and max(sweeps.values()) >= 2
+    assert sum(v > 0 for v in sweeps.values()) >= 6  # most cases hold an active box
+
+
+def test_over_constrained_sweep_falls_back_to_primal_active_set(monkeypatch):
+    # the first sweep pins u_0 and u_4 together, which leaves three coupling
+    # rows on two free columns; only u_4 is active at the solution
+    inst = boxed(random_instance(4, seed=8), 0.8)
+    fallback = count_calls(monkeypatch, "_primal_active_set")
+    sol = solve_kkt(inst)
+    assert sol.method == "active_set" and len(fallback) == 1
+    assert_close(sol, solve_ascent_reference(inst), 1e-8)
+    at_bound = np.flatnonzero((sol.u <= inst.lo_vec) | (sol.u >= inst.hi_vec))
+    assert at_bound.tolist() == [4]
+
+
+def test_capacity_cut_grid_takes_the_active_set_route():
+    grid = load_grid_module()
+    case = grid.mesh_case(6, 6, 24, seed=0)
+    gens = list(case.generators)
+    gens[0] = dataclasses.replace(gens[0], pmax=0.3)  # below its interior output
+    inst = build_opf_instance(dataclasses.replace(case, generators=tuple(gens)))
+    t0 = time.perf_counter()
+    sol = solve_kkt(inst)
+    assert time.perf_counter() - t0 < 5.0
+    assert sol.method == "active_set"
+    gen = inst.u_slice(gens[0].bus)
+    p = sol.u[gen][:case.h]
+    assert np.count_nonzero(p == 0.3) > 0 and np.all(p <= 0.3)
+    assert oracle.kkt_residual(inst, sol.u, sol.lam) <= oracle.CERT_TOL
+
+
+def test_answer_failing_the_certificate_is_refused(monkeypatch, chain3):
+    real = oracle._schur_solve
+
+    def off(*args):
+        u, lam = real(*args)
+        return u, lam + 1e-6  # no longer stationary
+
+    monkeypatch.setattr(oracle, "_schur_solve", off)
+    with pytest.raises(OracleError, match="kkt answer fails its KKT certificate"):
+        solve_kkt(chain3)
+    with pytest.raises(OracleError, match="fails its KKT certificate"):
+        solve_kkt(make_pair(hi1=0.5))
 
 
 def test_kkt_pair(instance_a):
@@ -45,7 +162,7 @@ def test_box_active_falls_back_to_active_set():
 
 
 def test_active_set_agrees_with_kkt_on_interior(chain3):
-    a = solve_kkt(chain3)
+    a = solve_ascent_reference(chain3)
     b = solve_active_set(chain3)
     assert b.method == "active_set"
     np.testing.assert_allclose(b.u, a.u, atol=1e-6)
@@ -56,7 +173,7 @@ def test_random_instances_two_routes_agree():
     for seed in range(6):
         inst = random_instance(4, seed=seed)
         a = solve_kkt(inst)
-        b = solve_active_set(inst)
+        b = solve_ascent_reference(inst)
         assert a.q == pytest.approx(b.q, abs=1e-6)
         np.testing.assert_allclose(a.u, b.u, atol=1e-5)
 

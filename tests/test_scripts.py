@@ -50,6 +50,23 @@ def test_run_opf_two_bus(tmp_path):
     assert lines[0] == "k,q,residual,gap,V,updates" and len(lines) == 1 + k
 
 
+def test_oracle_ladder_smallest_grid():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "oracle_ladder.py"), "--sizes", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()
+    assert head.split() == ["grid", "n", "m", "route", "seconds", "kkt_residual"]
+    grid, n, m, route, seconds, res = row.split()
+    # 4 buses over 24 h, one of them a generator: 5 * 24 decisions, 4 * 24 rows
+    assert (grid, n, m, route) == ("2x2x24", "120", "96", "kkt")
+    assert float(seconds) > 0 and float(res) <= 1e-8
+    bad = subprocess.run(
+        [sys.executable, str(SCRIPTS / "oracle_ladder.py"), "--sizes", "2,x"],
+        capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2 and "--sizes" in bad.stderr
+
+
 def test_bench_writes_paired_entry(tmp_path):
     # the same checkout on both sides exercises the alternating pair layout
     root = SCRIPTS.parent
@@ -78,31 +95,58 @@ def test_digests_against_itself(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "10 digests, 0 differ"
+    assert lines[-1] == "19 digests, 0 differ"
     rows = [ln.split() for ln in lines[:-1]]
-    assert {r[1] for r in rows} == {"chain3/steps", "chain3/eval_dual", "chain3/alg1",
-                                    "chain3/alg2-g0.1-eps1e-4"} | {
-        f"chain3/{a}-g{g}" for a in ("alg2", "unaccel") for g in (0.0, 0.3, 0.5)}
+    runs = {"alg1", "alg2-g0.1-eps1e-4"} | {f"{a}-g{g}" for a in ("alg2", "unaccel")
+                                             for g in (0.0, 0.3, 0.5)}
+    assert {r[1] for r in rows} == {"chain3/steps", "chain3/eval_dual", "chain3/oracle"} | {
+        f"chain3/{r}" for r in runs} | {f"chain3/{r}/oracle-side" for r in runs}
     assert all(r[0] == "same" and r[2] == r[3] and len(r[2]) == 64 for r in rows)
     # alg2 at gamma 0 is alg1 bit for bit (criterion 7)
     by_name = {r[1]: r[2] for r in rows}
-    assert by_name["chain3/alg1"] == by_name["chain3/alg2-g0.0"]
+    for suffix in ("", "/oracle-side"):
+        assert by_name[f"chain3/alg1{suffix}"] == by_name[f"chain3/alg2-g0.0{suffix}"]
+
+
+def _copy_tree(root: Path, other: Path) -> None:
+    shutil.copytree(root / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(root / "cases", other / "cases")
+
+
+def _digest_status(other: Path, *prefixes: str):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "digests.py"), "--against", str(other), *prefixes],
+        capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    return proc.returncode, {ln.split()[1]: ln.split()[0] for ln in lines[:-1]}, lines[-1]
 
 
 def test_digests_flag_a_changed_tree(tmp_path):
-    # a copy whose chain3 costs differ: same step table, different run
+    # a copy whose chain3 costs differ: same step table, different runs
     root, other = SCRIPTS.parent, tmp_path / "other"
-    shutil.copytree(root / "src", other / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(root / "cases", other / "cases")
+    _copy_tree(root, other)
     case = json.loads((other / "cases" / "chain3.json").read_text())
     case["agents"][0]["c"][0] += 1.0
     (other / "cases" / "chain3.json").write_text(json.dumps(case))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "digests.py"), "--against", str(other),
-         "chain3/steps", "chain3/alg1"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    status = {ln.split()[1]: ln.split()[0] for ln in proc.stdout.splitlines()[:-1]}
-    assert status == {"chain3/steps": "same", "chain3/alg1": "DIFF"}
-    assert proc.stdout.splitlines()[-1] == "2 digests, 1 differ"
+    rc, status, last = _digest_status(other, "chain3/steps", "chain3/alg1")
+    assert rc == 1
+    assert status == {"chain3/steps": "same", "chain3/alg1": "DIFF",
+                      "chain3/alg1/oracle-side": "DIFF"}
+    assert last == "3 digests, 2 differ"
+
+
+def test_digests_keep_iterates_apart_from_the_oracle(tmp_path):
+    # a copy whose oracle answers a slightly different multiplier: the runs'
+    # iterates stay, their gap and V move
+    root, other = SCRIPTS.parent, tmp_path / "other"
+    _copy_tree(root, other)
+    path = other / "src" / "dualdec" / "oracle.py"
+    text = path.read_text()
+    assert text.count("OracleSolution(u=u, lam=lam,") == 1
+    path.write_text(text.replace("OracleSolution(u=u, lam=lam,",
+                                 "OracleSolution(u=u, lam=lam * (1.0 + 1e-9),"))
+    rc, status, last = _digest_status(other, "chain3/oracle", "chain3/alg2-g0.3")
+    assert rc == 1
+    assert status == {"chain3/oracle": "DIFF", "chain3/alg2-g0.3": "same",
+                      "chain3/alg2-g0.3/oracle-side": "DIFF"}
+    assert last == "3 digests, 2 differ"

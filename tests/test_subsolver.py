@@ -1,5 +1,7 @@
 """Local box-constrained QP solves: closed form and accelerated PGD."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,21 @@ def test_stack_names_the_agent_that_stalls():
     assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
     with pytest.raises(ValueError, match="one dimension"):
         AgentStack([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_nonfinite_pressure_fails_at_once(value):
+    # a NaN residual never meets the tolerance: without the first-step check
+    # each call would spin all MAX_INNER_ITERS steps before raising
+    inst = random_instance(10, seed=0, diagonal=False)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="non-finite fixed-point residual") as info:
+        eval_dual(inst, np.full(inst.m_total, value))
+    assert "stalled" not in str(info.value)
+    ag = inst.agents[0]
+    with pytest.raises(RuntimeError, match=f"agent {ag.id}: local QP solve has a non-finite"):
+        solve_local(ag, np.full(ag.dim, value))
+    assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["dense10", "mixed10"])

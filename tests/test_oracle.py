@@ -22,7 +22,7 @@ def boxed(inst: ProblemInstance, b: float) -> ProblemInstance:
 
 
 def assert_close(sol, ref, rtol):
-    """u, lam and q agree to ``rtol`` relative to the reference's largest entry."""
+    """u, lam and q agree to ``rtol`` times max(1, the reference's largest entry)."""
     for got, want in ((sol.u, ref.u), (sol.lam, ref.lam), (np.array([sol.q]), np.array([ref.q]))):
         np.testing.assert_allclose(got, want, rtol=rtol,
                                    atol=rtol * float(np.max(np.abs(want), initial=1.0)))
@@ -111,6 +111,21 @@ def test_capacity_cut_grid_takes_the_active_set_route():
     p = sol.u[gen][:case.h]
     assert np.count_nonzero(p == 0.3) > 0 and np.all(p <= 0.3)
     assert oracle.kkt_residual(inst, sol.u, sol.lam) <= oracle.CERT_TOL
+
+
+def test_kkt_residual_checks_each_condition():
+    # u1 + u2 = 2 at costs u^2/2: optimum (1, 1) at lam -1; scale 1 + max(|c|, |g|) = 3
+    def r(inst, u, lam):
+        return oracle.kkt_residual(inst, np.array(u, float), np.array([lam], float))
+
+    inst = make_pair()
+    assert r(inst, [1.0, 1.0], -1.0) == 0.0
+    assert r(inst, [1.0, 1.0], -1.5) == pytest.approx(0.5 / 3)    # not stationary
+    assert r(inst, [1.5, 1.5], -1.5) == pytest.approx(1.0 / 3)    # off the coupling row
+    assert r(inst, [10.0, -8.0], 8.0) == pytest.approx(18.0 / 3)  # nu_1 > 0 at its upper bound
+    capped = make_pair(hi1=0.5)
+    assert r(capped, [0.5, 1.5], -1.5) == 0.0
+    assert r(capped, [0.75, 1.25], -1.25) == pytest.approx(0.25 / 3)  # above its box
 
 
 def test_answer_failing_the_certificate_is_refused(monkeypatch, chain3):

@@ -136,15 +136,15 @@ def test_digests_flag_a_changed_tree(tmp_path):
 
 
 def test_digests_keep_iterates_apart_from_the_oracle(tmp_path):
-    # a copy whose oracle answers a slightly different multiplier: the runs'
-    # iterates stay, their gap and V move
+    # a copy whose oracle answers a different multiplier: the runs' iterates
+    # stay, their gap (q at lambda_star) and V move
     root, other = SCRIPTS.parent, tmp_path / "other"
     _copy_tree(root, other)
     path = other / "src" / "dualdec" / "oracle.py"
     text = path.read_text()
     assert text.count("OracleSolution(u=u, lam=lam,") == 1
     path.write_text(text.replace("OracleSolution(u=u, lam=lam,",
-                                 "OracleSolution(u=u, lam=lam * (1.0 + 1e-9),"))
+                                 "OracleSolution(u=u, lam=lam + 1e-3,"))
     rc, status, last = _digest_status(other, "chain3/oracle", "chain3/alg2-g0.3")
     assert rc == 1
     assert status == {"chain3/oracle": "DIFF", "chain3/alg2-g0.3": "same",

@@ -53,6 +53,15 @@ RUNS = (["alg1"] + [f"{algo}-g{g}" for g in GAMMAS for algo in ("alg2", "unaccel
         + ["alg2-g0.1-eps1e-4"])
 
 
+def load_grid(tree: Path = ROOT):
+    """``tree``'s ``perfbench/grid.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_grid",
+                                                  tree / "perfbench" / "grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid
+
+
 def _instances(tree: Path) -> dict:
     """Name -> function building the instance with ``tree``'s dualdec."""
     from dualdec import build_opf_instance, load_case, load_instance, random_instance
@@ -84,11 +93,7 @@ def _instances(tree: Path) -> dict:
         return build_opf_instance(load_case(tree / "cases" / "ieee14.json"))
 
     def grid6():
-        spec = importlib.util.spec_from_file_location("perfbench_grid",
-                                                      tree / "perfbench" / "grid.py")
-        grid = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(grid)
-        return build_opf_instance(grid.mesh_case(6, 6, 24, seed=0))
+        return build_opf_instance(load_grid(tree).mesh_case(6, 6, 24, seed=0))
 
     return {
         "rand5": rand5,

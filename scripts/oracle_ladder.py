@@ -4,16 +4,16 @@
     python3 scripts/oracle_ladder.py [--sizes 6,12,20,30]
 
 Each grid is ``perfbench/grid.py``'s ``mesh_case(r, r, 24, seed=0)``,
-loaded by path and compiled with ``build_opf_instance``.  Per size it
-prints the decision and coupling sizes n and m, the route ``solve_kkt``
-took, the seconds of that one call on the fresh instance (the coupling
-CSR is built inside it), and ``kkt_residual`` of the answer.
+loaded by path once (``digests.load_grid``) and compiled with
+``build_opf_instance``.  Per size it prints the decision and coupling
+sizes n and m, the route ``solve_kkt`` took, the seconds of that one
+call on the fresh instance (the coupling CSR is built inside it), and
+``kkt_residual`` of the answer.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -23,14 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dualdec import build_opf_instance, solve_kkt  # noqa: E402
 from dualdec.oracle import kkt_residual  # noqa: E402
-
-
-def mesh_case(r: int):
-    spec = importlib.util.spec_from_file_location("perfbench_grid",
-                                                  ROOT / "perfbench" / "grid.py")
-    grid = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grid)
-    return grid.mesh_case(r, r, 24, seed=0)
+from digests import load_grid  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -46,9 +39,10 @@ def main(argv=None) -> int:
     if not sizes or min(sizes) < 1:
         ap.error("--sizes: every side must be a positive integer")
 
+    grid = load_grid()
     print(f"{'grid':>10} {'n':>7} {'m':>7} {'route':>10} {'seconds':>9} {'kkt_residual':>12}")
     for r in sizes:
-        inst = build_opf_instance(mesh_case(r))
+        inst = build_opf_instance(grid.mesh_case(r, r, 24, seed=0))
         t0 = time.perf_counter()
         sol = solve_kkt(inst)
         dt = time.perf_counter() - t0

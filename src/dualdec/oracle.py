@@ -13,22 +13,25 @@ rows of P) and b = (g, p), the multipliers y = (lam, mu) solve
 and u = -Q^-1 (c + M'y).  Q^-1 is block diagonal (1/d for diagonal
 agents, one inverse per dense stack) and is assembled as CSR arrays; H
 has one row per coupling row and pinned entry, is sparse, and is
-factored by ``scipy.sparse.linalg.splu``.  No dense
-KKT matrix, dense Q or dense coupling matrix is formed.
+factored by ``scipy.sparse.linalg.splu``.  No dense KKT matrix or dense
+Q is formed, and no route densifies the coupling matrix except the
+feasibility check's deciding solve (below).
 
 * ``solve_kkt`` pins the entries with lo == hi.  If every other entry
   lands strictly inside its box the answer is route ``"kkt"``; otherwise
   the box route takes over.
-* ``solve_active_set`` certifies feasibility first, then runs the
-  primal-dual active-set method of Hintermueller, Ito & Kunisch (2002,
-  SIAM J. Optim.).  With nu = Qu + c + A'lam and kappa the diagonal of
-  Q, an entry is pinned at its lower bound when nu + kappa (lo - u) > 0
-  and at its upper bound when -nu + kappa (u - hi) > 0; the sets are
-  re-solved until they repeat.  A sweep can pin so many entries that some
-  coupling rows keep too few free columns, and its system is then
-  singular.  In that case (and if the sweeps cycle) the primal
-  active-set method takes over from the box point the feasibility check
-  found: it moves one bound at a time and never over-constrains the rows.
+* ``solve_active_set`` finds a point of the boxes that meets the coupling
+  equations, then runs the primal active-set method (Nocedal & Wright,
+  Algorithm 16.3) from it.  Each step moves toward the Schur solve with
+  the working set of bounds pinned; one bound enters the set (the first
+  the step meets) or leaves it (the worst-signed multiplier
+  nu = Qu + c + A'lam) until every multiplier has the right sign.
+  Because a bound enters only along a step that keeps the coupling rows,
+  the pinned rows never over-constrain them.
+
+Coupling rows that are linearly dependent make H singular on every
+route, so they raise OracleError("singular KKT system ...") from
+``solve_active_set`` as well as from ``solve_kkt``.
 
 Every answer must pass an explicit KKT certificate (``kkt_residual``):
 coupling feasibility, bounds, nu = 0 off the bounds (stationarity and
@@ -37,7 +40,8 @@ answer that fails it raises OracleError rather than being returned.
 
 ``certify_feasible`` decides whether the coupling equations intersect
 the boxes at all, via a per-row interval bound plus a bounded
-least-squares solve.
+least-squares solve: a sparse one first, and a dense one to confirm a
+miss.
 """
 
 from __future__ import annotations
@@ -93,53 +97,27 @@ def solve_kkt(instance: ProblemInstance) -> OracleSolution:
 
 
 def solve_active_set(instance: ProblemInstance) -> OracleSolution:
-    """Box-aware exact solve by the primal-dual active-set method, with
-    the primal active-set method as its fallback.
+    """Box-aware exact solve by the primal active-set method.
 
     Raises InfeasibleError when no point of the boxes meets the coupling
-    equations, and OracleError when neither method reaches an answer that
-    passes the KKT certificate.
+    equations, and OracleError when the steps do not reach an answer that
+    passes the KKT certificate, or when the coupling rows are linearly
+    dependent (a singular KKT system).
     """
     Q, Qinv = _block_diag(instance, False), _block_diag(instance, True)
     return _solve_boxes(instance, Q, Qinv, None)
 
 
 def _solve_boxes(instance, Q, Qinv, start) -> OracleSolution:
-    """Active-set sweeps from ``start`` = (u, lam) solved with only lo == hi pinned.
-
-    Sweeps that over-constrain the coupling rows (a singular pinned
-    system), cycle, run out or end on an answer that fails the
-    certificate fall back to the primal active-set method.
-    """
+    """Primal active-set steps from a feasible point; ``start`` = (u, lam)
+    solves the system with only lo == hi pinned (None: solve it here)."""
     x = _feasible_point(instance)
     if x is None:
         raise InfeasibleError("infeasible: coupling equations unreachable within the boxes")
-    lo = instance.lo_vec
     if start is None:
+        lo = instance.lo_vec
         start = _schur_solve(instance, Q, Qinv, lo == instance.hi_vec, lo)
-    try:
-        return _pdas(instance, Q, Qinv, *start)
-    except OracleError:
-        return _primal_active_set(instance, Q, Qinv, x, start)
-
-
-def _pdas(instance, Q, Qinv, u, lam) -> OracleSolution:
-    """Primal-dual active-set sweeps (Hintermueller, Ito & Kunisch 2002)."""
-    lo, hi, c = instance.lo_vec, instance.hi_vec, instance.c_vec
-    A = instance.coupling_csr
-    kappa = Q.diagonal()
-    fixed = lo == hi
-    seen = {(fixed.tobytes(), np.zeros_like(fixed).tobytes())}  # the sets solved so far
-    for _ in range(MAX_SWEEPS):
-        nu = Q @ u + c + A.T @ lam
-        upper = (-nu + kappa * (u - hi) > 0) & ~fixed
-        pinned = (nu + kappa * (lo - u) > 0) | upper | fixed
-        key = (pinned.tobytes(), upper.tobytes())
-        if key in seen:
-            return _certified(instance, Q, u, lam, "active_set")
-        seen.add(key)
-        u, lam = _schur_solve(instance, Q, Qinv, pinned, np.where(upper, hi, lo))
-    raise OracleError(f"active sets did not settle in {MAX_SWEEPS} sweeps")
+    return _primal_active_set(instance, Q, Qinv, x, start)
 
 
 def _primal_active_set(instance, Q, Qinv, x, start) -> OracleSolution:
@@ -276,12 +254,12 @@ def _certified(instance: ProblemInstance, Q, u: np.ndarray, lam: np.ndarray,
 
 def _interval_infeasible(instance: ProblemInstance) -> bool:
     """Necessary per-row check: g_r must lie between the box extremes of row r."""
-    A, g = instance.coupling_matrix, instance.g_vec
+    A, g = instance.coupling_csr, instance.g_vec
     lo, hi = instance.lo_vec, instance.hi_vec
-    low = np.minimum(A * lo, A * hi).sum(axis=1)
-    high = np.maximum(A * lo, A * hi).sum(axis=1)
+    pos, neg = A.maximum(0.0), A.minimum(0.0)
+    low, high = pos @ lo + neg @ hi, pos @ hi + neg @ lo
     pad = 1e-12 * (1.0 + np.abs(g))
-    return bool(np.any(g < low - pad) or np.any(g > high + pad))
+    return bool((g < low - pad).any() or (g > high + pad).any())
 
 
 def certify_feasible(instance: ProblemInstance) -> bool:
@@ -291,19 +269,30 @@ def certify_feasible(instance: ProblemInstance) -> bool:
 
 def _feasible_point(instance: ProblemInstance) -> np.ndarray | None:
     """A point of the boxes that meets the coupling equations to
-    ``FEASIBLE_TOL`` (relative), or None when there is none."""
+    ``FEASIBLE_TOL`` (relative), or None when there is none.
+
+    The bounded least-squares solve runs on the sparse free columns; a
+    dense solve decides only when that leaves the gap above tolerance, as
+    the sparse one's iterative inner solves may stop short.
+    """
     lo, hi = instance.lo_vec, instance.hi_vec
     if instance.m_total == 0:
         return lo.copy()
     if _interval_infeasible(instance):
         return None
-    A, g = instance.coupling_matrix, instance.g_vec
+    A, g = instance.coupling_csr, instance.g_vec
     pinned = lo == hi
-    free = ~pinned
+    free = np.flatnonzero(~pinned)
     x = lo.copy()
-    target = g - A[:, pinned] @ lo[pinned]
-    if free.any():
-        x[free] = lsq_linear(A[:, free], target, bounds=(lo[free], hi[free]),
-                             method="trf", tol=1e-14, max_iter=500).x
-    gap = float(np.linalg.norm(A[:, free] @ x[free] - target))
-    return x if gap <= FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g))) else None
+    target = g - A @ np.where(pinned, lo, 0.0)
+    tol = FEASIBLE_TOL * (1.0 + float(np.linalg.norm(g)))
+    if not len(free):
+        return x if float(np.linalg.norm(target)) <= tol else None
+    A_free = A[:, free]
+
+    def reaches(B) -> bool:
+        x[free] = lsq_linear(B, target, bounds=(lo[free], hi[free]), method="trf",
+                             tol=1e-14, max_iter=500, lsmr_tol="auto").x
+        return float(np.linalg.norm(A_free @ x[free] - target)) <= tol
+
+    return x if reaches(A_free) or reaches(A_free.toarray()) else None

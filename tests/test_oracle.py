@@ -85,13 +85,13 @@ def test_active_set_matches_ascent_reference(monkeypatch):
     assert sum(v > 0 for v in sweeps.values()) >= 6  # most cases hold an active box
 
 
-def test_over_constrained_sweep_falls_back_to_primal_active_set(monkeypatch):
-    # the first sweep pins u_0 and u_4 together, which leaves three coupling
-    # rows on two free columns; only u_4 is active at the solution
+def test_active_set_never_over_constrains_the_coupling_rows():
+    # pinning u_0 and u_4 together, as a primal-dual active-set sweep does,
+    # leaves three coupling rows on two free columns and a singular system;
+    # only u_4 is active at the solution, and bounds enter one at a time
     inst = boxed(random_instance(4, seed=8), 0.8)
-    fallback = count_calls(monkeypatch, "_primal_active_set")
     sol = solve_kkt(inst)
-    assert sol.method == "active_set" and len(fallback) == 1
+    assert sol.method == "active_set"
     assert_close(sol, solve_ascent_reference(inst), 1e-8)
     at_bound = np.flatnonzero((sol.u <= inst.lo_vec) | (sol.u >= inst.hi_vec))
     assert at_bound.tolist() == [4]
@@ -203,6 +203,8 @@ def test_singular_kkt_rejected():
     inst = ProblemInstance(agents=(a1, a2))
     with pytest.raises(OracleError, match="singular KKT system"):
         solve_kkt(inst)
+    with pytest.raises(OracleError, match="singular KKT system"):
+        solve_active_set(inst)  # the box route solves the same Schur system
 
 
 def test_interval_infeasibility_detected():
@@ -223,6 +225,17 @@ def test_geometric_infeasibility_detected():
     assert not certify_feasible(inst)
     with pytest.raises(InfeasibleError):
         solve_active_set(inst)
+
+
+def test_feasibility_verdicts_on_boxed_draws_and_the_grid():
+    # the infeasible seeds pass the interval check but for seed 0, so the
+    # least-squares solves decide them
+    verdicts = [certify_feasible(boxed(random_instance(4, seed=s), 0.8)) for s in range(16)]
+    assert [s for s, ok in enumerate(verdicts) if ok] == [1, 3, 4, 7, 8, 11, 12, 15]
+    grid = mesh_grid()
+    x = oracle._feasible_point(grid)
+    assert ((grid.lo_vec <= x) & (x <= grid.hi_vec)).all()
+    assert np.linalg.norm(grid.coupling_csr @ x - grid.g_vec) <= 1e-6
 
 
 def test_certify_feasible_on_bundled_cases(cases_dir):

@@ -29,7 +29,12 @@ optional distance diagnostics when the optimal multiplier is supplied.
 ``run_alg2(record="none")`` skips that re-solve and keeps only the
 stop state, theta and the update flags.  Without momentum the interpolant
 is lam(k) itself, so the logging solve at lam(k) is reused as the next
-iteration's local solve.
+iteration's local solve.  With momentum, when the run goes on, the
+logging solve looks ahead: ``eval_dual(instance, lam(k), ahead=hat(k))``
+also solves the local QPs at the next interpolant, in the same stacked
+calls (each dense stack repeated twice, so every row keeps the bits of
+its own solve), and that is the next iteration's local solve.  Either
+way a logged iteration makes one local-solve pass, not two.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ class DualEval(NamedTuple):
     q: float
     grad: np.ndarray
     u: np.ndarray
+    u_ahead: np.ndarray | None = None  # local minimizers at eval_dual's ``ahead``
 
 
 def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
@@ -83,38 +89,62 @@ def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
 
 
 def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
-    """Every agent's local minimizer at the stacked pressure ``a``: one
-    vectorized clip for diagonal costs, and one ``solve_local`` call per
-    stack of same-dimension dense agents."""
+    """Every agent's local minimizer at the stacked pressure ``a``, of shape
+    (n,), or at p pressures given as the rows of a (p, n) array; the result
+    has the shape of ``a``.  Diagonal costs take one vectorized clip per
+    pressure; each stack of same-dimension dense agents takes one
+    ``solve_local`` call over all p pressures, as the stack repeated p
+    times, which gives every row the bits of its own solve."""
     d = instance.qdiag_vec
-    if d is not None:
+    if d is not None and a.ndim == 1:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
         return np.minimum(np.maximum(-(instance.c_vec + a) / d, instance.lo_vec),
                           instance.hi_vec)
-    u = np.empty(instance.n_total)
+    rows = a.reshape(-1, instance.n_total)
+    u = np.empty(rows.shape)
     cols, diag = instance.diag_columns
     if len(cols):
-        u[cols] = np.minimum(np.maximum(-(instance.c_vec[cols] + a[cols]) / diag,
-                                        instance.lo_vec[cols]), instance.hi_vec[cols])
+        c, lo, hi = instance.c_vec[cols], instance.lo_vec[cols], instance.hi_vec[cols]
+        for x, out in zip(rows, u):
+            out[cols] = np.minimum(np.maximum(-(c + x[cols]) / diag, lo), hi)
     for st in instance.dense_stacks:
-        u[st.cols] = solve_local(st, a[st.cols].reshape(st.c.shape)).ravel()
-    return u
+        rep = st.repeat(len(rows))
+        u[:, st.cols] = solve_local(rep, rows[:, st.cols].reshape(rep.c.shape)).reshape(
+            len(rows), -1)
+    return u.reshape(a.shape)
 
 
-def eval_dual(instance: ProblemInstance, lam: np.ndarray) -> DualEval:
+def _multiplier(instance: ProblemInstance, lam, name: str) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (instance.m_total,):
+        raise ValueError(f"{name} has shape {lam.shape}, expected ({instance.m_total},)")
+    return lam
+
+
+def eval_dual(instance: ProblemInstance, lam: np.ndarray,
+              ahead: np.ndarray | None = None) -> DualEval:
     """Dual value, dual gradient and local minimizers at a shared multiplier.
 
     The gradient block of agent i is its coupling residual
     G_i^i u_i + sum_j G_i^j u_j - g_i at the jointly re-solved u(lam).
+    With ``ahead``, a second multiplier, ``u_ahead`` also holds the local
+    minimizers at ``ahead``, solved in the same stacked calls; ``q``,
+    ``grad`` and ``u`` are the same bits either way.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (instance.m_total,):
-        raise ValueError(f"lam has shape {lam.shape}, expected ({instance.m_total},)")
-    a = _matvec(instance.coupling_csr_T, lam)
-    u = _local_argmin(instance, a)
+    lam = _multiplier(instance, lam, "lam")
+    A_T = instance.coupling_csr_T
+    a = _matvec(A_T, lam)
+    if ahead is None:
+        u, u_ahead = _local_argmin(instance, a), None
+    else:
+        a_ahead = _matvec(A_T, _multiplier(instance, ahead, "ahead"))
+        if instance.dense_stacks:
+            u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)))
+        else:  # no stack to share: two clips cost less than stacking the pressures
+            u, u_ahead = _local_argmin(instance, a), _local_argmin(instance, a_ahead)
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
     grad = _matvec(instance.coupling_csr, u) - instance.g_vec
-    return DualEval(q=q, grad=grad, u=u)
+    return DualEval(q=q, grad=grad, u=u, u_ahead=u_ahead)
 
 
 @dataclass
@@ -316,9 +346,12 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             c_up, fired_blk = _link_block(plan, network, ks, n_agents)
             row_fired = fired_blk[:, plan.row_agent]
             log_upd.append(fired_blk)  # update flags, cut to iters at the end
-        # local solves at the interpolated multipliers; after a zero momentum
-        # coefficient hat equals lam(k-1), where the last log already solved
-        if ev is not None and coef == 0.0 and (hat == lam).all():
+        # local solves at the interpolated multipliers: the last log solved
+        # them ahead, or, after a zero momentum coefficient, hat equals
+        # lam(k-1), where the last log already solved
+        if ev is not None and ev.u_ahead is not None:
+            u = ev.u_ahead
+        elif ev is not None and coef == 0.0 and (hat == lam).all():
             u = ev.u
         else:
             u = _local_argmin(instance, _matvec(A_T, hat))
@@ -339,10 +372,12 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             stop = "nonfinite"
             break
         log_theta.append(theta)
-        if log:  # at the shared multiplier
-            ev = eval_dual(instance, lam_new)
+        if log:  # at the shared multiplier, and at the next interpolant if one follows
+            ahead = hat if coef != 0.0 and not ok and k < max_iters else None
+            ev = eval_dual(instance, lam_new, ahead)
             log_q.append(ev.q)
-            log_res.append(float(np.linalg.norm(ev.grad)))
+            # what np.linalg.norm computes for a 1-D float vector, without its dispatch
+            log_res.append(math.sqrt(ev.grad.dot(ev.grad)))
             log_lam.append(lam_new)
         if lambda_star is not None:
             log_gap.append(q_star - ev.q)

@@ -278,8 +278,29 @@ class AgentStack:
 
     @cached_property
     def L(self) -> np.ndarray:
-        """(k, 1): eig_max, the Lipschitz constant of each local gradient."""
+        """(k, 1): eig_max, the Lipschitz constant of each local gradient.
+
+        Reads every agent's ``sigma`` first, so a Q that is not positive
+        definite raises ValidationError before any solve uses the stack.
+        """
+        for a in self.agents:
+            a.sigma
         return _stacked([a.eig_max] for a in self.agents)
+
+    def repeat(self, p: int) -> AgentStack:
+        """This stack's agents p times over (row r belongs to ``agents[r % k]``),
+        to solve p pressures in one lock-step call; built once per p."""
+        if p == 1:
+            return self
+        rep = self._repeats.get(p)
+        if rep is None:
+            rep = self._repeats[p] = AgentStack(self.agents * p, np.tile(self.cols, p),
+                                                np.tile(self.pos, p))
+        return rep
+
+    @cached_property
+    def _repeats(self) -> dict[int, AgentStack]:
+        return {}
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,15 @@ tolerance.  Each stacked product is a ``matmul`` over ``(k, d, d)`` and
 (``gesv``, ``gemv``, ``dot``) as one agent's ``(d, d)`` and ``(d,)``
 operands, so a stack gives every agent the bits it would get alone.
 Stacks are never padded to a common dimension: that guarantee would not
-hold.  A lone dense agent runs as its cached stack of one.
+hold.  A lone dense agent runs as its cached stack of one, and p
+pressures on one stack run as the stack repeated p times
+(``AgentStack.repeat``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import AgentSpec, AgentStack
 
@@ -41,6 +44,7 @@ def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray, *,
     agents of dimension d with ``a`` of shape (k, d); the result has the
     shape of ``a``.  A single agent whose Q was declared diagonal takes
     the closed form; everything else runs projected gradient.  Raises
+    ValidationError when a dense Q is not positive definite, and
     RuntimeError naming every agent whose first step leaves a non-finite
     residual (a non-finite pressure), or that fails to reach
     ``FIXED_POINT_TOL`` within ``max_iters``.
@@ -62,6 +66,13 @@ def _clip(x, lo, hi):
     return np.minimum(np.maximum(x, lo), hi)
 
 
+def _lapack_solve(Q, rhs):
+    """``np.linalg.solve(Q, rhs)`` for float (k, d, d) and (k, d, 1) stacks:
+    the LAPACK gufunc it calls, so the same bits, without its Python-level
+    checks.  A singular Q gives NaN here rather than LinAlgError."""
+    return _umath_linalg.solve(Q, rhs, signature="dd->d")
+
+
 def _dot(x, y):
     """Row-wise dot products of two (k, d) stacks."""
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
@@ -71,8 +82,8 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
     """Accelerated projected gradient with adaptive restart, in lock step."""
     Q, lo, hi, L = st.Q, st.lo, st.hi, st.L
     b = st.c + a
-    # warm start from the clipped unconstrained minimizer
-    x = _clip(np.linalg.solve(Q, -b[:, :, None])[:, :, 0], lo, hi)
+    # warm start from the clipped unconstrained minimizer (st.L has checked Q)
+    x = _clip(_lapack_solve(Q, -b[:, :, None])[:, :, 0], lo, hi)
     y, t, resid = x, 1.0, np.inf  # t becomes a (k, 1) column after the first step
     rows = out = None  # stack rows still iterating, once some are done
     for it in range(max_iters):

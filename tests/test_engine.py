@@ -336,7 +336,10 @@ MIXED10 = mixed_twin(DENSE10)  # clip columns and dense stacks in one instance
 
 
 def per_agent_argmin(instance, a):
-    """Every agent's local minimizer, one agent at a time."""
+    """Every agent's local minimizer, one agent and one pressure at a time;
+    ``a`` is one pressure or p of them as rows, like the kernel's."""
+    if a.ndim == 2:
+        return np.array([per_agent_argmin(instance, x) for x in a])
     u = np.empty(instance.n_total)
     for ag in instance.agents:
         sl = instance.u_slice(ag.id)
@@ -363,6 +366,25 @@ def test_stacked_kernel_is_per_agent_solves_bit_for_bit(name, gamma, monkeypatch
     alone = run_alg2(inst, tab, net, 150, 0.0, lambda_star=star)
     for f in ("lam", "q", "residual", "gap", "V", "updates", "u_final", "theta"):
         assert getattr(stacked, f).tobytes() == getattr(alone, f).tobytes(), f
+
+
+@pytest.mark.parametrize("name", ["rand5", "dense10", "mixed10", "chain3"])
+def test_eval_dual_ahead_is_two_evaluations_bit_for_bit(name):
+    inst = {"rand5": random_instance(5, seed=0), "dense10": DENSE10, "mixed10": MIXED10,
+            "chain3": CHAIN}[name]
+    rng = np.random.default_rng(8)
+    for scale in (0.1, 1.0, 10.0):  # the larger pressures pin box coordinates
+        lam, mu = rng.normal(size=(2, inst.m_total)) * scale
+        for ahead in (mu, lam):
+            ev = eval_dual(inst, lam, ahead=ahead)
+            alone = eval_dual(inst, lam)
+            assert alone.u_ahead is None
+            assert ev.q == alone.q
+            assert ev.grad.tobytes() == alone.grad.tobytes()
+            assert ev.u.tobytes() == alone.u.tobytes()
+            assert ev.u_ahead.tobytes() == eval_dual(inst, ahead).u.tobytes()
+    with pytest.raises(ValueError, match="ahead has shape"):
+        eval_dual(inst, lam, ahead=lam[:-1])
 
 
 KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": IEEE14,
@@ -425,21 +447,43 @@ def test_local_argmin_is_np_clip_bit_for_bit():
         a = np.full(7, val)
         want = np.clip(-(inst.c_vec + a) / inst.qdiag_vec, lo, hi)
         assert _local_argmin(inst, a).tobytes() == want.tobytes(), val
+        # two pressures as rows: each row clipped on its own
+        back = np.clip(-(inst.c_vec + -a) / inst.qdiag_vec, lo, hi)
+        got = _local_argmin(inst, np.array((a, -a)))
+        assert got.shape == (2, 7), val
+        assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == back.tobytes(), val
 
 
 def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
     # unaccel's interpolant is lam(k-1), where the previous log already solved;
-    # the kernel solves a stack of agents per call, so count the agents solved
-    calls = []
+    # the accelerated log solves the next interpolant in the same stacked calls.
+    # The kernel solves a stack of agents per call, so count the agents solved
+    # and the calls (DENSE10 has three stacks)
+    calls, stack_calls = [], []
     orig = engine.solve_local
-    monkeypatch.setattr(engine, "solve_local", lambda s, p: calls.extend(s.ids) or orig(s, p))
+
+    def counted(s, p):
+        calls.extend(s.ids)
+        stack_calls.append(s)
+        return orig(s, p)
+
+    monkeypatch.setattr(engine, "solve_local", counted)
+    assert len(DENSE10.dense_stacks) == 3
     net = build_network(DENSE10, 0.3, seed=1)
     tab = build_stepsizes(DENSE10)
     tr = run_unaccelerated(DENSE10, tab, net, 20, 0.0)
     assert len(calls) == 10 * (tr.iters + 1)
     calls.clear()
+    stack_calls.clear()
     tr = run_alg2(DENSE10, tab, net, 20, 0.0)  # only k = 2 follows a zero coefficient
     assert len(calls) == 10 * (2 * tr.iters - 1)
+    assert len(stack_calls) == 3 * (tr.iters + 1)
+    calls.clear()
+    stack_calls.clear()
+    tr = run_alg2(DENSE10, tab, net, 20_000, 1e-6)  # stopped by eps: no solve ahead at the end
+    assert tr.converged and tr.iters == 1082
+    assert len(calls) == 10 * (2 * tr.iters - 1) == 21_630
+    assert len(stack_calls) == 3 * (tr.iters + 1)
     calls.clear()
     run_alg2(DENSE10, tab, net, 20, 0.0, record="none")
     assert len(calls) == 10 * 20

@@ -1,5 +1,6 @@
 """Local box-constrained QP solves: closed form and accelerated PGD."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_twin, solve_pgd_reference
-from dualdec import eval_dual, primal_cost, random_instance, solve_local
-from dualdec.model import AgentSpec, AgentStack
+from dualdec import ValidationError, eval_dual, primal_cost, random_instance, solve_local
+from dualdec.model import AgentSpec, AgentStack, ProblemInstance
+from dualdec.subsolver import _lapack_solve
 
 RNG = np.random.default_rng(1234)
 
@@ -186,6 +188,68 @@ def test_stack_names_the_agent_that_stalls():
     assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
     with pytest.raises(ValueError, match="one dimension"):
         AgentStack([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
+
+
+def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
+    # two pressures per agent in one lock-step call; the slow agent's second
+    # row holds an active box and needs many restarted steps, the rest settle fast
+    rng = np.random.default_rng(11)
+    easy = random_dense_agents(rng, 2, 2, wide=True)
+    slow = AgentSpec(id=77, dim=2, Q=np.array([[1.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
+                     lo=[-5.0, -5.0], hi=[5.0, 5.0], m=0, g=[], blocks={})
+    st = AgentStack([easy[0], slow, easy[1]], np.arange(6), np.arange(3))
+    rep = st.repeat(2)
+    assert st.repeat(1) is st and st.repeat(2) is rep
+    assert rep.ids == st.ids * 2 and rep.Q.tobytes() == np.concatenate([st.Q] * 2).tobytes()
+    a = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, -0.01],
+                  [-0.02, 0.01], [8.0, 2.0], [0.05, 0.0]])
+    got = solve_local(rep, a)
+    for r, row in enumerate(a):
+        ag = rep.agents[r]
+        counts = {}
+        want = solve_pgd_reference(ag, row, counts=counts)
+        assert (counts["iters"] > 30 and counts.get("restarts", 0) > 3) == (r == 4), r
+        assert got[r].tobytes() == want.tobytes() == solve_local(ag, row).tobytes()
+        assert got[r].tobytes() == solve_local(st, a[r // 3 * 3:r // 3 * 3 + 3])[r % 3].tobytes()
+
+
+def cost_shifted(inst, seed=1, scale=0.1):
+    """``inst`` with every linear cost shifted by a seeded uniform draw (perfbench's denseq)."""
+    rng = np.random.default_rng(seed)
+    return ProblemInstance(agents=tuple(
+        dataclasses.replace(a, c=a.c + scale * rng.uniform(-1.0, 1.0, a.dim))
+        for a in inst.agents))
+
+
+def warm_start_stacks(name):
+    if name == "random":
+        rng = np.random.default_rng(9)
+        return [AgentStack(agents, np.arange(k * d), np.arange(k))
+                for d in range(1, 7) for k in (1, 3, 6)
+                for agents in [random_dense_agents(rng, k, d)]]
+    inst = random_instance(10, seed=0, diagonal=False)
+    inst = {"dense10": inst, "denseq": cost_shifted(inst), "mixed10": mixed_twin(inst)}[name]
+    return inst.dense_stacks
+
+
+@pytest.mark.parametrize("name", ["dense10", "denseq", "mixed10", "random"])
+def test_warm_start_is_np_linalg_solve_bit_for_bit(name):
+    rng = np.random.default_rng(4)
+    for st in warm_start_stacks(name):
+        for scale in (0.0, 0.01, 1.0, 100.0):
+            rhs = -(st.c + scale * rng.normal(size=st.c.shape))[:, :, None]
+            assert _lapack_solve(st.Q, rhs).tobytes() == np.linalg.solve(st.Q, rhs).tobytes()
+
+
+@pytest.mark.parametrize("Q", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+                         ids=["singular", "indefinite"])
+def test_non_positive_definite_q_raises_validation_error(Q):
+    bad = dense_agent(Q, [1.0, 1.0], [-5.0, -5.0], [5.0, 5.0])
+    with pytest.raises(ValidationError, match="not positive definite"):
+        solve_local(bad, np.array([0.5, -0.5]))
+    good = random_dense_agents(np.random.default_rng(2), 1, 2)[0]
+    with pytest.raises(ValidationError, match="not positive definite"):
+        solve_local(AgentStack([good, bad], np.arange(4), np.arange(2)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

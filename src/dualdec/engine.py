@@ -34,7 +34,8 @@ logging solve looks ahead: ``eval_dual(instance, lam(k), ahead=hat(k))``
 also solves the local QPs at the next interpolant, in the same stacked
 calls (each dense stack repeated twice, so every row keeps the bits of
 its own solve), and that is the next iteration's local solve.  Either
-way a logged iteration makes one local-solve pass, not two.
+way every logged iteration after the first makes one local-solve pass,
+not two.
 """
 
 from __future__ import annotations
@@ -100,18 +101,19 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
         return np.minimum(np.maximum(-(instance.c_vec + a) / d, instance.lo_vec),
                           instance.hi_vec)
-    rows = a.reshape(-1, instance.n_total)
-    u = np.empty(rows.shape)
+    n = instance.n_total
+    u = np.empty(a.shape)
     cols, diag = instance.diag_columns
     if len(cols):
         c, lo, hi = instance.c_vec[cols], instance.lo_vec[cols], instance.hi_vec[cols]
-        for x, out in zip(rows, u):
+        for x, out in zip(a.reshape(-1, n), u.reshape(-1, n)):
             out[cols] = np.minimum(np.maximum(-(c + x[cols]) / diag, lo), hi)
+    # a repeated stack's columns index the p pressures laid end to end
+    a_flat, u_flat = a.reshape(-1), u.reshape(-1)
     for st in instance.dense_stacks:
-        rep = st.repeat(len(rows))
-        u[:, st.cols] = solve_local(rep, rows[:, st.cols].reshape(rep.c.shape)).reshape(
-            len(rows), -1)
-    return u.reshape(a.shape)
+        rep = st.repeat(a.size // n, n)
+        u_flat[rep.cols] = solve_local(rep, a_flat[rep.cols].reshape(rep.c.shape)).ravel()
+    return u
 
 
 def _multiplier(instance: ProblemInstance, lam, name: str) -> np.ndarray:

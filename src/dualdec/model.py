@@ -287,19 +287,21 @@ class AgentStack:
             a.sigma
         return _stacked([a.eig_max] for a in self.agents)
 
-    def repeat(self, p: int) -> AgentStack:
-        """This stack's agents p times over (row r belongs to ``agents[r % k]``),
-        to solve p pressures in one lock-step call; built once per p."""
+    def repeat(self, p: int, n: int) -> AgentStack:
+        """This stack p times over, for p decision vectors of length n laid
+        end to end: row r * k + i belongs to ``agents[i]``, at agent i's
+        columns shifted by r * n.  One lock-step solve of it solves the
+        stack at p pressures.  Built once per (p, n)."""
         if p == 1:
             return self
-        rep = self._repeats.get(p)
+        rep = self._repeats.get((p, n))
         if rep is None:
-            rep = self._repeats[p] = AgentStack(self.agents * p, np.tile(self.cols, p),
-                                                np.tile(self.pos, p))
+            cols = (self.cols + n * np.arange(p)[:, None]).ravel()
+            rep = self._repeats[p, n] = AgentStack(self.agents * p, cols, np.tile(self.pos, p))
         return rep
 
     @cached_property
-    def _repeats(self) -> dict[int, AgentStack]:
+    def _repeats(self) -> dict[tuple[int, int], AgentStack]:
         return {}
 
 

@@ -198,9 +198,10 @@ def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
     slow = AgentSpec(id=77, dim=2, Q=np.array([[1.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
                      lo=[-5.0, -5.0], hi=[5.0, 5.0], m=0, g=[], blocks={})
     st = AgentStack([easy[0], slow, easy[1]], np.arange(6), np.arange(3))
-    rep = st.repeat(2)
-    assert st.repeat(1) is st and st.repeat(2) is rep
+    rep = st.repeat(2, 6)
+    assert st.repeat(1, 6) is st and st.repeat(2, 6) is rep
     assert rep.ids == st.ids * 2 and rep.Q.tobytes() == np.concatenate([st.Q] * 2).tobytes()
+    assert rep.cols.tolist() == list(range(12))
     a = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, -0.01],
                   [-0.02, 0.01], [8.0, 2.0], [0.05, 0.0]])
     got = solve_local(rep, a)

@@ -202,16 +202,18 @@ def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
     assert st.repeat(1, 6) is st and st.repeat(2, 6) is rep
     assert rep.ids == st.ids * 2 and rep.Q.tobytes() == np.concatenate([st.Q] * 2).tobytes()
     assert rep.cols.tolist() == list(range(12))
+    assert st.repeat(2, 10).cols.tolist() == list(range(6)) + list(range(10, 16))
     a = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, -0.01],
                   [-0.02, 0.01], [8.0, 2.0], [0.05, 0.0]])
     got = solve_local(rep, a)
+    each = np.concatenate([solve_local(st, a[:3]), solve_local(st, a[3:])])
     for r, row in enumerate(a):
         ag = rep.agents[r]
         counts = {}
         want = solve_pgd_reference(ag, row, counts=counts)
         assert (counts["iters"] > 30 and counts.get("restarts", 0) > 3) == (r == 4), r
         assert got[r].tobytes() == want.tobytes() == solve_local(ag, row).tobytes()
-        assert got[r].tobytes() == solve_local(st, a[r // 3 * 3:r // 3 * 3 + 3])[r % 3].tobytes()
+        assert got[r].tobytes() == each[r].tobytes()
 
 
 def cost_shifted(inst, seed=1, scale=0.1):

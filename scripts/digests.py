@@ -6,10 +6,12 @@
 
 The set covers these instances: rand5 (seeds 0 and 42), dense10
 (``random_instance(10, seed=0, diagonal=False)``), denseq (dense10 with
-the benchmark's seed-1 cost shift), ieee14, chain3, the 6x6x24 mesh grid
-from ``perfbench/grid.py``, dense twins of rand5, chain3 and ieee14 (every
-cost declared dense), and mixed (dense10 with the odd ids declared
-diagonal).  Per instance it hashes the step table, ``eval_dual`` at a
+the benchmark's seed-1 cost shift), boxed10 (dense10 with every box
+clipped to +-0.9, so ``solve_kkt`` takes the active-set route and some
+local solves take several projected-gradient steps), ieee14, chain3, the
+6x6x24 mesh grid from ``perfbench/grid.py``, dense twins of rand5, chain3
+and ieee14 (every cost declared dense), and mixed (dense10 with the odd
+ids declared diagonal).  Per instance it hashes the step table, ``eval_dual`` at a
 fixed multiplier, ``solve_kkt`` (``u``, ``lam``, ``q`` and ``method``, as
 ``NAME/oracle``) and eight runs: alg1; alg2 and unaccel at gamma 0, 0.3
 and 0.5 (network seed 3, eps 0, 1500 iterations, 600 on the grid,
@@ -48,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ITERS = 1500
 GRID_ITERS = 600
 NET_SEED = 3
+BOX = 0.9  # boxed10's bound
 GAMMAS = (0.0, 0.3, 0.5)
 RUNS = (["alg1"] + [f"{algo}-g{g}" for g in GAMMAS for algo in ("alg2", "unaccel")]
         + ["alg2-g0.1-eps1e-4"])
@@ -86,6 +89,11 @@ def _instances(tree: Path) -> dict:
             dataclasses.replace(a, c=a.c + 0.1 * rng.uniform(-1.0, 1.0, a.dim))
             for a in dense10().agents))
 
+    def boxed10():
+        return ProblemInstance(agents=tuple(
+            dataclasses.replace(a, lo=np.full(a.dim, -BOX), hi=np.full(a.dim, BOX))
+            for a in dense10().agents))
+
     def chain3():
         return load_instance(tree / "cases" / "chain3.json")
 
@@ -100,6 +108,7 @@ def _instances(tree: Path) -> dict:
         "rand5s42": functools.partial(random_instance, 5, seed=42),
         "dense10": dense10,
         "denseq": denseq,
+        "boxed10": boxed10,
         "ieee14": ieee14,
         "chain3": chain3,
         "grid6": grid6,

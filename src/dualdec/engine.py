@@ -32,8 +32,8 @@ is lam(k) itself, so the logging solve at lam(k) is reused as the next
 iteration's local solve.  With momentum, when the run goes on, the
 logging solve looks ahead: ``eval_dual(instance, lam(k), ahead=hat(k))``
 also solves the local QPs at the next interpolant, in the same stacked
-calls (each dense stack repeated twice, so every row keeps the bits of
-its own solve), and that is the next iteration's local solve.  Either
+call (the dense stack repeated twice, so every row keeps the bits of its
+own solve), and that is the next iteration's local solve.  Either
 way every logged iteration after the first makes one local-solve pass,
 not two.
 """
@@ -93,9 +93,9 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     """Every agent's local minimizer at the stacked pressure ``a``, of shape
     (n,), or at p pressures given as the rows of a (p, n) array; the result
     has the shape of ``a``.  Diagonal costs take one vectorized clip per
-    pressure; each stack of same-dimension dense agents takes one
-    ``solve_local`` call over all p pressures, as the stack repeated p
-    times, which gives every row the bits of its own solve."""
+    pressure; the dense agents take one ``solve_local`` call over all p
+    pressures, as the instance's dense stack repeated p times, which gives
+    every row the bits of its own solve."""
     d = instance.qdiag_vec
     if d is not None and a.ndim == 1:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
@@ -108,11 +108,11 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
         c, lo, hi = instance.c_vec[cols], instance.lo_vec[cols], instance.hi_vec[cols]
         for x, out in zip(a.reshape(-1, n), u.reshape(-1, n)):
             out[cols] = np.minimum(np.maximum(-(c + x[cols]) / diag, lo), hi)
-    # a repeated stack's columns index the p pressures laid end to end
-    a_flat, u_flat = a.reshape(-1), u.reshape(-1)
-    for st in instance.dense_stacks:
+    st = instance.dense_stack
+    if st is not None:
+        # a repeated stack's columns index the p pressures laid end to end
         rep = st.repeat(a.size // n, n)
-        u_flat[rep.cols] = solve_local(rep, a_flat[rep.cols].reshape(rep.c.shape)).ravel()
+        u.reshape(-1)[rep.cols] = solve_local(rep, a.reshape(-1)[rep.cols])
     return u
 
 
@@ -140,7 +140,7 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray,
         u, u_ahead = _local_argmin(instance, a), None
     else:
         a_ahead = _matvec(A_T, _multiplier(instance, ahead, "ahead"))
-        if instance.dense_stacks:
+        if instance.dense_stack is not None:
             u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)))
         else:  # no stack to share: two clips cost less than stacking the pressures
             u, u_ahead = _local_argmin(instance, a), _local_argmin(instance, a_ahead)

@@ -19,10 +19,12 @@ equations is *not* validated here; use the oracle module for that.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +33,7 @@ __all__ = [
     "ValidationError",
     "AgentSpec",
     "AgentStack",
+    "StackWork",
     "InfluenceGraph",
     "ProblemInstance",
     "derive_graph",
@@ -228,25 +231,48 @@ def _stacked(rows) -> np.ndarray:
     return x
 
 
+def _flat(parts) -> np.ndarray:
+    x = np.concatenate([np.zeros(0)] + list(parts))
+    x.setflags(write=False)
+    return x
+
+
+class StackWork(NamedTuple):
+    """One of a stack's work buffers: ``flat`` and, per group, views of it.
+
+    ``cols`` and ``rows`` are the (k_d, d, 1) and (k_d, 1, d) operands a
+    (k_d, d) array gives as ``x[:, :, None]`` and ``x[:, None, :]``;
+    ``outs`` are (k_d, d, 1) product outputs laid out as a fresh array's.
+    A buffer with one entry per agent has d = 1.
+    """
+
+    flat: np.ndarray
+    cols: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
+    outs: tuple[np.ndarray, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class AgentStack:
-    """Agents of one dimension d stacked for a lock-step local solve.
+    """Dense agents stacked for a lock-step local solve, whatever their dimensions.
 
-    Row r of every stacked array belongs to ``agents[r]``.  ``cols`` lists
-    the agents' columns in their instance's decision vector, agent after
-    agent, and ``pos`` their positions in ``instance.agents``.  Each
-    stacked array is built on first use, so evaluating costs does not pay
-    for the eigenvalues that only the solver needs.
+    Agents of one dimension sit next to each other: each such run is a
+    *group*, and ``groups`` gives per group the agents' slice, their
+    elements' slice and their ``Q`` (k_d, d, d).  Per-agent arrays have
+    one entry per agent (K,); per-element arrays hold the agents'
+    coordinates agent after agent (N,).  ``cols`` (N,) lists those
+    coordinates' columns in the instance's decision vector, and ``pos``
+    (K,) the agents' positions in ``instance.agents``.  Each stacked
+    array is built on first use, so evaluating costs does not pay for the
+    eigenvalues that only the solver needs.
     """
 
     agents: tuple[AgentSpec, ...]
-    cols: np.ndarray  # (k * d,)
-    pos: np.ndarray   # (k,)
+    cols: np.ndarray  # (N,)
+    pos: np.ndarray   # (K,)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
-        if len({a.dim for a in self.agents}) != 1:
-            raise ValueError("a stack holds agents of one dimension")
         for name in ("cols", "pos"):
             v = np.array(getattr(self, name), dtype=np.intp)
             v.setflags(write=False)
@@ -257,47 +283,102 @@ class AgentStack:
         return tuple(a.id for a in self.agents)
 
     @cached_property
-    def Q(self) -> np.ndarray:
-        """(k, d, d)"""
-        return _stacked(a.Q for a in self.agents)
+    def _runs(self) -> tuple[tuple[slice, slice, int], ...]:
+        """(agent slice, element slice, d) per run of agents of dimension d."""
+        runs, k0, e0 = [], 0, 0
+        for d, run in itertools.groupby(a.dim for a in self.agents):
+            k = len(list(run))
+            runs.append((slice(k0, k0 + k), slice(e0, e0 + k * d), d))
+            k0, e0 = k0 + k, e0 + k * d
+        return tuple(runs)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+        """(agent slice, element slice, Q (k_d, d, d)) per group."""
+        return tuple((ks, es, _stacked(a.Q for a in self.agents[ks]))
+                     for ks, es, _ in self._runs)
+
+    @cached_property
+    def agent_of(self) -> np.ndarray:
+        """(N,): the agent each element belongs to."""
+        v = np.repeat(np.arange(len(self.agents)), [a.dim for a in self.agents])
+        v.setflags(write=False)
+        return v
 
     @cached_property
     def c(self) -> np.ndarray:
-        """(k, d)"""
-        return _stacked(a.c for a in self.agents)
+        """(N,)"""
+        return _flat(a.c for a in self.agents)
 
     @cached_property
     def lo(self) -> np.ndarray:
-        """(k, d)"""
-        return _stacked(a.lo for a in self.agents)
+        """(N,)"""
+        return _flat(a.lo for a in self.agents)
 
     @cached_property
     def hi(self) -> np.ndarray:
-        """(k, d)"""
-        return _stacked(a.hi for a in self.agents)
+        """(N,)"""
+        return _flat(a.hi for a in self.agents)
 
     @cached_property
     def L(self) -> np.ndarray:
-        """(k, 1): eig_max, the Lipschitz constant of each local gradient.
+        """(N,): each agent's eig_max, the Lipschitz constant of its local
+        gradient, over its coordinates.
 
         Reads every agent's ``sigma`` first, so a Q that is not positive
         definite raises ValidationError before any solve uses the stack.
         """
         for a in self.agents:
             a.sigma
-        return _stacked([a.eig_max] for a in self.agents)
+        return _flat(np.full(a.dim, a.eig_max) for a in self.agents)
+
+    def work(self, *names: str, per_agent: bool = False) -> tuple[StackWork, ...]:
+        """The stack's work buffers of these names, of length N, or K when
+        ``per_agent``.  Each is built once, written in place by its users,
+        and never handed out as a result."""
+        got = self._work.get((names, per_agent))
+        if got is None:
+            got = self._work[names, per_agent] = tuple(
+                self._buffer(name, per_agent) for name in names)
+        return got
+
+    def _buffer(self, name: str, per_agent: bool) -> StackWork:
+        w = self._work.get((name, per_agent))
+        if w is None:
+            flat = np.zeros(len(self.agents) if per_agent else len(self.cols))
+            views = [flat[ks].reshape(-1, 1) if per_agent else flat[es].reshape(-1, d)
+                     for ks, es, d in self._runs]
+            w = self._work[name, per_agent] = StackWork(
+                flat, tuple(v[:, :, None] for v in views), tuple(v[:, None, :] for v in views),
+                tuple(v.reshape(*v.shape, 1) for v in views))
+        return w
+
+    @cached_property
+    def _work(self) -> dict:
+        """Work buffers by (name, per_agent), and tuples of them by (names, per_agent)."""
+        return {}
+
+    @cached_property
+    def _c_rows(self) -> tuple[np.ndarray, ...]:
+        """``c`` per group as (k_d, 1, d) rows."""
+        return tuple(self.c[es].reshape(-1, d)[:, None, :] for _, es, d in self._runs)
 
     def repeat(self, p: int, n: int) -> AgentStack:
         """This stack p times over, for p decision vectors of length n laid
-        end to end: row r * k + i belongs to ``agents[i]``, at agent i's
-        columns shifted by r * n.  One lock-step solve of it solves the
-        stack at p pressures.  Built once per (p, n)."""
+        end to end: group by group, row r * k_d + i of a group belongs to
+        its agent i, at that agent's columns shifted by r * n, so each
+        group stays one group.  One lock-step solve of it solves the stack
+        at p pressures.  Built once per (p, n)."""
         if p == 1:
             return self
         rep = self._repeats.get((p, n))
         if rep is None:
-            cols = (self.cols + n * np.arange(p)[:, None]).ravel()
-            rep = self._repeats[p, n] = AgentStack(self.agents * p, cols, np.tile(self.pos, p))
+            shift = n * np.arange(p)[:, None]
+            idx = np.concatenate([np.tile(np.arange(ks.start, ks.stop), p)
+                                  for ks, _, _ in self._runs])
+            cols = np.concatenate([(self.cols[es] + shift).ravel() for _, es, _ in self._runs])
+            rep = self._repeats[p, n] = AgentStack([self.agents[i] for i in idx], cols,
+                                                   self.pos[idx])
         return rep
 
     @cached_property
@@ -477,18 +558,15 @@ class ProblemInstance:
             for a in agents])
 
     @cached_property
-    def dense_stacks(self) -> tuple[AgentStack, ...]:
-        """The agents with a dense cost, one stack per dimension (ascending),
-        ids ascending within a stack."""
-        groups: dict[int, list[int]] = {}
-        for p, a in enumerate(self.agents):
-            if not a.is_diagonal:
-                groups.setdefault(a.dim, []).append(p)
-        stacks = []
-        for d in sorted(groups):
-            agents = [self.agents[p] for p in groups[d]]
-            stacks.append(AgentStack(agents, self._columns(agents), groups[d]))
-        return tuple(stacks)
+    def dense_stack(self) -> AgentStack | None:
+        """The agents with a dense cost as one stack ordered by (dim, id),
+        or None when every cost is diagonal."""
+        dense = sorted((p for p, a in enumerate(self.agents) if not a.is_diagonal),
+                       key=lambda p: self.agents[p].dim)
+        if not dense:
+            return None
+        agents = [self.agents[p] for p in dense]
+        return AgentStack(agents, self._columns(agents), dense)
 
     @cached_property
     def diag_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -519,9 +597,9 @@ class ProblemInstance:
 def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
     """Total separable cost sum_i 1/2 u_i' Q_i u_i + c_i' u_i.
 
-    Dense costs are evaluated a stack at a time with the same per-agent
-    BLAS products as ``AgentSpec.cost`` and summed over agents in id
-    order, so the total equals the per-agent sum bit for bit.
+    Dense costs are evaluated a group of the dense stack at a time with
+    the same per-agent BLAS products as ``AgentSpec.cost`` and summed over
+    agents in id order, so the total equals the per-agent sum bit for bit.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n_total,):
@@ -530,10 +608,14 @@ def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
     if d is not None:
         return 0.5 * float(np.dot(u, d * u)) + float(np.dot(instance.c_vec, u))
     cost = np.empty(len(instance.agents))
-    for st in instance.dense_stacks:
-        x = u[st.cols].reshape(st.c.shape)
-        row, col = x[:, None, :], x[:, :, None]
-        cost[st.pos] = 0.5 * (row @ st.Q @ col)[:, 0, 0] + (st.c[:, None, :] @ col)[:, 0, 0]
+    st = instance.dense_stack
+    (x,), (quad, lin) = st.work("x"), st.work("quad", "lin", per_agent=True)
+    u.take(st.cols, out=x.flat)
+    for (_, _, Q), row, col, c, q, ln in zip(st.groups, x.rows, x.cols, st._c_rows,
+                                             quad.outs, lin.outs):
+        np.matmul(row @ Q, col, out=q)
+        np.matmul(c, col, out=ln)
+    cost[st.pos] = 0.5 * quad.flat + lin.flat
     if len(instance.diag_columns[0]):
         for p, a in enumerate(instance.agents):
             if a.is_diagonal:

@@ -162,17 +162,18 @@ def _primal_active_set(instance, Q, Qinv, x, start) -> OracleSolution:
 def _block_diag(instance: ProblemInstance, invert: bool) -> sp.csr_array:
     """Q (or its inverse) assembled straight into CSR arrays.
 
-    Diagonal agents give one entry per row; a dense stack's (k, d, d)
-    blocks give d entries per row, in ascending columns.
+    Diagonal agents give one entry per row; each group of the dense
+    stack, (k, d, d) blocks, gives d entries per row, in ascending columns.
     """
     n = instance.n_total
     cols, d = instance.diag_columns
     rows, idx, vals = [cols], [cols], [1.0 / d if invert else d]
-    for st in instance.dense_stacks:
-        B = np.linalg.inv(st.Q) if invert else st.Q
-        dim = B.shape[-1]
-        rows.append(np.repeat(st.cols, dim))
-        idx.append(np.repeat(st.cols.reshape(-1, dim), dim, axis=0).ravel())
+    st = instance.dense_stack
+    for _, es, Q in () if st is None else st.groups:
+        B = np.linalg.inv(Q) if invert else Q
+        dim, gcols = B.shape[-1], st.cols[es]
+        rows.append(np.repeat(gcols, dim))
+        idx.append(np.repeat(gcols.reshape(-1, dim), dim, axis=0).ravel())
         vals.append(B.ravel())
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")

@@ -10,14 +10,19 @@ general Q falls back to an accelerated projected-gradient loop with the
 gradient-based adaptive restart of O'Donoghue & Candes (2015), driven to
 a fixed-point residual of 1e-12.
 
-That loop runs in lock step over an ``AgentStack`` of same-dimension
-agents: per agent it keeps its own momentum ``t``, restart test and
-residual, and an agent leaves the active set once its residual meets the
-tolerance.  Each stacked product is a ``matmul`` over ``(k, d, d)`` and
-``(k, d, 1)`` operands, which makes the same per-item BLAS/LAPACK calls
-(``gesv``, ``gemv``, ``dot``) as one agent's ``(d, d)`` and ``(d,)``
-operands, so a stack gives every agent the bits it would get alone.
-Stacks are never padded to a common dimension: that guarantee would not
+That loop runs in lock step over an ``AgentStack`` of dense agents of any
+dimensions: per agent it keeps its own momentum ``t``, restart test and
+residual, and an agent leaves once its residual meets the tolerance.
+The elementwise steps (bias, clips, gradient and fixed-point steps,
+momentum) run once over the flat (N,) coordinates of the whole stack,
+with per-agent values broadcast to their coordinates.  Only the products
+run per group of same-dimension agents: ``matmul`` over ``(k, d, d)``
+and ``(k, d, 1)`` operands and the ``gesv`` gufunc, writing through views
+of the stack's own work buffers.  They make the same per-item
+BLAS/LAPACK calls (``gesv``, ``gemv``, ``dot``) as one agent's ``(d, d)``
+and ``(d,)`` operands, and elementwise IEEE arithmetic does not depend on
+layout, so a stack gives every agent the bits it would get alone.
+Groups are never padded to a common dimension: that guarantee would not
 hold.  A lone dense agent runs as its cached stack of one, and p
 pressures on one stack run as the stack repeated p times
 (``AgentStack.repeat``).
@@ -34,88 +39,121 @@ __all__ = ["solve_local"]
 
 FIXED_POINT_TOL = 1e-12
 MAX_INNER_ITERS = 100_000
+_ALL_DONE = (FIXED_POINT_TOL / 4.0) ** 2  # a whole stack's squared step that finishes it
 
 
 def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray, *,
                 max_iters: int = MAX_INNER_ITERS) -> np.ndarray:
     """Unique minimizer of 1/2 u'Qu + (c+a)'u over the box, per agent.
 
-    ``agent`` is one agent with ``a`` of shape (dim,), or a stack of k
-    agents of dimension d with ``a`` of shape (k, d); the result has the
-    shape of ``a``.  A single agent whose Q was declared diagonal takes
-    the closed form; everything else runs projected gradient.  Raises
-    ValidationError when a dense Q is not positive definite, and
-    RuntimeError naming every agent whose first step leaves a non-finite
-    residual (a non-finite pressure), or that fails to reach
-    ``FIXED_POINT_TOL`` within ``max_iters``.
+    ``agent`` is one agent with ``a`` of shape (dim,), or a stack with
+    ``a`` of shape (N,), its agents' coordinates laid end to end; the
+    result is a fresh array of the shape of ``a``.  A single agent whose
+    Q was declared diagonal takes the closed form; everything else runs
+    projected gradient.  Raises ValidationError when a dense Q is not
+    positive definite, and RuntimeError naming every agent whose first
+    step leaves a non-finite residual (a non-finite pressure), or that
+    fails to reach ``FIXED_POINT_TOL`` within ``max_iters``.
     """
     a = np.asarray(a, dtype=float)
     if isinstance(agent, AgentStack):
-        if a.shape != agent.c.shape:
-            raise ValueError(f"a has shape {a.shape}, expected {agent.c.shape}")
+        if a.shape != agent.cols.shape:
+            raise ValueError(f"a has shape {a.shape}, expected {agent.cols.shape}")
         return _solve_pgd(agent, a, max_iters)
     if a.shape != (agent.dim,):
         raise ValueError(f"a has shape {a.shape}, expected ({agent.dim},)")
     if agent.is_diagonal:
         return np.clip(-(agent.c + a) / agent.diag, agent.lo, agent.hi)
-    return _solve_pgd(agent.stack, a[None, :], max_iters)[0]
+    return _solve_pgd(agent.stack, a, max_iters)
 
 
-def _clip(x, lo, hi):
+def _clip(x, lo, hi, out=None):
     # np.clip's exact twin at half its call cost
-    return np.minimum(np.maximum(x, lo), hi)
+    return np.minimum(np.maximum(x, lo), hi, out=out)
 
 
-def _lapack_solve(Q, rhs):
+def _lapack_solve(Q, rhs, out=None):
     """``np.linalg.solve(Q, rhs)`` for float (k, d, d) and (k, d, 1) stacks:
-    the LAPACK gufunc it calls, so the same bits, without its Python-level
-    checks.  A singular Q gives NaN here rather than LinAlgError."""
-    return _umath_linalg.solve(Q, rhs, signature="dd->d")
+    the LAPACK gufunc (and its float loop) it calls, so the same bits,
+    without its Python-level checks.  A singular Q gives NaN here rather than
+    LinAlgError."""
+    return _umath_linalg.solve(Q, rhs, out=out)
 
 
-def _dot(x, y):
-    """Row-wise dot products of two (k, d) stacks."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+def _bind(st: AgentStack):
+    """The stack's arrays and work buffers that one lock-step iteration uses."""
+    return (st.groups, st.agent_of, st.lo, st.hi, st.L,
+            *st.work("y", "product", "step", "x0", "x1"))
 
 
 def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
     """Accelerated projected gradient with adaptive restart, in lock step."""
-    Q, lo, hi, L = st.Q, st.lo, st.hi, st.L
+    groups, agent_of, lo, hi, L, Y, P, S, *X = _bind(st)  # st.L checks every Q first
     b = st.c + a
-    # warm start from the clipped unconstrained minimizer (st.L has checked Q)
-    x = _clip(_lapack_solve(Q, -b[:, :, None])[:, :, 0], lo, hi)
-    y, t, resid = x, 1.0, np.inf  # t becomes a (k, 1) column after the first step
-    rows = out = None  # stack rows still iterating, once some are done
+    # warm start from the clipped unconstrained minimizer
+    np.negative(b, out=Y.flat)
+    for (_, _, Q), rhs, prod in zip(groups, Y.cols, P.outs):
+        _lapack_solve(Q, rhs, out=prod)
+    x = y = _clip(P.flat, lo, hi, out=Y.flat)
+    t, resid = 1.0, np.inf
+    out = place = None  # the result and each element's place in it, once some agents are done
     for it in range(max_iters):
-        x_new = _clip(y - ((Q @ y[:, :, None])[:, :, 0] + b) / L, lo, hi)
-        step = x_new - _clip(x_new - ((Q @ x_new[:, :, None])[:, :, 0] + b) / L, lo, hi)
-        resid = np.sqrt(_dot(step, step))
-        done = resid <= FIXED_POINT_TOL
-        n_done = np.count_nonzero(done)
-        if n_done == len(done):
-            if rows is None:
-                return x_new
-            out[rows] = x_new
+        for (_, _, Q), col, prod in zip(groups, Y.cols, P.outs):
+            np.matmul(Q, col, out=prod)
+        g = P.flat + b
+        g /= L
+        # x_new's buffer alternates, so x (in the other one, or in Y at the start) survives
+        x_new = _clip(np.subtract(y, g, out=g), lo, hi, out=X[it & 1].flat)
+        for (_, _, Q), col, prod in zip(groups, X[it & 1].cols, P.outs):
+            np.matmul(Q, col, out=prod)
+        g = P.flat + b
+        g /= L
+        step = np.subtract(x_new, _clip(np.subtract(x_new, g, out=g), lo, hi, out=g), out=S.flat)
+        # the squared step of the whole stack bounds each agent's: this far
+        # below the tolerance, every agent is done whatever the rounding
+        done = None
+        if not step.dot(step) <= _ALL_DONE:
+            (R,) = st.work("resid", per_agent=True)
+            for row, col, rr in zip(S.rows, S.cols, R.outs):
+                np.matmul(row, col, out=rr)
+            resid = np.sqrt(R.flat)
+            done = resid <= FIXED_POINT_TOL
+        if done is None or done.all():
+            if out is None:
+                return x_new.copy()
+            out[place] = x_new
             return out
-        if it == 0 and not np.isfinite(resid).all():  # a non-finite pressure never settles
-            raise RuntimeError("; ".join(
-                f"agent {st.ids[r]}: local QP solve has a non-finite fixed-point residual "
-                f"({res}) at its first step; its pressure is not finite or overflows"
-                for r, res in enumerate(resid) if not np.isfinite(res)))
+        if it == 0:
+            if not np.isfinite(resid).all():  # a non-finite pressure never settles
+                raise RuntimeError("; ".join(
+                    f"agent {st.ids[r]}: local QP solve has a non-finite fixed-point residual "
+                    f"({res}) at its first step; its pressure is not finite or overflows"
+                    for r, res in enumerate(resid) if not np.isfinite(res)))
+            t = np.ones(len(resid))  # each agent's own momentum from here on
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         # momentum points uphill: restart
-        restart = (_dot(y - x_new, x_new - x) > 0.0)[:, None]
-        y = np.where(restart, x_new, x_new + ((t - 1.0) / t_new) * (x_new - x))
+        (D, E), (U,) = st.work("y-x_new", "x_new-x"), st.work("uphill", per_agent=True)
+        np.subtract(y, x_new, out=D.flat)
+        np.subtract(x_new, x, out=E.flat)
+        for row, col, uphill in zip(D.rows, E.cols, U.outs):
+            np.matmul(row, col, out=uphill)
+        restart = U.flat > 0.0
+        y = np.multiply(((t - 1.0) / t_new)[agent_of], E.flat, out=Y.flat)
+        np.add(x_new, y, out=y)
+        np.copyto(y, x_new, where=restart[agent_of])
         x, t = x_new, np.where(restart, 1.0, t_new)
-        if n_done:  # these agents leave with x; their momentum update is dropped
-            if rows is None:
-                rows, out = np.arange(len(b)), np.empty_like(b)
-            out[rows[done]] = x[done]
-            keep = ~done
-            rows, Q, lo, hi, L, b = rows[keep], Q[keep], lo[keep], hi[keep], L[keep], b[keep]
-            x, y, t, resid = x[keep], y[keep], t[keep], resid[keep]
-    rows = np.arange(len(b)) if rows is None else rows
+        if done.any():  # these agents leave with x; their momentum update is dropped
+            if out is None:
+                out, place = np.empty(len(b)), np.arange(len(b))
+            left = done[agent_of]
+            out[place[left]] = x[left]
+            keep, stay = np.flatnonzero(~done), ~left
+            st = AgentStack([st.agents[r] for r in keep], st.cols[stay], st.pos[keep])
+            groups, agent_of, lo, hi, L, Y, P, S, *X = _bind(st)
+            place, b, x, t, resid = place[stay], b[stay], x[stay], t[keep], resid[keep]
+            y = np.compress(stay, y, out=Y.flat)
     raise RuntimeError("; ".join(
-        f"agent {st.ids[r]}: local QP solve stalled at fixed-point residual {res:.3e} "
+        f"agent {i}: local QP solve stalled at fixed-point residual {res:.3e} "
         f"after {max_iters} iterations (tol {FIXED_POINT_TOL:.1e})"
-        for r, res in zip(rows, np.broadcast_to(resid, rows.shape))))
+        for i, res in zip(st.ids, np.broadcast_to(resid, len(st.ids)))))
+

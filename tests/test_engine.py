@@ -332,7 +332,12 @@ def test_local_solve_branches_agree(inst, gamma):
 
 
 DENSE10 = random_instance(10, seed=0, diagonal=False)
-MIXED10 = mixed_twin(DENSE10)  # clip columns and dense stacks in one instance
+MIXED10 = mixed_twin(DENSE10)  # clip columns and a dense stack in one instance
+# boxes of +-0.9: the oracle takes its active-set route, and a few local
+# solves take several projected-gradient steps
+BOXED10 = ProblemInstance(agents=tuple(
+    dataclasses.replace(a, lo=np.full(a.dim, -0.9), hi=np.full(a.dim, 0.9))
+    for a in DENSE10.agents))
 
 
 def per_agent_argmin(instance, a):
@@ -353,10 +358,10 @@ def per_agent_cost(instance, u):
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
-@pytest.mark.parametrize("name", ["mixed10", "dense10"])
+@pytest.mark.parametrize("name", ["mixed10", "dense10", "boxed10"])
 def test_stacked_kernel_is_per_agent_solves_bit_for_bit(name, gamma, monkeypatch):
-    inst = {"mixed10": MIXED10, "dense10": DENSE10}[name]
-    assert len(inst.dense_stacks) > 1
+    inst = {"mixed10": MIXED10, "dense10": DENSE10, "boxed10": BOXED10}[name]
+    assert len(inst.dense_stack.groups) > 1
     tab = build_stepsizes(inst)
     net = build_network(inst, gamma, seed=4)
     star = solve_kkt(inst).lam
@@ -457,8 +462,8 @@ def test_local_argmin_is_np_clip_bit_for_bit():
 def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
     # unaccel's interpolant is lam(k-1), where the previous log already solved;
     # the accelerated log solves the next interpolant in the same stacked calls.
-    # The kernel solves a stack of agents per call, so count the agents solved
-    # and the calls (DENSE10 has three stacks)
+    # The kernel solves the dense stack (three groups on DENSE10) once per
+    # local solve, so count the agents solved and the calls
     calls, stack_calls = [], []
     orig = engine.solve_local
 
@@ -468,7 +473,7 @@ def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
         return orig(s, p)
 
     monkeypatch.setattr(engine, "solve_local", counted)
-    assert len(DENSE10.dense_stacks) == 3
+    assert len(DENSE10.dense_stack.groups) == 3
     net = build_network(DENSE10, 0.3, seed=1)
     tab = build_stepsizes(DENSE10)
     tr = run_unaccelerated(DENSE10, tab, net, 20, 0.0)
@@ -477,13 +482,13 @@ def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
     stack_calls.clear()
     tr = run_alg2(DENSE10, tab, net, 20, 0.0)  # only k = 2 follows a zero coefficient
     assert len(calls) == 10 * (2 * tr.iters - 1)
-    assert len(stack_calls) == 3 * (tr.iters + 1)
+    assert len(stack_calls) == tr.iters + 1
     calls.clear()
     stack_calls.clear()
     tr = run_alg2(DENSE10, tab, net, 20_000, 1e-6)  # stopped by eps: no solve ahead at the end
     assert tr.converged and tr.iters == 1082
     assert len(calls) == 10 * (2 * tr.iters - 1) == 21_630
-    assert len(stack_calls) == 3 * (tr.iters + 1)
+    assert len(stack_calls) == tr.iters + 1
     calls.clear()
     run_alg2(DENSE10, tab, net, 20, 0.0, record="none")
     assert len(calls) == 10 * 20

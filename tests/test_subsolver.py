@@ -161,11 +161,11 @@ def test_stacked_solve_is_per_agent_reference_bit_for_bit(d, pressure):
         scale = 0.01 if pressure == "inactive" else 5.0
         a = rng.normal(size=(k, d)) * scale
         st = AgentStack(agents, np.arange(k * d), np.arange(k))
-        got = solve_local(st, a)
-        assert got.shape == (k, d)
+        got = solve_local(st, a.ravel())
+        assert got.shape == (k * d,)
         for r, ag in enumerate(agents):
             want = solve_pgd_reference(ag, a[r], counts=counts)
-            assert got[r].tobytes() == want.tobytes()
+            assert got[r * d:(r + 1) * d].tobytes() == want.tobytes()
             assert solve_local(ag, a[r]).tobytes() == want.tobytes()
     if pressure == "active" and d > 1:
         assert counts["iters"] > 40 * 3 and counts["restarts"] > 0
@@ -183,11 +183,9 @@ def test_stack_names_the_agent_that_stalls():
         solve_pgd_reference(ag, row, counts=counts)
         assert (counts["iters"] > 2) == (ag is slow)
     with pytest.raises(RuntimeError, match="local QP solve stalled") as info:
-        solve_local(AgentStack(agents, np.arange(6), np.arange(3)), a, max_iters=2)
+        solve_local(AgentStack(agents, np.arange(6), np.arange(3)), a.ravel(), max_iters=2)
     msg = str(info.value)
     assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
-    with pytest.raises(ValueError, match="one dimension"):
-        AgentStack([slow, random_dense_agents(rng, 1, 3)[0]], np.arange(5), np.arange(2))
 
 
 def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
@@ -200,13 +198,15 @@ def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
     st = AgentStack([easy[0], slow, easy[1]], np.arange(6), np.arange(3))
     rep = st.repeat(2, 6)
     assert st.repeat(1, 6) is st and st.repeat(2, 6) is rep
-    assert rep.ids == st.ids * 2 and rep.Q.tobytes() == np.concatenate([st.Q] * 2).tobytes()
+    assert rep.ids == st.ids * 2 and len(rep.groups) == 1
+    assert rep.groups[0][2].tobytes() == np.concatenate([st.groups[0][2]] * 2).tobytes()
     assert rep.cols.tolist() == list(range(12))
     assert st.repeat(2, 10).cols.tolist() == list(range(6)) + list(range(10, 16))
     a = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, -0.01],
                   [-0.02, 0.01], [8.0, 2.0], [0.05, 0.0]])
-    got = solve_local(rep, a)
-    each = np.concatenate([solve_local(st, a[:3]), solve_local(st, a[3:])])
+    got = solve_local(rep, a.ravel()).reshape(6, 2)
+    each = np.concatenate([solve_local(st, a[:3].ravel()), solve_local(st, a[3:].ravel())])
+    each = each.reshape(6, 2)
     for r, row in enumerate(a):
         ag = rep.agents[r]
         counts = {}
@@ -214,6 +214,111 @@ def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
         assert (counts["iters"] > 30 and counts.get("restarts", 0) > 3) == (r == 4), r
         assert got[r].tobytes() == want.tobytes() == solve_local(ag, row).tobytes()
         assert got[r].tobytes() == each[r].tobytes()
+
+
+def mixed_stack(rng, dims, **kw):
+    """A stack of dense agents of the given dimensions (ascending), ids 10, 11, ..."""
+    agents = [dataclasses.replace(random_dense_agents(rng, 1, d, **kw)[0], id=10 + i)
+              for i, d in enumerate(dims)]
+    n = sum(dims)
+    return AgentStack(agents, np.arange(n), np.arange(len(dims)))
+
+
+def per_agent_reference(st, a, counts=None):
+    """``solve_pgd_reference`` agent by agent over a stack's flat pressure."""
+    ends = np.cumsum([0] + [ag.dim for ag in st.agents])
+    return [solve_pgd_reference(ag, a[e0:e1], counts=counts)
+            for ag, e0, e1 in zip(st.agents, ends[:-1], ends[1:])]
+
+
+@pytest.mark.parametrize("pressure", ["inactive", "active", "equal-bounds"])
+def test_mixed_dimension_stack_is_per_agent_reference_bit_for_bit(pressure):
+    # one stack of dimensions 1-5: the elementwise steps run over all of it,
+    # the products per group, and each agent keeps its own restarts and exit
+    rng = np.random.default_rng(500 + len(pressure))
+    counts = {}
+    for trial in range(30):
+        dims = sorted(rng.integers(1, 6, size=int(rng.integers(2, 9))).tolist())
+        st = mixed_stack(rng, dims, wide=pressure == "inactive",
+                         equal_bounds=pressure == "equal-bounds")
+        assert [d for _, _, d in st._runs] == sorted(set(dims))
+        a = rng.normal(size=sum(dims)) * (0.01 if pressure == "inactive" else 5.0)
+        got = solve_local(st, a)
+        assert got.shape == a.shape
+        want = np.concatenate(per_agent_reference(st, a, counts))
+        assert got.tobytes() == want.tobytes()
+    if pressure == "active":
+        assert counts["iters"] > 30 * 3 and counts["restarts"] > 0
+
+
+def test_repeated_mixed_stack_rows_are_single_point_solves_bit_for_bit():
+    # a stack of dimensions 1, 2, 2 and 3 at two pressures; the slow agent's
+    # second row needs 30+ restarted steps while every other row settles at once
+    rng = np.random.default_rng(11)
+    one, three = mixed_stack(rng, [1, 3], wide=True).agents
+    easy = dataclasses.replace(random_dense_agents(rng, 1, 2, wide=True)[0], id=12)
+    slow = AgentSpec(id=77, dim=2, Q=np.array([[1.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
+                     lo=[-5.0, -5.0], hi=[5.0, 5.0], m=0, g=[], blocks={})
+    st = AgentStack([one, easy, slow, three], np.arange(8), np.arange(4))
+    rep = st.repeat(2, 8)
+    # group-major: each dimension's rows stay one group over both pressures
+    assert rep.ids == (10, 10, 12, 77, 12, 77, 11, 11)
+    assert [(ks.stop - ks.start, d) for ks, _, d in rep._runs] == [(2, 1), (4, 2), (2, 3)]
+    assert rep.cols.tolist() == [0, 8, 1, 2, 3, 4, 9, 10, 11, 12, 5, 6, 7, 13, 14, 15]
+    a = np.array([0.01, 0.02, -0.01, 0.3, -0.2, 0.0, -0.01, 0.02,
+                  -0.02, 0.01, 0.03, 8.0, 2.0, 0.05, 0.0, -0.03])
+    got = np.empty(16)
+    got[rep.cols] = solve_local(rep, a[rep.cols])
+    counts = [{}, {}]
+    for p, c in enumerate(counts):
+        x = a[8 * p:8 * (p + 1)]
+        want = np.concatenate(per_agent_reference(st, x, c))
+        assert got[8 * p:8 * (p + 1)].tobytes() == want.tobytes() == solve_local(st, x).tobytes()
+    assert counts[0]["iters"] == 4 and counts[1]["iters"] > 30 + 3
+    assert counts[1]["restarts"] > 3
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["one-step", "multi-step"])
+def test_result_is_the_callers_own(slow):
+    # the result is a fresh array: a second call on the same stack, which
+    # rewrites the stack's work buffers, leaves the first result alone
+    rng = np.random.default_rng(21)
+    st = mixed_stack(rng, [1, 2, 2, 3], wide=not slow)
+    a = rng.normal(size=8) * (5.0 if slow else 0.01)
+    first = solve_local(st, a)
+    keep = first.copy()
+    counts = {}
+    per_agent_reference(st, a, counts)
+    assert (counts["iters"] > len(st.agents)) == slow
+    second = solve_local(st, -a)
+    assert first.tobytes() == keep.tobytes() and not np.shares_memory(first, second)
+    assert solve_local(st, a).tobytes() == keep.tobytes()
+
+
+def test_messages_name_agents_across_dimensions():
+    rng = np.random.default_rng(7)
+    one, three = mixed_stack(rng, [1, 3], wide=True).agents
+    slow = AgentSpec(id=77, dim=2, Q=np.array([[2.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
+                     lo=[-5.0, -5.0], hi=[5.0, 5.0], m=0, g=[], blocks={})
+    slow3 = AgentSpec(id=78, dim=3, Q=[[1.0, 0.9, 0.8], [0.9, 1.0, 0.9], [0.8, 0.9, 1.0]],
+                      c=[1.0] * 3, lo=[-5.0] * 3, hi=[5.0] * 3, m=0, g=[], blocks={})
+    st = AgentStack([one, slow, three, slow3], np.arange(9), np.arange(4))
+    a = np.array([0.01, 4.0, -3.0, 0.0, 0.01, -0.01, 4.0, -3.0, 2.0])
+    for ag, x, want in zip(st.agents, np.split(a, [1, 3, 6]), [False, True, False, True]):
+        counts = {}
+        solve_pgd_reference(ag, x, counts=counts)
+        assert (counts["iters"] > 2) == want, ag.id
+    with pytest.raises(RuntimeError, match="local QP solve stalled") as info:
+        solve_local(st, a, max_iters=2)
+    msg = str(info.value)
+    assert msg.startswith("agent 77:") and "; agent 78:" in msg
+    assert "agent 10" not in msg and "agent 11" not in msg
+    a[[0, 7]] = np.nan, np.inf
+    with pytest.raises(RuntimeError, match="non-finite fixed-point residual") as info:
+        solve_local(st, a)
+    msg = str(info.value)
+    assert msg.startswith("agent 10:") and "; agent 78:" in msg
+    assert "agent 77" not in msg and "agent 11" not in msg
 
 
 def cost_shifted(inst, seed=1, scale=0.1):
@@ -232,16 +337,18 @@ def warm_start_stacks(name):
                 for agents in [random_dense_agents(rng, k, d)]]
     inst = random_instance(10, seed=0, diagonal=False)
     inst = {"dense10": inst, "denseq": cost_shifted(inst), "mixed10": mixed_twin(inst)}[name]
-    return inst.dense_stacks
+    return [inst.dense_stack]
 
 
 @pytest.mark.parametrize("name", ["dense10", "denseq", "mixed10", "random"])
 def test_warm_start_is_np_linalg_solve_bit_for_bit(name):
     rng = np.random.default_rng(4)
     for st in warm_start_stacks(name):
-        for scale in (0.0, 0.01, 1.0, 100.0):
-            rhs = -(st.c + scale * rng.normal(size=st.c.shape))[:, :, None]
-            assert _lapack_solve(st.Q, rhs).tobytes() == np.linalg.solve(st.Q, rhs).tobytes()
+        for _, es, Q in st.groups:
+            c = st.c[es].reshape(len(Q), -1)
+            for scale in (0.0, 0.01, 1.0, 100.0):
+                rhs = -(c + scale * rng.normal(size=c.shape))[:, :, None]
+                assert _lapack_solve(Q, rhs).tobytes() == np.linalg.solve(Q, rhs).tobytes()
 
 
 @pytest.mark.parametrize("Q", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
@@ -252,7 +359,7 @@ def test_non_positive_definite_q_raises_validation_error(Q):
         solve_local(bad, np.array([0.5, -0.5]))
     good = random_dense_agents(np.random.default_rng(2), 1, 2)[0]
     with pytest.raises(ValidationError, match="not positive definite"):
-        solve_local(AgentStack([good, bad], np.arange(4), np.arange(2)), np.zeros((2, 2)))
+        solve_local(AgentStack([good, bad], np.arange(4), np.arange(2)), np.zeros(4))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -276,7 +383,7 @@ def test_stacked_primal_cost_is_per_agent_sum(mixed):
     if mixed:
         inst = mixed_twin(inst)
         assert inst.qdiag_vec is None and len(inst.diag_columns[0]) > 0
-    assert len(inst.dense_stacks) > 1
+    assert len(inst.dense_stack.groups) > 1
     rng = np.random.default_rng(3)
     for trial in range(50):
         u = rng.normal(size=inst.n_total) * 10.0 ** rng.integers(-3, 4)

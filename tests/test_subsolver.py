@@ -241,7 +241,7 @@ def test_mixed_dimension_stack_is_per_agent_reference_bit_for_bit(pressure):
         dims = sorted(rng.integers(1, 6, size=int(rng.integers(2, 9))).tolist())
         st = mixed_stack(rng, dims, wide=pressure == "inactive",
                          equal_bounds=pressure == "equal-bounds")
-        assert [d for _, _, d in st._runs] == sorted(set(dims))
+        assert [Q.shape[-1] for *_, Q in st.groups] == sorted(set(dims))
         a = rng.normal(size=sum(dims)) * (0.01 if pressure == "inactive" else 5.0)
         got = solve_local(st, a)
         assert got.shape == a.shape
@@ -263,7 +263,7 @@ def test_repeated_mixed_stack_rows_are_single_point_solves_bit_for_bit():
     rep = st.repeat(2, 8)
     # group-major: each dimension's rows stay one group over both pressures
     assert rep.ids == (10, 10, 12, 77, 12, 77, 11, 11)
-    assert [(ks.stop - ks.start, d) for ks, _, d in rep._runs] == [(2, 1), (4, 2), (2, 3)]
+    assert [Q.shape[:2] for *_, Q in rep.groups] == [(2, 1), (4, 2), (2, 3)]
     assert rep.cols.tolist() == [0, 8, 1, 2, 3, 4, 9, 10, 11, 12, 5, 6, 7, 13, 14, 15]
     a = np.array([0.01, 0.02, -0.01, 0.3, -0.2, 0.0, -0.01, 0.02,
                   -0.02, 0.01, 0.03, 8.0, 2.0, 0.05, 0.0, -0.03])

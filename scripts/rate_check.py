@@ -33,6 +33,8 @@ def main() -> int:
     ap.add_argument("--iters", type=int, default=500)
     ap.add_argument("--out", type=Path, default=Path("rate_check.csv"))
     args = ap.parse_args()
+    if args.iters < 1:
+        ap.error("--iters must be >= 1")
 
     inst = random_instance(args.agents, seed=args.instance_seed)
     table = build_stepsizes(inst)

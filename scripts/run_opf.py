@@ -37,11 +37,16 @@ def main() -> int:
     net = build_network(inst, args.gamma, seed=args.seed)
     tr = run_alg2(inst, build_stepsizes(inst), net, args.max_iters, args.eps,
                   lambda_star=star.lam)
-    print(f"gamma={args.gamma}: k={tr.iters} converged={tr.converged} "
-          f"residual={tr.residual[-1]:.3e} gap={tr.gap[-1]:.3e}")
+    if tr.iters:
+        print(f"gamma={args.gamma}: k={tr.iters} converged={tr.converged} "
+              f"residual={tr.residual[-1]:.3e} gap={tr.gap[-1]:.3e}")
+    else:
+        print(f"gamma={args.gamma}: k=0 (empty run) stop={tr.stop}")
     if args.trace is not None:
         tr.to_csv(args.trace)
         print(f"wrote {args.trace}")
+    if not tr.iters:  # no dispatch to show
+        return 0
 
     gen_buses = sorted(g.bus for g in case.generators)
     demand = np.sum([b.demand for b in case.buses], axis=0)

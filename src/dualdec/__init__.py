@@ -6,7 +6,7 @@ from .model import (AgentSpec, InfluenceGraph, ProblemInstance, ValidationError,
                     save_instance)
 from .subsolver import solve_local
 from .stepsize import StepsizeTable, build_stepsizes, spectral_norm
-from .netsim import LinkDraw, NetworkModel, build_network, draw_links, neighbors_active
+from .netsim import NetworkModel, build_network
 from .engine import (RunTrace, check_lyapunov_step, check_quadratic_model, eval_dual,
                      run_alg1, run_alg2, run_unaccelerated, theta_next)
 from .oracle import (InfeasibleError, OracleError, OracleSolution, certify_feasible,
@@ -21,7 +21,7 @@ __all__ = [
     "constraint_residual", "derive_graph", "load_instance", "primal_cost", "save_instance",
     "solve_local",
     "StepsizeTable", "build_stepsizes", "spectral_norm",
-    "LinkDraw", "NetworkModel", "build_network", "draw_links", "neighbors_active",
+    "NetworkModel", "build_network",
     "RunTrace", "check_lyapunov_step", "check_quadratic_model", "eval_dual",
     "run_alg1", "run_alg2", "run_unaccelerated", "theta_next",
     "InfeasibleError", "OracleError", "OracleSolution", "certify_feasible",

@@ -129,6 +129,8 @@ def _cmd_montecarlo(args, parser) -> int:
         parser.error(f"cannot parse --gammas {args.gammas!r}")
     if not gammas:
         parser.error("--gammas is empty")
+    if len(set(gammas)) != len(gammas):  # numerically equal, e.g. 0.1 and 1e-1
+        parser.error(f"--gammas repeats a value: {args.gammas!r}")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     if args.max_iters < 0:

@@ -96,19 +96,18 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     pressure; the dense agents take one ``solve_local`` call over all p
     pressures, as the instance's dense stack repeated p times, which gives
     every row the bits of its own solve."""
-    d = instance.qdiag_vec
-    if d is not None and a.ndim == 1:
+    st = instance.dense_stack
+    cols, diag = instance.diag_columns
+    if st is None and a.ndim == 1:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
-        return np.minimum(np.maximum(-(instance.c_vec + a) / d, instance.lo_vec),
+        return np.minimum(np.maximum(-(instance.c_vec + a) / diag, instance.lo_vec),
                           instance.hi_vec)
     n = instance.n_total
     u = np.empty(a.shape)
-    cols, diag = instance.diag_columns
     if len(cols):
         c, lo, hi = instance.c_vec[cols], instance.lo_vec[cols], instance.hi_vec[cols]
         for x, out in zip(a.reshape(-1, n), u.reshape(-1, n)):
             out[cols] = np.minimum(np.maximum(-(c + x[cols]) / diag, lo), hi)
-    st = instance.dense_stack
     if st is not None:
         # a repeated stack's columns index the p pressures laid end to end
         rep = st.repeat(a.size // n, n)
@@ -338,7 +337,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
     hat = lam                              # interpolated multipliers
     recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
-    theta, coef, stop, iters, ev = 1.0, 1.0, "budget", 0, None
+    theta, stop, iters, ev = 1.0, "budget", 0, None
     zero = np.zeros(instance.m_total)
 
     for k in range(1, max_iters + 1):
@@ -349,14 +348,12 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             row_fired = fired_blk[:, plan.row_agent]
             log_upd.append(fired_blk)  # update flags, cut to iters at the end
         # local solves at the interpolated multipliers: the last log solved
-        # them ahead, or, after a zero momentum coefficient, hat equals
-        # lam(k-1), where the last log already solved
-        if ev is not None and ev.u_ahead is not None:
-            u = ev.u_ahead
-        elif ev is not None and coef == 0.0 and (hat == lam).all():
-            u = ev.u
-        else:
+        # them ahead, or it had no ahead because the momentum coefficient was
+        # zero, so hat equals lam(k-1) (hat is finite here), where it solved
+        if ev is None:
             u = _local_argmin(instance, _matvec(A_T, hat))
+        else:
+            u = ev.u if ev.u_ahead is None else ev.u_ahead
         # primal exchange: a contribution is refreshed only over a link that is up
         recv = np.where(c_up[b], _matvec(plan.C, u), recv)
         s = _matvec(plan.S, recv) - g

@@ -283,20 +283,15 @@ class AgentStack:
         return tuple(a.id for a in self.agents)
 
     @cached_property
-    def _runs(self) -> tuple[tuple[slice, slice, int], ...]:
-        """(agent slice, element slice, d) per run of agents of dimension d."""
-        runs, k0, e0 = [], 0, 0
-        for d, run in itertools.groupby(a.dim for a in self.agents):
-            k = len(list(run))
-            runs.append((slice(k0, k0 + k), slice(e0, e0 + k * d), d))
-            k0, e0 = k0 + k, e0 + k * d
-        return tuple(runs)
-
-    @cached_property
     def groups(self) -> tuple[tuple[slice, slice, np.ndarray], ...]:
         """(agent slice, element slice, Q (k_d, d, d)) per group."""
-        return tuple((ks, es, _stacked(a.Q for a in self.agents[ks]))
-                     for ks, es, _ in self._runs)
+        groups, k0, e0 = [], 0, 0
+        for d, run in itertools.groupby(a.dim for a in self.agents):
+            k = len(list(run))
+            groups.append((slice(k0, k0 + k), slice(e0, e0 + k * d),
+                           _stacked(a.Q for a in self.agents[k0:k0 + k])))
+            k0, e0 = k0 + k, e0 + k * d
+        return tuple(groups)
 
     @cached_property
     def agent_of(self) -> np.ndarray:
@@ -346,8 +341,8 @@ class AgentStack:
         w = self._work.get((name, per_agent))
         if w is None:
             flat = np.zeros(len(self.agents) if per_agent else len(self.cols))
-            views = [flat[ks].reshape(-1, 1) if per_agent else flat[es].reshape(-1, d)
-                     for ks, es, d in self._runs]
+            views = [flat[ks].reshape(-1, 1) if per_agent else flat[es].reshape(-1, Q.shape[-1])
+                     for ks, es, Q in self.groups]
             w = self._work[name, per_agent] = StackWork(
                 flat, tuple(v[:, :, None] for v in views), tuple(v[:, None, :] for v in views),
                 tuple(v.reshape(*v.shape, 1) for v in views))
@@ -361,7 +356,7 @@ class AgentStack:
     @cached_property
     def _c_rows(self) -> tuple[np.ndarray, ...]:
         """``c`` per group as (k_d, 1, d) rows."""
-        return tuple(self.c[es].reshape(-1, d)[:, None, :] for _, es, d in self._runs)
+        return tuple(self.c[es].reshape(-1, Q.shape[-1])[:, None, :] for _, es, Q in self.groups)
 
     def repeat(self, p: int, n: int) -> AgentStack:
         """This stack p times over, for p decision vectors of length n laid
@@ -375,8 +370,8 @@ class AgentStack:
         if rep is None:
             shift = n * np.arange(p)[:, None]
             idx = np.concatenate([np.tile(np.arange(ks.start, ks.stop), p)
-                                  for ks, _, _ in self._runs])
-            cols = np.concatenate([(self.cols[es] + shift).ravel() for _, es, _ in self._runs])
+                                  for ks, _, _ in self.groups])
+            cols = np.concatenate([(self.cols[es] + shift).ravel() for _, es, _ in self.groups])
             rep = self._repeats[p, n] = AgentStack([self.agents[i] for i in idx], cols,
                                                    self.pos[idx])
         return rep
@@ -542,15 +537,6 @@ class ProblemInstance:
         v.setflags(write=False)
         return v
 
-    @cached_property
-    def qdiag_vec(self) -> np.ndarray | None:
-        """Stacked cost diagonal, or None when any agent has a dense Q."""
-        if all(a.is_diagonal for a in self.agents):
-            v = np.concatenate([a.diag for a in self.agents])
-            v.setflags(write=False)
-            return v
-        return None
-
     def _columns(self, agents) -> np.ndarray:
         """The agents' columns in a stacked decision vector, agent after agent."""
         return np.concatenate([np.zeros(0, dtype=np.intp)] + [
@@ -570,7 +556,8 @@ class ProblemInstance:
 
     @cached_property
     def diag_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of the agents with a diagonal cost, and their cost diagonal."""
+        """Columns of the agents with a diagonal cost, and their cost diagonal
+        (the whole stacked diagonal when ``dense_stack`` is None)."""
         diag = [a for a in self.agents if a.is_diagonal]
         cols = self._columns(diag)
         d = np.concatenate([np.zeros(0)] + [a.diag for a in diag])
@@ -604,11 +591,11 @@ def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n_total,):
         raise ValidationError(f"u has shape {u.shape}, expected ({instance.n_total},)")
-    d = instance.qdiag_vec
-    if d is not None:
+    st = instance.dense_stack
+    if st is None:
+        d = instance.diag_columns[1]  # every cost is diagonal: all columns, in order
         return 0.5 * float(np.dot(u, d * u)) + float(np.dot(instance.c_vec, u))
     cost = np.empty(len(instance.agents))
-    st = instance.dense_stack
     (x,), (quad, lin) = st.work("x"), st.work("quad", "lin", per_agent=True)
     u.take(st.cols, out=x.flat)
     for (_, _, Q), row, col, c, q, ln in zip(st.groups, x.rows, x.cols, st._c_rows,

@@ -19,33 +19,22 @@ import numpy as np
 
 from .model import ProblemInstance, ValidationError
 
-__all__ = ["NetworkModel", "LinkDraw", "build_network", "draw_links",
-           "neighbors_active", "activation_matrix"]
+__all__ = ["NetworkModel", "build_network", "activation_matrix"]
 
 _MASK = (1 << 64) - 1
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
-
-
-def _mix(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _M1) & _MASK
-    z ^= z >> 27
-    z = (z * _M2) & _MASK
-    z ^= z >> 31
-    return z
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix_np(z: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (uint64 wraps mod 2^64)."""
     z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
     return z
 
 
@@ -59,14 +48,6 @@ class NetworkModel:
     alpha: dict[int, float]
     edge_index: dict[tuple[int, int], int] = field(repr=False)
     _base: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class LinkDraw:
-    """Set of links that are up at one iteration."""
-
-    k: int
-    active: frozenset[tuple[int, int]]
 
 
 def _edge_key(i: int, j: int) -> tuple[int, int]:
@@ -107,25 +88,13 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
         for j in g.in_neighbors[i]:
             prod *= float(beta[index[_edge_key(i, j)]])
         alpha[i] = prod
-    s0 = _mix(int(seed) & _MASK)
-    base = np.array(
-        [_mix(s0 ^ _mix(((i & 0xFFFFFFFF) << 32) | (j & 0xFFFFFFFF))) for i, j in edge_list],
-        dtype=np.uint64,
-    )
+    # one pass mixes the seed (first) and every link's key
+    mixed = _mix_np(np.array([int(seed) & _MASK] + [
+        ((i & 0xFFFFFFFF) << 32) | (j & 0xFFFFFFFF) for i, j in edge_list], dtype=np.uint64))
+    base = _mix_np(mixed[:1] ^ mixed[1:])
     base.setflags(write=False)
     return NetworkModel(edges=edge_list, beta=beta, seed=int(seed), alpha=alpha,
                         edge_index=index, _base=base)
-
-
-def draw_links(model: NetworkModel, k: int) -> LinkDraw:
-    """Links that are up at iteration k."""
-    act = activation_matrix(model, [k])[0]
-    return LinkDraw(k=int(k), active=frozenset(e for e, up in zip(model.edges, act) if up))
-
-
-def neighbors_active(draw: LinkDraw, i: int, required) -> bool:
-    """True iff every link {i, j}, j in ``required``, is up in this draw."""
-    return all(_edge_key(i, j) in draw.active for j in required)
 
 
 def activation_matrix(model: NetworkModel, ks) -> np.ndarray:

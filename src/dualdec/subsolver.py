@@ -12,10 +12,12 @@ a fixed-point residual of 1e-12.
 
 That loop runs in lock step over an ``AgentStack`` of dense agents of any
 dimensions: per agent it keeps its own momentum ``t``, restart test and
-residual, and an agent leaves once its residual meets the tolerance.
-The elementwise steps (bias, clips, gradient and fixed-point steps,
-momentum) run once over the flat (N,) coordinates of the whole stack,
-with per-agent values broadcast to their coordinates.  Only the products
+residual.  Once an agent's residual meets the tolerance, its result is
+fixed at that step's iterate; the stack keeps stepping until every agent
+is done, and the agent's later arithmetic is ignored.  The elementwise
+steps (bias, clips, gradient and fixed-point steps, momentum) run once
+over the flat (N,) coordinates of the whole stack, with per-agent values
+broadcast to their coordinates.  Only the products
 run per group of same-dimension agents: ``matmul`` over ``(k, d, d)``
 and ``(k, d, 1)`` operands and the ``gesv`` gufunc, writing through views
 of the stack's own work buffers.  They make the same per-item
@@ -42,8 +44,7 @@ MAX_INNER_ITERS = 100_000
 _ALL_DONE = (FIXED_POINT_TOL / 4.0) ** 2  # a whole stack's squared step that finishes it
 
 
-def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray, *,
-                max_iters: int = MAX_INNER_ITERS) -> np.ndarray:
+def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray) -> np.ndarray:
     """Unique minimizer of 1/2 u'Qu + (c+a)'u over the box, per agent.
 
     ``agent`` is one agent with ``a`` of shape (dim,), or a stack with
@@ -53,18 +54,18 @@ def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray, *,
     projected gradient.  Raises ValidationError when a dense Q is not
     positive definite, and RuntimeError naming every agent whose first
     step leaves a non-finite residual (a non-finite pressure), or that
-    fails to reach ``FIXED_POINT_TOL`` within ``max_iters``.
+    fails to reach ``FIXED_POINT_TOL`` within ``MAX_INNER_ITERS`` steps.
     """
     a = np.asarray(a, dtype=float)
     if isinstance(agent, AgentStack):
         if a.shape != agent.cols.shape:
             raise ValueError(f"a has shape {a.shape}, expected {agent.cols.shape}")
-        return _solve_pgd(agent, a, max_iters)
+        return _solve_pgd(agent, a)
     if a.shape != (agent.dim,):
         raise ValueError(f"a has shape {a.shape}, expected ({agent.dim},)")
     if agent.is_diagonal:
         return np.clip(-(agent.c + a) / agent.diag, agent.lo, agent.hi)
-    return _solve_pgd(agent.stack, a, max_iters)
+    return _solve_pgd(agent.stack, a)
 
 
 def _clip(x, lo, hi, out=None):
@@ -80,15 +81,11 @@ def _lapack_solve(Q, rhs, out=None):
     return _umath_linalg.solve(Q, rhs, out=out)
 
 
-def _bind(st: AgentStack):
-    """The stack's arrays and work buffers that one lock-step iteration uses."""
-    return (st.groups, st.agent_of, st.lo, st.hi, st.L,
-            *st.work("y", "product", "step", "x0", "x1"))
-
-
-def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
+def _solve_pgd(st: AgentStack, a: np.ndarray) -> np.ndarray:
     """Accelerated projected gradient with adaptive restart, in lock step."""
-    groups, agent_of, lo, hi, L, Y, P, S, *X = _bind(st)  # st.L checks every Q first
+    groups, agent_of, lo, hi = st.groups, st.agent_of, st.lo, st.hi
+    L = st.L  # checks every Q first
+    Y, P, S, *X = st.work("y", "product", "step", "x0", "x1")
     b = st.c + a
     # warm start from the clipped unconstrained minimizer
     np.negative(b, out=Y.flat)
@@ -96,8 +93,8 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
         _lapack_solve(Q, rhs, out=prod)
     x = y = _clip(P.flat, lo, hi, out=Y.flat)
     t, resid = 1.0, np.inf
-    out = place = None  # the result and each element's place in it, once some agents are done
-    for it in range(max_iters):
+    out = fixed = None  # the result and its agents that are done, once some are
+    for it in range(MAX_INNER_ITERS):  # read at call time
         for (_, _, Q), col, prod in zip(groups, Y.cols, P.outs):
             np.matmul(Q, col, out=prod)
         g = P.flat + b
@@ -111,18 +108,23 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
         step = np.subtract(x_new, _clip(np.subtract(x_new, g, out=g), lo, hi, out=g), out=S.flat)
         # the squared step of the whole stack bounds each agent's: this far
         # below the tolerance, every agent is done whatever the rounding
-        done = None
-        if not step.dot(step) <= _ALL_DONE:
-            (R,) = st.work("resid", per_agent=True)
-            for row, col, rr in zip(S.rows, S.cols, R.outs):
-                np.matmul(row, col, out=rr)
-            resid = np.sqrt(R.flat)
-            done = resid <= FIXED_POINT_TOL
-        if done is None or done.all():
+        if step.dot(step) <= _ALL_DONE:
             if out is None:
                 return x_new.copy()
-            out[place] = x_new
+            np.copyto(out, x_new, where=~fixed[agent_of])
             return out
+        (R,) = st.work("resid", per_agent=True)
+        for row, col, rr in zip(S.rows, S.cols, R.outs):
+            np.matmul(row, col, out=rr)
+        resid = np.sqrt(R.flat)
+        done = resid <= FIXED_POINT_TOL
+        if done.any():  # these agents' results are fixed at x_new; later steps are ignored
+            if out is None:
+                out, fixed = np.empty(len(b)), np.zeros(len(done), dtype=bool)
+            np.copyto(out, x_new, where=(done & ~fixed)[agent_of])
+            fixed |= done
+            if fixed.all():
+                return out
         if it == 0:
             if not np.isfinite(resid).all():  # a non-finite pressure never settles
                 raise RuntimeError("; ".join(
@@ -142,18 +144,8 @@ def _solve_pgd(st: AgentStack, a: np.ndarray, max_iters: int) -> np.ndarray:
         np.add(x_new, y, out=y)
         np.copyto(y, x_new, where=restart[agent_of])
         x, t = x_new, np.where(restart, 1.0, t_new)
-        if done.any():  # these agents leave with x; their momentum update is dropped
-            if out is None:
-                out, place = np.empty(len(b)), np.arange(len(b))
-            left = done[agent_of]
-            out[place[left]] = x[left]
-            keep, stay = np.flatnonzero(~done), ~left
-            st = AgentStack([st.agents[r] for r in keep], st.cols[stay], st.pos[keep])
-            groups, agent_of, lo, hi, L, Y, P, S, *X = _bind(st)
-            place, b, x, t, resid = place[stay], b[stay], x[stay], t[keep], resid[keep]
-            y = np.compress(stay, y, out=Y.flat)
+    resid = np.broadcast_to(resid, len(st.ids))
     raise RuntimeError("; ".join(
-        f"agent {i}: local QP solve stalled at fixed-point residual {res:.3e} "
-        f"after {max_iters} iterations (tol {FIXED_POINT_TOL:.1e})"
-        for i, res in zip(st.ids, np.broadcast_to(resid, len(st.ids)))))
-
+        f"agent {st.ids[r]}: local QP solve stalled at fixed-point residual {resid[r]:.3e} "
+        f"after {MAX_INNER_ITERS} iterations (tol {FIXED_POINT_TOL:.1e})"
+        for r in range(len(st.ids)) if fixed is None or not fixed[r]))

@@ -115,11 +115,11 @@ def solve_ascent_reference(instance: ProblemInstance, tol: float = 1e-10,
     eta_rows = 0.1 * build_stepsizes(instance).eta_rows(instance)
     A, g = instance.coupling_matrix, instance.g_vec
     c, lo, hi = instance.c_vec, instance.lo_vec, instance.hi_vec
-    d = instance.qdiag_vec
+    d = instance.diag_columns[1]
     lam = np.zeros(instance.m_total)
     for _ in range(max_iters):
         a = A.T @ lam
-        if d is not None:
+        if instance.dense_stack is None:
             u = np.clip(-(c + a) / d, lo, hi)
         else:
             u = np.empty(instance.n_total)

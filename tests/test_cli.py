@@ -40,6 +40,8 @@ def test_validate_case_ok(capsys):
      "--out", "y"],                                # runs < 1
     ["montecarlo", "--problem", "x", "--gammas", "a,b", "--runs", "1",
      "--out", "y"],                                # unparsable gammas
+    ["montecarlo", "--problem", "x", "--gammas", "0.1,1e-1", "--runs", "1",
+     "--out", "y"],                                # a gamma repeated
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1

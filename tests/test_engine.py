@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import CASES, mesh_grid, mixed_twin, solve_pgd_reference
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
-                     check_lyapunov_step, check_quadratic_model, draw_links, engine,
-                     eval_dual, load_case, load_instance, neighbors_active, random_instance,
-                     run_alg1, run_alg2, run_unaccelerated, solve_kkt, solve_local, theta_next)
+                     check_lyapunov_step, check_quadratic_model, engine, eval_dual, load_case,
+                     load_instance, random_instance, run_alg1, run_alg2, run_unaccelerated,
+                     solve_kkt, solve_local, theta_next)
 from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan
 from dualdec.model import AgentSpec, ProblemInstance
+from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
 
 CHAIN = load_instance(CASES / "chain3.json")
@@ -207,11 +208,12 @@ def test_alg2_held_update_freezes_omega():
 def test_update_flags_follow_link_draws():
     net = build_network(CHAIN, 0.5, seed=29)
     tr = run_alg2(CHAIN, CHAIN_TAB, net, 100, 0.0)
-    for k in range(1, 101):
-        draw = draw_links(net, k)
-        for pos, i in enumerate(CHAIN.ids):
-            want = neighbors_active(draw, i, CHAIN.graph.in_neighbors[i])
-            assert tr.updates[k - 1, pos] == want
+    up = activation_matrix(net, range(1, 101))
+    for pos, i in enumerate(CHAIN.ids):
+        want = np.ones(100, dtype=bool)  # every in-neighbor link is up
+        for j in CHAIN.graph.in_neighbors[i]:
+            want &= up[:, net.edge_index[(min(i, j), max(i, j))]]
+        np.testing.assert_array_equal(tr.updates[:, pos], want)
 
 
 def test_unaccelerated_closed_form(instance_a):
@@ -250,10 +252,10 @@ def reference_alg2(inst, table, net, iters):
     recv = {i: {j: np.zeros(agent(i).m) for j in g.in_neighbors[i]} for i in inst.ids}
     theta, lams, fired = 1.0, [], []
     for k in range(1, iters + 1):
-        draw = draw_links(net, k)
+        link_up = activation_matrix(net, [k])[0]
 
         def up(i, j):
-            return j == i or neighbors_active(draw, i, [j])
+            return j == i or link_up[net.edge_index[(min(i, j), max(i, j))]]
 
         u = {}
         for i in inst.ids:
@@ -322,7 +324,8 @@ IEEE14 = build_opf_instance(load_case(CASES / "ieee14.json"))
 def test_local_solve_branches_agree(inst, gamma):
     # the kernel's vectorized clip against its per-agent solve_local branch
     twin = dense_twin(inst)
-    assert inst.qdiag_vec is not None and twin.qdiag_vec is None
+    assert inst.dense_stack is None and twin.dense_stack is not None
+    assert len(twin.diag_columns[0]) == 0
     tab = build_stepsizes(inst)
     a = run_alg2(inst, tab, build_network(inst, gamma, seed=4), 200, 0.0)
     b = run_alg2(twin, tab, build_network(twin, gamma, seed=4), 200, 0.0)
@@ -450,10 +453,10 @@ def test_local_argmin_is_np_clip_bit_for_bit():
         g=[0.0], blocks={1: np.ones((1, 7))}),))
     for val in (0.0, -0.0, np.nan, np.inf, -np.inf, 10.0, -10.0, -2.0, 1.0, 1e308, 5e-324):
         a = np.full(7, val)
-        want = np.clip(-(inst.c_vec + a) / inst.qdiag_vec, lo, hi)
+        want = np.clip(-(inst.c_vec + a) / inst.diag_columns[1], lo, hi)
         assert _local_argmin(inst, a).tobytes() == want.tobytes(), val
         # two pressures as rows: each row clipped on its own
-        back = np.clip(-(inst.c_vec + -a) / inst.qdiag_vec, lo, hi)
+        back = np.clip(-(inst.c_vec + -a) / inst.diag_columns[1], lo, hi)
         got = _local_argmin(inst, np.array((a, -a)))
         assert got.shape == (2, 7), val
         assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == back.tobytes(), val

@@ -195,10 +195,14 @@ def test_cost_and_residual(chain3):
     assert nrm == pytest.approx(np.sqrt(4 + 1 + 2.25))
 
 
-def test_qdiag_vec(chain3):
-    np.testing.assert_array_equal(chain3.qdiag_vec, [1.0, 1.0, 1.0])
+def test_diag_columns(chain3):
+    # every cost diagonal: no dense stack, and the diagonal of every column in order
+    assert chain3.dense_stack is None
+    cols, d = chain3.diag_columns
+    np.testing.assert_array_equal(cols, [0, 1, 2])
+    np.testing.assert_array_equal(d, [1.0, 1.0, 1.0])
     dense = random_instance(3, seed=5, diagonal=False)
-    assert dense.qdiag_vec is None
+    assert dense.dense_stack is not None and len(dense.diag_columns[0]) == 0
 
 
 # ------------------------------------------------------------ JSON i/o

@@ -6,11 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES
-from dualdec import (ValidationError, build_network, draw_links, load_instance,
-                     neighbors_active)
-from dualdec.netsim import _mix, activation_matrix
+from dualdec import (ValidationError, build_network, build_opf_instance, load_case,
+                     load_instance, random_instance)
+from dualdec.netsim import activation_matrix
 
 CHAIN = load_instance(CASES / "chain3.json")
+IEEE14 = build_opf_instance(load_case(CASES / "ieee14.json"))
+MASK = (1 << 64) - 1
+
+
+def _mix(z: int) -> int:
+    """splitmix64 finalizer on a 64-bit integer: the scalar reference."""
+    z &= MASK
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK
+    z ^= z >> 31
+    return z
 
 
 def test_edges_derived_from_coupling(instance_a, chain3):
@@ -26,8 +39,8 @@ def test_gamma_range(instance_a, gamma):
 
 def test_gamma_zero_every_link_always_up(chain3):
     net = build_network(chain3, 0.0, seed=99)
-    for k in range(1, 200):
-        assert draw_links(net, k).active == {(1, 2), (1, 3)}
+    assert net.edges == ((1, 2), (1, 3))
+    assert activation_matrix(net, range(1, 200)).all()
 
 
 def test_override_validation(chain3):
@@ -68,21 +81,12 @@ def test_different_seeds_differ(chain3):
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**63 - 1), st.integers(1, 10_000))
 def test_draw_is_pure_in_seed_and_k(seed, k):
+    # a row depends on k alone: not on the other iterations drawn with it, nor on the build
     net = build_network(CHAIN, 0.35, seed=seed)
-    first = draw_links(net, k)
-    again = draw_links(net, k)
-    assert first == again
     row = activation_matrix(net, [k])[0]
-    assert frozenset(e for e, up in zip(net.edges, row) if up) == first.active
-
-
-def test_neighbors_active_orientation(chain3):
-    net = build_network(chain3, 0.5, seed=3)
-    for k in range(1, 50):
-        draw = draw_links(net, k)
-        # agent 3 needs link {1,3}; orientation of the query must not matter
-        assert neighbors_active(draw, 3, (1,)) == neighbors_active(draw, 1, (3,))
-        assert neighbors_active(draw, 2, ())  # empty requirement always holds
+    np.testing.assert_array_equal(activation_matrix(net, [k + 1, k, 1])[1], row)
+    again = build_network(CHAIN, 0.35, seed=seed)
+    np.testing.assert_array_equal(activation_matrix(again, [k])[0], row)
 
 
 def test_marginal_frequencies(chain3):
@@ -119,7 +123,7 @@ def test_per_agent_update_fraction(chain3):
     gamma = 0.25
     net = build_network(chain3, gamma, seed=9)
     n = 100_000
-    hits = sum(neighbors_active(draw_links(net, k), 1, (2,)) for k in range(1, n + 1))
+    hits = activation_matrix(net, range(1, n + 1))[:, net.edge_index[(1, 2)]].sum()
     alpha = net.alpha[1]
     sigma = np.sqrt(alpha * (1 - alpha) / n)
     assert abs(hits / n - alpha) < 3 * sigma
@@ -134,5 +138,12 @@ def test_vectorized_matches_scalar_path(chain3):
     rows = [[(_mix(b ^ _mix(k)) >> 11) * 2.0 ** -53 < p for b, p in zip(base, net.beta)]
             for k in ks]
     np.testing.assert_array_equal(mat, np.array(rows))
-    assert all(draw_links(net, k).active == {e for e, up in zip(net.edges, row) if up}
-               for k, row in zip(ks, rows))
+
+
+@pytest.mark.parametrize("seed", [0, 11, -1, 2**64 - 1, 10**30])
+def test_link_hash_base_matches_scalar_reference(seed):
+    # each link's base is the scalar finalizer of the seed mixed with its key
+    for inst in (CHAIN, random_instance(5, seed=0), IEEE14):
+        net = build_network(inst, 0.45, seed=seed)
+        want = [_mix(_mix(seed & MASK) ^ _mix((i << 32) | j)) for i, j in net.edges]
+        assert [int(b) for b in net._base] == want

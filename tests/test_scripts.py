@@ -25,6 +25,15 @@ def test_rate_check_short_run(tmp_path):
     assert len(lines) == 101 and lines[0] == "k,det_gap,det_bound,mean_gap,stoch_bound"
 
 
+def test_rate_check_rejects_an_empty_budget(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "rate_check.py"), "--runs", "1", "--iters", "0",
+         "--out", str(tmp_path / "rate.csv")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "--iters must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "rate.csv").exists()
+
+
 def test_gamma_sweep_short_run(tmp_path):
     runs, gaps = tmp_path / "runs.csv", tmp_path / "gaps.csv"
     proc = subprocess.run(
@@ -48,6 +57,17 @@ def test_run_opf_two_bus(tmp_path):
     k = int(re.search(r"k=(\d+) converged=True", proc.stdout).group(1))
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,q,residual,gap,V,updates" and len(lines) == 1 + k
+
+
+def test_run_opf_empty_budget(tmp_path):
+    trace = tmp_path / "trace.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_opf.py"), "--case", str(CASES / "opf_2bus.json"),
+         "--max-iters", "0", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "k=0 (empty run) stop=budget" in proc.stdout
+    assert trace.read_text().splitlines() == ["k,q,residual,gap,V,updates"]
 
 
 def test_oracle_ladder_smallest_grid():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import mixed_twin, solve_pgd_reference
 from dualdec import ValidationError, eval_dual, primal_cost, random_instance, solve_local
+from dualdec import subsolver
 from dualdec.model import AgentSpec, AgentStack, ProblemInstance
 from dualdec.subsolver import _lapack_solve
 
@@ -108,11 +109,12 @@ def test_solution_map_is_nonexpansive_over_sigma(a1, a2):
     assert lhs <= np.linalg.norm(np.array(a1) - np.array(a2)) / ag.sigma + 1e-12
 
 
-def test_pgd_raises_when_starved():
+def test_pgd_raises_when_starved(monkeypatch):
     Q = np.array([[2.0, 0.9], [0.9, 1.0]])
     ag = dense_agent(Q, [1.0, 1.0], [-5.0, -5.0], [5.0, 5.0])
-    with pytest.raises(RuntimeError, match="local QP solve stalled"):
-        solve_local(ag, np.array([4.0, -3.0]), max_iters=2)
+    monkeypatch.setattr(subsolver, "MAX_INNER_ITERS", 2)
+    with pytest.raises(RuntimeError, match="local QP solve stalled .* after 2 iterations"):
+        solve_local(ag, np.array([4.0, -3.0]))
 
 
 def test_dual_value_terms_sum_to_dual(chain3):
@@ -171,7 +173,7 @@ def test_stacked_solve_is_per_agent_reference_bit_for_bit(d, pressure):
         assert counts["iters"] > 40 * 3 and counts["restarts"] > 0
 
 
-def test_stack_names_the_agent_that_stalls():
+def test_stack_names_the_agent_that_stalls(monkeypatch):
     rng = np.random.default_rng(7)
     easy = random_dense_agents(rng, 2, 2, wide=True)
     slow = AgentSpec(id=77, dim=2, Q=np.array([[2.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
@@ -182,8 +184,9 @@ def test_stack_names_the_agent_that_stalls():
         counts = {}
         solve_pgd_reference(ag, row, counts=counts)
         assert (counts["iters"] > 2) == (ag is slow)
+    monkeypatch.setattr(subsolver, "MAX_INNER_ITERS", 2)
     with pytest.raises(RuntimeError, match="local QP solve stalled") as info:
-        solve_local(AgentStack(agents, np.arange(6), np.arange(3)), a.ravel(), max_iters=2)
+        solve_local(AgentStack(agents, np.arange(6), np.arange(3)), a.ravel())
     msg = str(info.value)
     assert msg.startswith("agent 77:") and "agent 10" not in msg and "agent 11" not in msg
 
@@ -251,6 +254,35 @@ def test_mixed_dimension_stack_is_per_agent_reference_bit_for_bit(pressure):
         assert counts["iters"] > 30 * 3 and counts["restarts"] > 0
 
 
+def test_solve_builds_no_stack(monkeypatch):
+    # agents that finish at different steps keep their result from that step,
+    # and the solve runs on the stack it was given: no smaller stack is built
+    rng = np.random.default_rng(31)
+    built = []
+    init = AgentStack.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    finish = set()
+    for trial in range(20):
+        dims = sorted(rng.integers(1, 6, size=6).tolist())
+        st = mixed_stack(rng, dims, equal_bounds=trial % 2 == 1)
+        a = rng.normal(size=sum(dims)) * 5.0
+        with monkeypatch.context() as m:
+            m.setattr(AgentStack, "__post_init__", counted)
+            got = solve_local(st, a)
+        assert built == []
+        counts = [{} for _ in dims]
+        ends = np.cumsum([0] + dims)
+        want = [solve_pgd_reference(ag, a[e0:e1], counts=c)
+                for ag, e0, e1, c in zip(st.agents, ends[:-1], ends[1:], counts)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        finish.add(len({c["iters"] for c in counts}))
+    assert max(finish) > 2  # some solves have agents finishing at three or more steps
+
+
 def test_repeated_mixed_stack_rows_are_single_point_solves_bit_for_bit():
     # a stack of dimensions 1, 2, 2 and 3 at two pressures; the slow agent's
     # second row needs 30+ restarted steps while every other row settles at once
@@ -295,7 +327,7 @@ def test_result_is_the_callers_own(slow):
     assert solve_local(st, a).tobytes() == keep.tobytes()
 
 
-def test_messages_name_agents_across_dimensions():
+def test_messages_name_agents_across_dimensions(monkeypatch):
     rng = np.random.default_rng(7)
     one, three = mixed_stack(rng, [1, 3], wide=True).agents
     slow = AgentSpec(id=77, dim=2, Q=np.array([[2.0, 0.9], [0.9, 1.0]]), c=[1.0, 1.0],
@@ -308,8 +340,9 @@ def test_messages_name_agents_across_dimensions():
         counts = {}
         solve_pgd_reference(ag, x, counts=counts)
         assert (counts["iters"] > 2) == want, ag.id
+    monkeypatch.setattr(subsolver, "MAX_INNER_ITERS", 2)
     with pytest.raises(RuntimeError, match="local QP solve stalled") as info:
-        solve_local(st, a, max_iters=2)
+        solve_local(st, a)
     msg = str(info.value)
     assert msg.startswith("agent 77:") and "; agent 78:" in msg
     assert "agent 10" not in msg and "agent 11" not in msg
@@ -382,7 +415,7 @@ def test_stacked_primal_cost_is_per_agent_sum(mixed):
     inst = random_instance(10, seed=0, diagonal=False)
     if mixed:
         inst = mixed_twin(inst)
-        assert inst.qdiag_vec is None and len(inst.diag_columns[0]) > 0
+        assert inst.dense_stack is not None and len(inst.diag_columns[0]) > 0
     assert len(inst.dense_stack.groups) > 1
     rng = np.random.default_rng(3)
     for trial in range(50):

@@ -118,7 +118,7 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
 def _multiplier(instance: ProblemInstance, lam, name: str) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.m_total,):
-        raise ValueError(f"{name} has shape {lam.shape}, expected ({instance.m_total},)")
+        raise ValidationError(f"{name} has shape {lam.shape}, expected ({instance.m_total},)")
     return lam
 
 
@@ -170,7 +170,6 @@ class RunTrace:
     eta: np.ndarray
     alpha: np.ndarray
     eps: float
-    converged: bool
     stop: str
     iters: int
     theta: np.ndarray
@@ -184,19 +183,29 @@ class RunTrace:
     lambda_star: np.ndarray | None = None
     u_final: np.ndarray | None = None
 
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
+
     def lam_at(self, k: int) -> np.ndarray:
-        """lam(k), with lam(0) = 0."""
+        """lam(k) for 0 <= k <= iters, with lam(0) = 0."""
         if self.lam is None:
             raise ValueError("the run did not record its multipliers")
+        if not 0 <= k <= self.iters:
+            raise ValueError(f"lam_at needs 0 <= k <= {self.iters}, got {k}")
         if k == 0:
             return np.zeros(self.instance.m_total)
         return self.lam[k - 1]
 
     def theta_at(self, k: int) -> float:
+        """theta(k) for 1 <= k <= iters."""
+        if not 1 <= k <= self.iters:
+            raise ValueError(f"theta_at needs 1 <= k <= {self.iters}, got {k}")
         return float(self.theta[k - 1])
 
     def omega(self, k: int, lambda_star: np.ndarray | None = None) -> np.ndarray:
-        """Stacked momentum-corrected distance theta(k) lam(k) - (theta(k)-1) lam(k-1) - lam*."""
+        """Stacked momentum-corrected distance theta(k) lam(k) - (theta(k)-1) lam(k-1) - lam*,
+        for 1 <= k <= iters."""
         ls = self.lambda_star if lambda_star is None else np.asarray(lambda_star, float)
         if ls is None:
             raise ValueError("omega needs the optimal multiplier")
@@ -289,9 +298,9 @@ def _link_block(plan: _Plan, network: NetworkModel | None, ks: range, n_agents: 
     return up[:, plan.c_link], fired
 
 
-def _checked_inputs(instance, max_iters, eps, lam0, lambda_star, record):
+def _checked_inputs(instance, max_iters, eps, lambda_star, record):
     """Validate a run's budget, tolerance, record level and optional
-    multipliers at the API boundary."""
+    optimal multiplier at the API boundary."""
     if record not in RECORDS:
         raise ValidationError(f"record must be one of {RECORDS}, got {record!r}")
     if record == "none" and lambda_star is not None:
@@ -301,25 +310,18 @@ def _checked_inputs(instance, max_iters, eps, lam0, lambda_star, record):
     eps = float(eps)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
-    out = []
-    for name, v in (("lam0", lam0), ("lambda_star", lambda_star)):
-        if v is not None:
-            v = np.array(v, dtype=float)
-            if v.shape != (instance.m_total,):
-                raise ValidationError(
-                    f"{name} has shape {v.shape}, expected ({instance.m_total},)")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError(f"{name} has non-finite entries")
-        out.append(v)
-    return eps, out[0], out[1]
+    if lambda_star is not None:
+        lambda_star = _multiplier(instance, lambda_star, "lambda_star").copy()
+        if not np.all(np.isfinite(lambda_star)):
+            raise ValidationError("lambda_star has non-finite entries")
+    return eps, lambda_star
 
 
-def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, lam0, algo,
+def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, algo,
          record="full"):
     """The one iteration loop: every driver is this kernel with a network
     (or none, i.e. every link always up) and momentum on or off."""
-    eps, lam0, lambda_star = _checked_inputs(instance, max_iters, eps, lam0, lambda_star,
-                                             record)
+    eps, lambda_star = _checked_inputs(instance, max_iters, eps, lambda_star, record)
     log = record == "full"
     plan = _plan(instance, stepsizes, network)
     n_agents = len(instance.agents)
@@ -333,7 +335,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
     A_T = instance.coupling_csr_T
     n_blocks = len(plan.starts)
 
-    lam = np.zeros(instance.m_total) if lam0 is None else lam0
+    lam = np.zeros(instance.m_total)
     hat = lam                              # interpolated multipliers
     recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
@@ -390,7 +392,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
     m = instance.m_total
     return RunTrace(
         algo=algo, instance=instance, eta=eta_arr, alpha=alpha_arr,
-        eps=eps, converged=stop == "converged", stop=stop, iters=iters,
+        eps=eps, stop=stop, iters=iters,
         theta=np.array(log_theta),
         q=np.array(log_q) if log else None,
         residual=np.array(log_res) if log else None,
@@ -405,23 +407,20 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
 
 
 def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int,
-             eps: float = DEFAULT_EPS, *, lambda_star: np.ndarray | None = None,
-             lam0: np.ndarray | None = None) -> RunTrace:
+             eps: float = DEFAULT_EPS, *, lambda_star: np.ndarray | None = None) -> RunTrace:
     """Full-information accelerated dual ascent: the kernel with every link up.
 
     Stops at the first iteration where every agent's own residual norm
     (at that iteration's local solutions) drops below ``eps``.
     Non-convergence within ``max_iters``, or a multiplier that overflows
     to inf or NaN, is reported on the trace (``stop``), not raised.
-    ``lam0`` warm-starts lam(0) (default zero).
     """
-    return _run(instance, stepsizes, None, max_iters, eps, True, lambda_star, lam0, "alg1")
+    return _run(instance, stepsizes, None, max_iters, eps, True, lambda_star, "alg1")
 
 
 def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel,
              max_iters: int, eps: float = DEFAULT_EPS, *,
-             lambda_star: np.ndarray | None = None,
-             lam0: np.ndarray | None = None, record: str = "full") -> RunTrace:
+             lambda_star: np.ndarray | None = None, record: str = "full") -> RunTrace:
     """Tracker-based accelerated dual ascent over an unreliable network.
 
     Stopping uses each agent's most recently received neighbor
@@ -431,17 +430,14 @@ def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: Netwo
     ``iters``, ``converged``, ``theta`` and ``updates``, which are the
     same as a ``"full"`` run's; it rejects ``lambda_star``.
     """
-    return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, lam0, "alg2",
-                record)
+    return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, "alg2", record)
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                       network: NetworkModel, max_iters: int, eps: float = DEFAULT_EPS, *,
-                      lambda_star: np.ndarray | None = None,
-                      lam0: np.ndarray | None = None) -> RunTrace:
+                      lambda_star: np.ndarray | None = None) -> RunTrace:
     """Momentum-free baseline: theta pinned to 1, so the interpolant is lam itself."""
-    return _run(instance, stepsizes, network, max_iters, eps, False, lambda_star, lam0,
-                "unaccel")
+    return _run(instance, stepsizes, network, max_iters, eps, False, lambda_star, "unaccel")
 
 
 def check_lyapunov_step(trace: RunTrace, k: int,

@@ -79,6 +79,13 @@ def blocks_to_csr(shape: tuple[int, int], blocks) -> sp.csr_array:
     return sp.csr_array((flat[nz[order]], cols[order], indptr), shape=shape)
 
 
+def _int(x, name: str) -> int:
+    """``x`` as an int; a bool or anything else that is not an integer is rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{name} {x!r} is not an integer")
+    return int(x)
+
+
 def _farray(x, name: str) -> np.ndarray:
     try:
         arr = np.array(x, dtype=float)
@@ -110,15 +117,13 @@ class AgentSpec:
     diag: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, (int, np.integer)) or isinstance(self.id, bool):
-            raise ValidationError(f"agent id {self.id!r} is not an integer")
+        object.__setattr__(self, "id", _int(self.id, "agent id"))
         if self.id < 0:
             raise ValidationError(f"agent {self.id}: negative ids are not supported")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        n = _int(self.dim, f"agent {self.id}: dim")
+        if n < 1:
             raise ValidationError(f"agent {self.id}: dim must be a positive integer")
-        object.__setattr__(self, "id", int(self.id))
-        object.__setattr__(self, "dim", int(self.dim))
-        n = self.dim
+        object.__setattr__(self, "dim", n)
 
         if self.diag is not None:
             d = _farray(self.diag, f"agent {self.id}: Q diag")
@@ -151,9 +156,9 @@ class AgentSpec:
         if (self.lo > self.hi).any():
             raise ValidationError(f"agent {self.id}: lo > hi somewhere")
 
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+        object.__setattr__(self, "m", _int(self.m, f"agent {self.id}: m"))
+        if self.m < 0:
             raise ValidationError(f"agent {self.id}: m must be a non-negative integer")
-        object.__setattr__(self, "m", int(self.m))
         g = _farray(self.g, f"agent {self.id}: g")
         if g.shape != (self.m,):
             raise ValidationError(f"agent {self.id}: g has shape {g.shape}, expected ({self.m},)")
@@ -163,8 +168,7 @@ class AgentSpec:
 
         blocks = {}
         for j, B in dict(self.blocks).items():
-            if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-                raise ValidationError(f"agent {self.id}: block key {j!r} is not an integer")
+            j = _int(j, f"agent {self.id}: block key")
             B = _farray(B, f"agent {self.id}: block for {j}")
             if B.ndim != 2 or B.shape[0] != self.m:
                 raise ValidationError(
@@ -172,7 +176,7 @@ class AgentSpec:
                 )
             if not np.isfinite(B).all():
                 raise ValidationError(f"agent {self.id}: block for {j} has non-finite entries")
-            blocks[int(j)] = B
+            blocks[j] = B
         object.__setattr__(self, "blocks", blocks)
 
         if self.m > 0:
@@ -515,27 +519,19 @@ class ProblemInstance:
 
     @cached_property
     def g_vec(self) -> np.ndarray:
-        v = np.concatenate([a.g for a in self.agents]) if self.m_total else np.zeros(0)
-        v.setflags(write=False)
-        return v
+        return _flat(a.g for a in self.agents)
 
     @cached_property
     def c_vec(self) -> np.ndarray:
-        v = np.concatenate([a.c for a in self.agents])
-        v.setflags(write=False)
-        return v
+        return _flat(a.c for a in self.agents)
 
     @cached_property
     def lo_vec(self) -> np.ndarray:
-        v = np.concatenate([a.lo for a in self.agents])
-        v.setflags(write=False)
-        return v
+        return _flat(a.lo for a in self.agents)
 
     @cached_property
     def hi_vec(self) -> np.ndarray:
-        v = np.concatenate([a.hi for a in self.agents])
-        v.setflags(write=False)
-        return v
+        return _flat(a.hi for a in self.agents)
 
     def _columns(self, agents) -> np.ndarray:
         """The agents' columns in a stacked decision vector, agent after agent."""
@@ -560,10 +556,8 @@ class ProblemInstance:
         (the whole stacked diagonal when ``dense_stack`` is None)."""
         diag = [a for a in self.agents if a.is_diagonal]
         cols = self._columns(diag)
-        d = np.concatenate([np.zeros(0)] + [a.diag for a in diag])
         cols.setflags(write=False)
-        d.setflags(write=False)
-        return cols, d
+        return cols, _flat(a.diag for a in diag)
 
     @cached_property
     def _out_stacks(self) -> dict[int, np.ndarray]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import AgentSpec, ProblemInstance, ValidationError
+from .model import AgentSpec, ProblemInstance, ValidationError, _farray, _int
 
 __all__ = ["Bus", "Branch", "Generator", "OpfCase", "load_case", "build_opf_instance"]
 
@@ -32,13 +32,25 @@ DEFAULT_PSI_MAX = np.pi
 _CASE_KEYS = {"h", "ref_bus", "eps_psi", "psi_max", "buses", "branches", "generators"}
 
 
+def _coerce(record, what: str, ints=(), floats=()) -> None:
+    """Store a frozen record's integer and float fields as int and float."""
+    for name in ints:
+        object.__setattr__(record, name, _int(getattr(record, name), f"{what} {name}"))
+    for name in floats:
+        v = _farray(getattr(record, name), f"{what} {name}")
+        if v.ndim:
+            raise ValidationError(f"{what} {name}: not a number")
+        object.__setattr__(record, name, float(v))
+
+
 @dataclass(frozen=True)
 class Bus:
     id: int
     demand: np.ndarray  # length h, nonnegative
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", np.asarray(self.demand, dtype=float))
+        _coerce(self, "bus", ints=("id",))
+        object.__setattr__(self, "demand", _farray(self.demand, f"bus {self.id}: demand"))
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,9 @@ class Branch:
     i: int
     j: int
     b: float  # susceptance
+
+    def __post_init__(self):
+        _coerce(self, "branch", ints=("i", "j"), floats=("b",))
 
 
 @dataclass(frozen=True)
@@ -55,9 +70,14 @@ class Generator:
     b: float
     pmax: float
 
+    def __post_init__(self):
+        _coerce(self, "generator", ints=("bus",), floats=("a", "b", "pmax"))
+
 
 @dataclass(frozen=True)
 class OpfCase:
+    """A dispatch case, validated on construction."""
+
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
@@ -66,65 +86,65 @@ class OpfCase:
     eps_psi: float = DEFAULT_EPS_PSI
     psi_max: float = DEFAULT_PSI_MAX
 
-
-def _validate_case(case: OpfCase) -> None:
-    if case.h < 1:
-        raise ValidationError(f"horizon must be >= 1, got {case.h}")
-    ids = [b.id for b in case.buses]
-    if not ids:
-        raise ValidationError("case has no buses")
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate bus ids")
-    id_set = set(ids)
-    for b in case.buses:
-        if b.demand.shape != (case.h,):
+    def __post_init__(self):
+        _coerce(self, "case", ints=("h", "ref_bus"), floats=("eps_psi", "psi_max"))
+        if self.h < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.h}")
+        ids = [b.id for b in self.buses]
+        if not ids:
+            raise ValidationError("case has no buses")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("duplicate bus ids")
+        id_set = set(ids)
+        for b in self.buses:
+            if b.demand.shape != (self.h,):
+                raise ValidationError(
+                    f"bus {b.id}: demand has length {b.demand.shape[0] if b.demand.ndim else 0}, "
+                    f"expected {self.h}"
+                )
+            if np.any(b.demand < 0) or not np.all(np.isfinite(b.demand)):
+                raise ValidationError(f"bus {b.id}: demand must be finite and nonnegative")
+        for br in self.branches:
+            if br.i not in id_set or br.j not in id_set:
+                raise ValidationError(f"branch ({br.i}, {br.j}) references an unknown bus")
+            if br.i == br.j:
+                raise ValidationError(f"branch ({br.i}, {br.j}) is a self-loop")
+            if br.b == 0 or not np.isfinite(br.b):
+                raise ValidationError(f"branch ({br.i}, {br.j}): zero susceptance")
+        seen = set()
+        for gen in self.generators:
+            if gen.bus not in id_set:
+                raise ValidationError(f"generator references unknown bus {gen.bus}")
+            if gen.bus in seen:
+                raise ValidationError(
+                    f"bus {gen.bus} has more than one generator; aggregate them into one"
+                )
+            seen.add(gen.bus)
+            if not (gen.a > 0 and np.isfinite(gen.a) and np.isfinite(gen.b)):
+                raise ValidationError(f"generator at bus {gen.bus}: need a > 0 and finite cost")
+            if not (gen.pmax > 0 and np.isfinite(gen.pmax)):
+                raise ValidationError(f"generator at bus {gen.bus}: need pmax > 0")
+        if self.ref_bus not in id_set:
+            raise ValidationError(f"reference bus {self.ref_bus} not in the case")
+        if not (self.eps_psi > 0 and np.isfinite(self.eps_psi)):
+            raise ValidationError("eps_psi must be positive")
+        if not (self.psi_max > 0 and np.isfinite(self.psi_max)):
+            raise ValidationError("psi_max must be positive")
+        # connectivity over the branch graph
+        adj = {i: set() for i in ids}
+        for br in self.branches:
+            adj[br.i].add(br.j)
+            adj[br.j].add(br.i)
+        stack, seen_b = [ids[0]], {ids[0]}
+        while stack:
+            for j in adj[stack.pop()]:
+                if j not in seen_b:
+                    seen_b.add(j)
+                    stack.append(j)
+        if seen_b != id_set:
             raise ValidationError(
-                f"bus {b.id}: demand has length {b.demand.shape[0] if b.demand.ndim else 0}, "
-                f"expected {case.h}"
+                f"network graph is disconnected (unreached buses: {sorted(id_set - seen_b)})"
             )
-        if np.any(b.demand < 0) or not np.all(np.isfinite(b.demand)):
-            raise ValidationError(f"bus {b.id}: demand must be finite and nonnegative")
-    for br in case.branches:
-        if br.i not in id_set or br.j not in id_set:
-            raise ValidationError(f"branch ({br.i}, {br.j}) references an unknown bus")
-        if br.i == br.j:
-            raise ValidationError(f"branch ({br.i}, {br.j}) is a self-loop")
-        if br.b == 0 or not np.isfinite(br.b):
-            raise ValidationError(f"branch ({br.i}, {br.j}): zero susceptance")
-    seen = set()
-    for gen in case.generators:
-        if gen.bus not in id_set:
-            raise ValidationError(f"generator references unknown bus {gen.bus}")
-        if gen.bus in seen:
-            raise ValidationError(
-                f"bus {gen.bus} has more than one generator; aggregate them into one"
-            )
-        seen.add(gen.bus)
-        if not (gen.a > 0 and np.isfinite(gen.a) and np.isfinite(gen.b)):
-            raise ValidationError(f"generator at bus {gen.bus}: need a > 0 and finite cost")
-        if not (gen.pmax > 0 and np.isfinite(gen.pmax)):
-            raise ValidationError(f"generator at bus {gen.bus}: need pmax > 0")
-    if case.ref_bus not in id_set:
-        raise ValidationError(f"reference bus {case.ref_bus} not in the case")
-    if not (case.eps_psi > 0 and np.isfinite(case.eps_psi)):
-        raise ValidationError("eps_psi must be positive")
-    if not (case.psi_max > 0 and np.isfinite(case.psi_max)):
-        raise ValidationError("psi_max must be positive")
-    # connectivity over the branch graph
-    adj = {i: set() for i in ids}
-    for br in case.branches:
-        adj[br.i].add(br.j)
-        adj[br.j].add(br.i)
-    stack, seen_b = [ids[0]], {ids[0]}
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen_b:
-                seen_b.add(j)
-                stack.append(j)
-    if seen_b != id_set:
-        raise ValidationError(
-            f"network graph is disconnected (unreached buses: {sorted(id_set - seen_b)})"
-        )
 
 
 def load_case(path) -> OpfCase:
@@ -148,16 +168,13 @@ def load_case(path) -> OpfCase:
                      for g in data["generators"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed case entry: {exc}") from exc
-    case = OpfCase(buses=buses, branches=branches, generators=gens,
+    return OpfCase(buses=buses, branches=branches, generators=gens,
                    h=data["h"], ref_bus=data["ref_bus"],
                    eps_psi=data["eps_psi"], psi_max=data["psi_max"])
-    _validate_case(case)
-    return case
 
 
 def build_opf_instance(case: OpfCase) -> ProblemInstance:
     """Translate a case into the coupled quadratic form, one agent per bus."""
-    _validate_case(case)
     h = case.h
     gen_at = {g.bus: g for g in case.generators}
     # accumulated susceptance between bus pairs (parallel branches add up)

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, output files, reproducibility."""
 
+import json
 import math
 import subprocess
 import sys
@@ -70,6 +71,32 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert main(["validate", "--problem", str(p)]) == 2
     capsys.readouterr()
 
+
+@pytest.mark.parametrize("kind, path, value, msg", [
+    ("case", ("h",), True, "h True is not an integer"),
+    ("case", ("h",), 1.0, "h 1.0 is not an integer"),
+    ("case", ("h",), "1", "h '1' is not an integer"),
+    ("case", ("generators", 0, "a"), "x", "generator a: not numeric"),
+    ("case", ("eps_psi",), "x", "eps_psi: not numeric"),
+    ("case", ("buses", 0, "demand"), "a", "bus 1: demand: not numeric"),
+    ("case", ("ref_bus",), True, "ref_bus True is not an integer"),
+    ("problem", ("agents", 0, "dim"), True, "dim True is not an integer"),
+    ("problem", ("agents", 0, "m"), True, "m True is not an integer"),
+], ids=["h-bool", "h-float", "h-str", "gen-a-str", "eps_psi-str", "demand-str",
+        "ref_bus-bool", "dim-bool", "m-bool"])
+def test_malformed_file_exits_2(kind, path, value, msg, tmp_path, capsys):
+    # each of these used to crash with a traceback (exit 1) or load as 1
+    data = json.loads((CASES / ("opf_2bus.json" if kind == "case" else "instance_a.json"))
+                      .read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", f"--{kind}", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and msg in err
 
 def test_bad_gamma_exits_2(capsys):
     assert main(["run", "--algo", "alg2", "--problem", pj(), "--gamma", "1.5"]) == 2

@@ -123,12 +123,6 @@ def test_alg1_chain_converges_to_oracle():
     assert tr.residual[-1] < 1e-9
 
 
-def test_alg1_warm_start(instance_a):
-    tab = build_stepsizes(instance_a)
-    tr = run_alg1(instance_a, tab, 50, 1e-8, lam0=np.array([-1.0]))
-    assert tr.converged and tr.iters == 1
-
-
 def test_alg1_empty_run(instance_a):
     tab = build_stepsizes(instance_a)
     tr = run_alg1(instance_a, tab, 0, 1e-8)
@@ -528,20 +522,6 @@ def test_negative_max_iters_rejected():
         run_alg1(CHAIN, CHAIN_TAB, -1, 1e-6)
 
 
-def test_nan_lam0_rejected():
-    # before validation, an all-NaN start reported convergence at k=1
-    with pytest.raises(ValidationError, match="lam0 has non-finite"):
-        run_alg1(CHAIN, CHAIN_TAB, 10, 1e-6, lam0=np.full(3, np.nan))
-    with pytest.raises(ValidationError, match="lam0 has non-finite"):
-        run_unaccelerated(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.2), 10, 1e-6,
-                          lam0=np.full(3, np.nan))
-
-
-def test_wrong_length_lam0_rejected():
-    with pytest.raises(ValidationError, match=r"lam0 has shape \(7,\)"):
-        run_alg1(CHAIN, CHAIN_TAB, 10, 1e-6, lam0=np.zeros(7))
-
-
 @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.inf, 0.0])])
 def test_bad_lambda_star_rejected(bad):
     with pytest.raises(ValidationError, match="lambda_star"):
@@ -626,6 +606,23 @@ def test_omega_requires_optimum():
     with pytest.raises(ValueError, match="optimal multiplier"):
         tr.omega(1)
     np.testing.assert_array_equal(tr.lam_at(0), np.zeros(3))
+
+
+RAND5 = random_instance(5, seed=0)
+RAND5_RUN = run_alg1(RAND5, build_stepsizes(RAND5), 5, 0.0, lambda_star=solve_kkt(RAND5).lam)
+
+
+@pytest.mark.parametrize("call, k", [
+    ("lam_at", -1), ("lam_at", 6), ("theta_at", 0), ("theta_at", 6), ("omega", 0), ("omega", 6),
+])
+def test_trace_index_outside_the_run_rejected(call, k):
+    # these used to wrap around: theta_at(0) gave the last theta, lam_at(-1) lam[-2]
+    tr = RAND5_RUN
+    assert tr.iters == 5
+    with pytest.raises(ValueError, match=f"<= k <= 5, got {k}"):
+        getattr(tr, call)(k)
+    np.testing.assert_array_equal(tr.lam_at(5), tr.lam[4])
+    assert tr.theta_at(1) == 1.0 and tr.omega(5).shape == (RAND5.m_total,)
 
 
 # ---------------------------------------------------------- trace CSV

@@ -22,29 +22,48 @@ def test_rate_check_short_run(tmp_path):
     assert [ln.split()[0] for ln in proc.stdout.splitlines() if ln.startswith("k=")] == \
         ["k=50", "k=100"]
     lines = out.read_text().splitlines()
-    assert len(lines) == 101 and lines[0] == "k,det_gap,det_bound,mean_gap,stoch_bound"
+    assert len(lines) == 101
+    assert lines[0] == "k,det_gap,det_bound,mean_gap@0.2,stoch_bound@0.2"
 
 
 def test_rate_check_rejects_an_empty_budget(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "rate_check.py"), "--runs", "1", "--iters", "0",
-         "--out", str(tmp_path / "rate.csv")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2 and "--iters must be >= 1" in proc.stderr
-    assert "Traceback" not in proc.stderr and not (tmp_path / "rate.csv").exists()
+    # --runs 0 used to exit 0 with nan in every mean-gap column
+    for flags, msg in [(["--iters", "0"], "--iters must be >= 1"),
+                       (["--runs", "0"], "--runs must be >= 1"),
+                       (["--gammas", ""], "cannot parse --gammas"),
+                       (["--gammas", "0.1,x"], "cannot parse --gammas"),
+                       (["--gammas", "0.1,1e-1"], "distinct values in [0, 1)"),
+                       (["--gammas", "1"], "distinct values in [0, 1)"),
+                       (["--gammas", "-0.1"], "distinct values in [0, 1)")]:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "rate_check.py"), "--runs", "1", "--iters", "5",
+             *flags, "--out", str(tmp_path / "rate.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and msg in proc.stderr, (flags, proc.stderr)
+        assert "Traceback" not in proc.stderr and not (tmp_path / "rate.csv").exists()
 
 
-def test_gamma_sweep_short_run(tmp_path):
-    runs, gaps = tmp_path / "runs.csv", tmp_path / "gaps.csv"
+def test_rate_check_gammas_short_run(tmp_path):
+    out = tmp_path / "rate.csv"
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "gamma_sweep.py"), "--runs", "2", "--iters", "50",
-         "--out", str(runs), "--out-gaps", str(gaps)],
+        [sys.executable, str(SCRIPTS / "rate_check.py"), "--gammas", "0.5,0", "--runs", "2",
+         "--iters", "50", "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rows = runs.read_text().splitlines()
-    assert rows[0] == "gamma,seed,iters,converged" and len(rows) == 1 + 4 * 2
-    lines = gaps.read_text().splitlines()
-    assert lines[0] == "k,gamma=0.0,gamma=0.1,gamma=0.3,gamma=0.5" and len(lines) == 51
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("k,det_gap,det_bound,mean_gap@0.0,stoch_bound@0.0,"
+                        "mean_gap@0.5,stoch_bound@0.5") and len(lines) == 51
+
+
+def test_make_ieee14_case_writes_the_bundled_case(tmp_path):
+    # the script writes ../cases/ieee14.json next to itself, so run a copy
+    (tmp_path / "scripts").mkdir()
+    script = shutil.copy(SCRIPTS / "make_ieee14_case.py", tmp_path / "scripts")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cases" / "ieee14.json").read_bytes() == \
+        (CASES / "ieee14.json").read_bytes()
 
 
 def test_run_opf_two_bus(tmp_path):

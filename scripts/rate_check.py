@@ -37,6 +37,8 @@ def main() -> int:
     ap.add_argument("--iters", type=int, default=500)
     ap.add_argument("--out", type=Path, default=Path("rate_check.csv"))
     args = ap.parse_args()
+    if args.agents < 1:
+        ap.error("--agents must be >= 1")
     if args.iters < 1:
         ap.error("--iters must be >= 1")
     if args.runs < 1:

@@ -140,12 +140,16 @@ def _cmd_montecarlo(args, parser) -> int:
     table = stepsize.build_stepsizes(instance)
     rows = []
     for gamma in sorted(gammas):
+        trace = None
         for r in range(args.runs):
             seed = args.seed + r
             net = netsim.build_network(instance, gamma, seed=seed)
-            # the CSV needs only iters and converged: skip the logging re-solve
-            trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps,
-                                    record="none")
+            # with every beta = 1 each link draw is up whatever the seed, so
+            # every replicate is the first one's run
+            if trace is None or not (net.beta == 1.0).all():
+                # the CSV needs only iters and converged: skip the logging re-solve
+                trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps,
+                                        record="none")
             rows.append((gamma, seed, trace.iters, 1 if trace.converged else 0))
     rows.sort(key=lambda t: (t[0], t[1]))
     out = Path(args.out)

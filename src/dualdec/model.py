@@ -86,7 +86,20 @@ def _int(x, name: str) -> int:
     return int(x)
 
 
+def _text_or_bool(x) -> bool:
+    """Whether ``x`` is, or holds at any depth, a bool or a string."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "bSU" or (x.dtype.kind == "O" and any(map(_text_or_bool, x.flat)))
+    if isinstance(x, (list, tuple)):
+        return any(map(_text_or_bool, x))
+    return isinstance(x, (bool, np.bool_, str, bytes))
+
+
 def _farray(x, name: str) -> np.ndarray:
+    """``x`` as a read-only float array; a bool or a string anywhere in it
+    (JSON's ``true`` or ``"0.5"``) is rejected, not read as a number."""
+    if _text_or_bool(x):
+        raise ValidationError(f"{name}: not numeric")
     try:
         arr = np.array(x, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import CASES
-from dualdec import build_network, build_stepsizes, random_instance, run_alg2, save_instance
+from dualdec import (build_network, build_stepsizes, engine, random_instance, run_alg2,
+                     save_instance)
 from dualdec.cli import main
 
 
@@ -82,10 +83,17 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     ("case", ("ref_bus",), True, "ref_bus True is not an integer"),
     ("problem", ("agents", 0, "dim"), True, "dim True is not an integer"),
     ("problem", ("agents", 0, "m"), True, "m True is not an integer"),
+    ("case", ("eps_psi",), "0.5", "eps_psi: not numeric"),
+    ("case", ("psi_max",), True, "psi_max: not numeric"),
+    ("case", ("generators", 0, "a"), True, "generator a: not numeric"),
+    ("case", ("buses", 1, "demand"), [True], "bus 2: demand: not numeric"),
+    ("problem", ("agents", 0, "c"), ["0.0"], "agent 1: c: not numeric"),
+    ("problem", ("agents", 0, "blocks", "2"), [[1.0, False]], "block for 2: not numeric"),
 ], ids=["h-bool", "h-float", "h-str", "gen-a-str", "eps_psi-str", "demand-str",
-        "ref_bus-bool", "dim-bool", "m-bool"])
+        "ref_bus-bool", "dim-bool", "m-bool", "eps_psi-digits", "psi_max-bool",
+        "gen-a-bool", "demand-nested-bool", "c-nested-digits", "block-nested-bool"])
 def test_malformed_file_exits_2(kind, path, value, msg, tmp_path, capsys):
-    # each of these used to crash with a traceback (exit 1) or load as 1
+    # each of these used to crash with a traceback (exit 1), or load as a number
     data = json.loads((CASES / ("opf_2bus.json" if kind == "case" else "instance_a.json"))
                       .read_text())
     node = data
@@ -97,6 +105,7 @@ def test_malformed_file_exits_2(kind, path, value, msg, tmp_path, capsys):
     assert main(["validate", f"--{kind}", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and msg in err
+
 
 def test_bad_gamma_exits_2(capsys):
     assert main(["run", "--algo", "alg2", "--problem", pj(), "--gamma", "1.5"]) == 2
@@ -246,6 +255,26 @@ def test_montecarlo_rows_equal_logged_runs(tmp_path, capsys):
             want.append(f"{gamma!r},{seed},{tr.iters},{int(tr.converged)}")
     assert out.read_text().splitlines() == want
     assert {ln.split(",")[3] for ln in want[1:]} == {"0", "1"}
+
+
+def test_montecarlo_runs_always_up_replicates_once(tmp_path, capsys, monkeypatch):
+    # at gamma 0 every link draw is up whatever the seed: one run serves all four rows
+    seen = []
+
+    def counting(instance, table, net, *args, **kwargs):
+        seen.append((float(net.beta.min()), net.seed))
+        return run_alg2(instance, table, net, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_alg2", counting)
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0,0.3",
+                 "--runs", "4", "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert seen == [(1.0, 5)] + [(0.7, s) for s in (5, 6, 7, 8)]
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert [(g, s) for g, s, _, _ in rows] == [(g, str(s)) for g in ("0.0", "0.3")
+                                                for s in (5, 6, 7, 8)]
+    assert len({(it, c) for g, _, it, c in rows if g == "0.0"}) == 1
 
 
 def test_montecarlo_byte_deterministic(tmp_path, capsys):

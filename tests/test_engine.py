@@ -1,6 +1,7 @@
 """Solver loops: momentum sequence, dual evaluation, both algorithms, checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from dualdec import (ValidationError, build_network, build_opf_instance, build_s
                      check_lyapunov_step, check_quadratic_model, engine, eval_dual, load_case,
                      load_instance, random_instance, run_alg1, run_alg2, run_unaccelerated,
                      solve_kkt, solve_local, theta_next)
-from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan
+from dualdec.engine import (TRACE_HEADER, _link_block, _local_argmin, _matvec, _plan,
+                            _stop_threshold)
 from dualdec.model import AgentSpec, ProblemInstance
 from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
@@ -304,6 +306,31 @@ def test_alg2_matches_per_agent_reference(inst, gamma):
     np.testing.assert_array_equal(tr.updates, fired)
 
 
+@pytest.mark.parametrize("gamma", [None, 0.0, 0.3])
+def test_link_masks_skip_the_selects_when_all_is_up(gamma):
+    # the kernel copies stale contributions and held steps only on the
+    # iterations that have some; with every link up it never does
+    inst = random_instance(5, seed=0)
+    tab = build_stepsizes(inst)
+    net = None if gamma is None else build_network(inst, gamma, seed=4)
+    plan = _plan(inst, tab, net)
+    links = _link_block(plan, net, range(1, 65), len(inst.agents))
+    assert links.stale.shape == (64, plan.C.shape[0])
+    assert links.held.shape == (64, inst.m_total)
+    assert links.any_stale == links.stale.any(axis=1).tolist()
+    assert links.any_held == links.held.any(axis=1).tolist()
+    np.testing.assert_array_equal(links.held, ~links.fired[:, plan.row_agent])
+    if gamma:
+        up = activation_matrix(net, range(1, 65))
+        np.testing.assert_array_equal(
+            links.stale, ~np.c_[up, np.ones(64, bool)][:, plan.c_link])
+        # a held lam row has a down in-link, and so a stale contribution row
+        assert 0 < sum(links.any_held) < 64
+        assert all(s for s, h in zip(links.any_stale, links.any_held) if h)
+    else:
+        assert not any(links.any_stale) and not any(links.any_held) and links.fired.all()
+
+
 def dense_twin(inst):
     """The same instance with every cost declared dense, so no closed form applies."""
     return ProblemInstance(agents=tuple(dataclasses.replace(a, diag=None) for a in inst.agents))
@@ -537,6 +564,42 @@ def test_stop_test_is_nan_safe():
         tr = run_alg1(CHAIN, bad, 50, 1e-6)
     assert not tr.converged and tr.stop == "nonfinite" and tr.iters == 1
     assert np.isfinite(tr.lam).all() and tr.updates.shape == (1, 3)
+
+
+STOP_EPS = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e-4, 0.3, 1e200]
+
+
+@pytest.mark.parametrize("eps", STOP_EPS)
+def test_stop_threshold_is_exact(eps):
+    # the kernel tests x < T in place of sqrt(x) < eps; they must agree at
+    # T itself, at its neighbours and at the square of eps
+    T = _stop_threshold(eps)
+    near = [T, math.nextafter(T, 0.0), math.nextafter(T, math.inf), eps * eps, 0.0]
+    for x in near + [math.nextafter(x, d) for x in near for d in (0.0, math.inf)]:
+        assert (math.sqrt(x) < eps) == (x < T), x
+    assert T == 0.0 or math.sqrt(math.nextafter(T, 0.0)) < eps <= math.sqrt(T)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(0.0, allow_infinity=True), st.sampled_from(STOP_EPS) | st.floats(0.0, 1e300))
+def test_stop_threshold_matches_sqrt(x, eps):
+    assert (math.sqrt(x) < eps) == (x < _stop_threshold(eps))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_uncoupled_instance_converges_at_once(eps):
+    # with every m = 0 there is no residual block, so the stop test passes
+    # vacuously at k = 1 (and must not reduce an empty array)
+    agents = tuple(AgentSpec(id=i, dim=1, Q=np.empty(0), diag=[1.0], c=[1.0], lo=[-1.0],
+                             hi=[1.0], m=0, g=[], blocks={}) for i in (1, 2))
+    inst = ProblemInstance(agents=agents)
+    tab = StepsizeTable(sigma={1: 1.0, 2: 1.0}, out_norm={1: 0.0, 2: 0.0},
+                        L={1: 0.0, 2: 0.0}, eta={1: 1.0, 2: 1.0})
+    net = build_network(inst, 0.3, seed=1)
+    for tr in (run_alg1(inst, tab, 10, eps), run_alg2(inst, tab, net, 10, eps),
+               run_unaccelerated(inst, tab, net, 10, eps)):
+        assert (tr.stop, tr.iters) == ("converged", 1)
+        assert tr.updates.tolist() == [[True, True]] and tr.u_final.tolist() == [-1.0, -1.0]
 
 
 def test_stop_reasons():

@@ -64,6 +64,28 @@ def test_agent_rejects(mutate, msg):
         scalar_agent(1, **base).sigma  # sigma forces the definiteness check
 
 
+@pytest.mark.parametrize("field, value", [
+    ("c", [True, 0.0]), ("c", ["1.0", 0.0]), ("c", np.array([True, False])),
+    ("c", np.array(["1.0", "0.0"])), ("c", np.array([1.0, "x"], dtype=object)),
+    ("lo", (np.bool_(False), -1.0)), ("g", [b"1"]), ("blocks", {1: [[1.0, True]]}),
+])
+def test_agent_rejects_bool_and_text_numbers(field, value):
+    spec = dict(id=1, dim=2, Q=np.eye(2), c=[0.0, 0.0], lo=[-1.0, -1.0], hi=[1.0, 1.0],
+                m=1, g=[1.0], blocks={1: [[1.0, 1.0]]})
+    spec[field] = value
+    with pytest.raises(ValidationError, match="not numeric"):
+        AgentSpec(**spec)
+
+
+def test_agent_loads_numeric_arrays_from_code():
+    # numpy arrays of any int or float dtype, and numpy scalars, load as floats
+    a = AgentSpec(id=1, dim=2, Q=np.eye(2, dtype=np.int32), c=np.zeros(2, np.float32),
+                  lo=(np.float64(-1.0), -1), hi=np.array([1, 1], dtype=np.uint8), m=1,
+                  g=np.array([1.0]), blocks={1: np.array([[1.0, 2.0]], dtype=object)})
+    assert all(v.dtype == float for v in (a.Q, a.c, a.lo, a.hi, a.g, a.blocks[1]))
+    np.testing.assert_array_equal(a.hi, [1.0, 1.0])
+
+
 def test_agent_rejects_asymmetric_q():
     with pytest.raises(ValidationError, match="not symmetric"):
         AgentSpec(id=1, dim=2, Q=np.array([[1.0, 0.3], [0.2, 1.0]]), c=[0.0, 0.0],

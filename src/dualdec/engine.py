@@ -309,8 +309,9 @@ def _link_block(plan: _Plan, network: NetworkModel | None, ks: range, n_agents: 
     rows, edges = np.nonzero(~up[:, plan.in_link])
     fired = np.ones((len(ks), n_agents), dtype=bool)
     fired[rows, plan.in_agent[edges]] = False
-    stale = ~up[:, plan.c_link]
-    held = ~fired[:, plan.row_agent]
+    stale, held = up[:, plan.c_link], fired[:, plan.row_agent]
+    np.logical_not(stale, out=stale)
+    np.logical_not(held, out=held)
     return _Links(stale, held, stale.any(axis=1).tolist(), held.any(axis=1).tolist(), fired)
 
 

@@ -138,19 +138,23 @@ def _cmd_montecarlo(args, parser) -> int:
     _check_eps(args, parser)
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)
+    def replicate(net):
+        # the CSV needs only iters and converged: skip the logging re-solve
+        trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps, record="none")
+        return trace.iters, 1 if trace.converged else 0
+
     rows = []
     for gamma in sorted(gammas):
-        trace = None
-        for r in range(args.runs):
-            seed = args.seed + r
-            net = netsim.build_network(instance, gamma, seed=seed)
-            # with every beta = 1 each link draw is up whatever the seed, so
-            # every replicate is the first one's run
-            if trace is None or not (net.beta == 1.0).all():
-                # the CSV needs only iters and converged: skip the logging re-solve
-                trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps,
-                                        record="none")
-            rows.append((gamma, seed, trace.iters, 1 if trace.converged else 0))
+        seeds = range(args.seed, args.seed + args.runs)
+        first = netsim.build_network(instance, gamma, seed=seeds[0])
+        if (first.beta == 1.0).all():
+            # every link draw is up whatever the seed: each replicate is this one run
+            iters, conv = replicate(first)
+            rows += [(gamma, seed, iters, conv) for seed in seeds]
+        else:
+            rows += [(gamma, seed, *replicate(
+                first if seed == seeds[0] else netsim.build_network(instance, gamma, seed=seed)))
+                for seed in seeds]
     rows.sort(key=lambda t: (t[0], t[1]))
     out = Path(args.out)
     with open(out, "w") as fh:

@@ -22,11 +22,9 @@ the tracker protocol exactly: each holder i of a copy of lam_j is an
 in-neighbor of j, so when a refresh of that copy is lost, j held its step
 and its new lam_j is the interpolant the copy already holds.  The loop
 resolves ``solve_local`` and ``eval_dual`` through this module's globals.
-Stale contributions and held steps are copied back only on iterations
-that have some, so with every link up (``run_alg1``, or gamma = 0) no
-iteration selects.  The stop test compares squared residual norms with a
-threshold T fixed per run (``_stop_threshold``), which gives the same
-booleans as comparing their square roots with eps.
+The stop test compares squared residual norms with a threshold T fixed
+per run (``_stop_threshold``), which gives the same booleans as comparing
+their square roots with eps.
 
 All drivers log, per iteration, the dual value and gradient norm at the
 shared multiplier lam(k) (agents' own blocks re-solved jointly), plus the
@@ -291,28 +289,16 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
     )
 
 
-class _Links(NamedTuple):
-    """Link states of a block of iterations, one row each."""
-
-    stale: np.ndarray      # contribution row not refreshed: its link is down
-    held: np.ndarray       # lam row whose owner holds its step
-    any_stale: list[bool]  # per iteration: some contribution row is stale
-    any_held: list[bool]   # per iteration: some lam row is held
-    fired: np.ndarray      # agent took its step: all its in-links are up
-
-
-def _link_block(plan: _Plan, network: NetworkModel | None, ks: range, n_agents: int) -> _Links:
-    """Link states of iterations ``ks``, and the masks the kernel reads from them."""
+def _link_block(plan: _Plan, network: NetworkModel | None, ks: range, n_agents: int):
+    """Link states of iterations ``ks`` (one row each), as the up flag of
+    every contribution row and whether each agent's in-links are all up."""
     up = np.ones((len(ks), plan.n_links + 1), dtype=bool)
     if network is not None:
         up[:, :-1] = activation_matrix(network, ks)
     rows, edges = np.nonzero(~up[:, plan.in_link])
     fired = np.ones((len(ks), n_agents), dtype=bool)
     fired[rows, plan.in_agent[edges]] = False
-    stale, held = up[:, plan.c_link], fired[:, plan.row_agent]
-    np.logical_not(stale, out=stale)
-    np.logical_not(held, out=held)
-    return _Links(stale, held, stale.any(axis=1).tolist(), held.any(axis=1).tolist(), fired)
+    return up[:, plan.c_link], fired
 
 
 def _stop_threshold(eps: float) -> float:
@@ -375,8 +361,9 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         b = (k - 1) % LINK_BLOCK
         if b == 0:
             ks = range(k, min(k + LINK_BLOCK, max_iters + 1))
-            links = _link_block(plan, network, ks, n_agents)
-            log_upd.append(links.fired)  # update flags, cut to iters at the end
+            c_up, fired_blk = _link_block(plan, network, ks, n_agents)
+            row_fired = fired_blk[:, plan.row_agent]
+            log_upd.append(fired_blk)  # update flags, cut to iters at the end
         # local solves at the interpolated multipliers: the last log solved
         # them ahead, or it had no ahead because the momentum coefficient was
         # zero, so hat equals lam(k-1) (hat is finite here), where it solved
@@ -385,15 +372,10 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         else:
             u = ev.u if ev.u_ahead is None else ev.u_ahead
         # primal exchange: a contribution is refreshed only over a link that is up
-        fresh = _matvec(plan.C, u)
-        if links.any_stale[b]:
-            np.copyto(fresh, recv, where=links.stale[b])
-        recv = fresh
+        recv = np.where(c_up[b], _matvec(plan.C, u), recv)
         s = _matvec(plan.S, recv) - g
         # gradient step, held unless every in-neighbor link is up
-        lam_new = hat + plan.eta_rows * s
-        if links.any_held[b]:
-            np.copyto(lam_new, hat, where=links.held[b])
+        lam_new = np.where(row_fired[b], hat + plan.eta_rows * s, hat)
         # stop once each agent's residual from its cached blocks is below eps
         # (NaN never is): sqrt(x) < eps exactly when x < T, and a block's sum
         # of squares is never below its largest term, so that term decides first

@@ -13,8 +13,7 @@ from dualdec import (ValidationError, build_network, build_opf_instance, build_s
                      check_lyapunov_step, check_quadratic_model, engine, eval_dual, load_case,
                      load_instance, random_instance, run_alg1, run_alg2, run_unaccelerated,
                      solve_kkt, solve_local, theta_next)
-from dualdec.engine import (TRACE_HEADER, _link_block, _local_argmin, _matvec, _plan,
-                            _stop_threshold)
+from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan, _stop_threshold
 from dualdec.model import AgentSpec, ProblemInstance
 from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
@@ -304,31 +303,6 @@ def test_alg2_matches_per_agent_reference(inst, gamma):
     assert tr.iters == 200 and not fired.all()
     np.testing.assert_allclose(tr.lam, lams, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(tr.updates, fired)
-
-
-@pytest.mark.parametrize("gamma", [None, 0.0, 0.3])
-def test_link_masks_skip_the_selects_when_all_is_up(gamma):
-    # the kernel copies stale contributions and held steps only on the
-    # iterations that have some; with every link up it never does
-    inst = random_instance(5, seed=0)
-    tab = build_stepsizes(inst)
-    net = None if gamma is None else build_network(inst, gamma, seed=4)
-    plan = _plan(inst, tab, net)
-    links = _link_block(plan, net, range(1, 65), len(inst.agents))
-    assert links.stale.shape == (64, plan.C.shape[0])
-    assert links.held.shape == (64, inst.m_total)
-    assert links.any_stale == links.stale.any(axis=1).tolist()
-    assert links.any_held == links.held.any(axis=1).tolist()
-    np.testing.assert_array_equal(links.held, ~links.fired[:, plan.row_agent])
-    if gamma:
-        up = activation_matrix(net, range(1, 65))
-        np.testing.assert_array_equal(
-            links.stale, ~np.c_[up, np.ones(64, bool)][:, plan.c_link])
-        # a held lam row has a down in-link, and so a stale contribution row
-        assert 0 < sum(links.any_held) < 64
-        assert all(s for s, h in zip(links.any_stale, links.any_held) if h)
-    else:
-        assert not any(links.any_stale) and not any(links.any_held) and links.fired.all()
 
 
 def dense_twin(inst):

@@ -138,6 +138,7 @@ def _cmd_montecarlo(args, parser) -> int:
     _check_eps(args, parser)
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)
+
     def replicate(net):
         # the CSV needs only iters and converged: skip the logging re-solve
         trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps, record="none")
@@ -152,9 +153,9 @@ def _cmd_montecarlo(args, parser) -> int:
             iters, conv = replicate(first)
             rows += [(gamma, seed, iters, conv) for seed in seeds]
         else:
-            rows += [(gamma, seed, *replicate(
-                first if seed == seeds[0] else netsim.build_network(instance, gamma, seed=seed)))
-                for seed in seeds]
+            for seed in seeds:
+                net = first if seed == seeds[0] else netsim.build_network(instance, gamma, seed=seed)
+                rows.append((gamma, seed, *replicate(net)))
     rows.sort(key=lambda t: (t[0], t[1]))
     out = Path(args.out)
     with open(out, "w") as fh:

@@ -22,7 +22,8 @@ run gets two digests.  ``NAME/RUN`` covers the iterates: ``iters``,
 oracle's answer: ``gap``, ``V`` and the trace CSV bytes.  A change to the
 oracle alone thus moves only ``oracle`` and ``oracle-side`` digests.
 The ``montecarlo`` CSV and summary bytes are hashed on rand5 (the
-sweep-rand5 settings) and chain3.
+sweep-rand5 settings, and a short budget that ends some replicates
+unconverged), chain3, and denseq (a dense stack in every batch).
 
 Each checkout is imported from its own ``src`` in a fresh process, so
 ``--against`` compares two trees (say, a change and its parent) with
@@ -207,6 +208,17 @@ def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
                 tmp / "rand5.json", ["--gammas", "0.0,0.1,0.3,0.5", "--runs", "20",
                                      "--seed", "20", "--eps", "1e-06", "--max-iters", "1000"],
                 tmp)
+        if wanted("montecarlo/rand5-mixed-stops"):
+            # the budget ends some gamma-0.1 replicates and convergence the others
+            save_instance(random_instance(5, seed=0), tmp / "rand5.json")
+            out["montecarlo/rand5-mixed-stops"] = _montecarlo_digest(
+                tmp / "rand5.json", ["--gammas", "0.1,0.3", "--runs", "20", "--seed", "40",
+                                     "--eps", "1e-06", "--max-iters", "560"], tmp)
+        if wanted("montecarlo/denseq"):
+            save_instance(_instances(tree)["denseq"](), tmp / "denseq.json")
+            out["montecarlo/denseq"] = _montecarlo_digest(
+                tmp / "denseq.json", ["--gammas", "0,0.1,0.3", "--runs", "8", "--eps", "1e-4",
+                                      "--max-iters", "250"], tmp)
         if wanted("montecarlo/chain3"):
             out["montecarlo/chain3"] = _montecarlo_digest(
                 tree / "cases" / "chain3.json", ["--gammas", "0,0.3,0.6", "--runs", "5",

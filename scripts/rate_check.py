@@ -39,6 +39,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.agents < 1:
         ap.error("--agents must be >= 1")
+    if args.instance_seed < 0:
+        ap.error("--instance-seed must be >= 0")
     if args.iters < 1:
         ap.error("--iters must be >= 1")
     if args.runs < 1:

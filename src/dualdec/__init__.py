@@ -8,7 +8,7 @@ from .subsolver import solve_local
 from .stepsize import StepsizeTable, build_stepsizes, spectral_norm
 from .netsim import NetworkModel, build_network
 from .engine import (RunTrace, check_lyapunov_step, check_quadratic_model, eval_dual,
-                     run_alg1, run_alg2, run_unaccelerated, theta_next)
+                     run_alg1, run_alg2, run_batch, run_unaccelerated, theta_next)
 from .oracle import (InfeasibleError, OracleError, OracleSolution, certify_feasible,
                      solve_active_set, solve_kkt)
 from .opf import OpfCase, build_opf_instance, load_case
@@ -23,7 +23,7 @@ __all__ = [
     "StepsizeTable", "build_stepsizes", "spectral_norm",
     "NetworkModel", "build_network",
     "RunTrace", "check_lyapunov_step", "check_quadratic_model", "eval_dual",
-    "run_alg1", "run_alg2", "run_unaccelerated", "theta_next",
+    "run_alg1", "run_alg2", "run_batch", "run_unaccelerated", "theta_next",
     "InfeasibleError", "OracleError", "OracleSolution", "certify_feasible",
     "solve_active_set", "solve_kkt",
     "OpfCase", "build_opf_instance", "load_case",

@@ -20,6 +20,7 @@ from .model import ValidationError, load_instance
 __all__ = ["main", "app"]
 
 _ALGOS = ("alg1", "alg2", "unaccel")
+_BATCH = 256  # montecarlo replicates per kernel pass, which bounds its memory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,23 +140,21 @@ def _cmd_montecarlo(args, parser) -> int:
     instance = _load(args, parser)
     table = stepsize.build_stepsizes(instance)
 
-    def replicate(net):
-        # the CSV needs only iters and converged: skip the logging re-solve
-        trace = engine.run_alg2(instance, table, net, args.max_iters, args.eps, record="none")
-        return trace.iters, 1 if trace.converged else 0
-
     rows = []
     for gamma in sorted(gammas):
         seeds = range(args.seed, args.seed + args.runs)
         first = netsim.build_network(instance, gamma, seed=seeds[0])
+        # the CSV needs only iters and converged: record="none" skips the logging re-solve
         if (first.beta == 1.0).all():
             # every link draw is up whatever the seed: each replicate is this one run
-            iters, conv = replicate(first)
-            rows += [(gamma, seed, iters, conv) for seed in seeds]
-        else:
-            for seed in seeds:
-                net = first if seed == seeds[0] else netsim.build_network(instance, gamma, seed=seed)
-                rows.append((gamma, seed, *replicate(net)))
+            traces = [engine.run_alg2(instance, table, first, args.max_iters, args.eps,
+                                      record="none")] * len(seeds)
+        else:  # the replicates as the columns of one kernel pass per _BATCH of them
+            nets = [first] + [netsim.build_network(instance, gamma, seed=s) for s in seeds[1:]]
+            traces = [tr for i in range(0, len(nets), _BATCH) for tr in engine.run_batch(
+                instance, table, nets[i:i + _BATCH], args.max_iters, args.eps)]
+        rows += [(gamma, seed, tr.iters, 1 if tr.converged else 0)
+                 for seed, tr in zip(seeds, traces)]
     rows.sort(key=lambda t: (t[0], t[1]))
     out = Path(args.out)
     with open(out, "w") as fh:

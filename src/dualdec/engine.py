@@ -39,6 +39,16 @@ call (the dense stack repeated twice, so every row keeps the bits of its
 own solve), and that is the next iteration's local solve.  Either
 way every logged iteration after the first makes one local-solve pass,
 not two.
+
+``run_batch`` runs ``run_alg2(..., record="none")`` over many networks
+as the replicate columns of one pass of the same kernel: every vector
+gains a trailing axis of columns (``csr_matvecs`` over the (n, S) block,
+a broadcast clip, the dense stack repeated S times, and every column's
+links drawn in one ``activation_matrix`` call), theta stays one scalar,
+and a column leaves the batch once it converges or turns non-finite.
+Each column's ``iters``, ``stop``, ``theta`` and ``updates`` are the lone
+run's bit for bit.  The lone drivers are the one-column case and keep
+1-D arrays.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from .subsolver import solve_local
 
 __all__ = [
     "DualEval", "RunTrace", "theta_next", "eval_dual",
-    "run_alg1", "run_alg2", "run_unaccelerated",
+    "run_alg1", "run_alg2", "run_unaccelerated", "run_batch",
     "check_lyapunov_step", "check_quadratic_model",
 ]
 
@@ -92,29 +102,48 @@ def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _matvecs(A: sp.csr_array, X: np.ndarray) -> np.ndarray:
+    """``A @ X`` for a float (n, S) block, as a C-ordered (m, S) block:
+    scipy's ``csr_matvecs``, which gives every column the bits of
+    ``_matvec`` on that column."""
+    m, n = A.shape
+    Y = np.zeros((m, X.shape[1]))
+    _sparsetools.csr_matvecs(m, n, X.shape[1], A.indptr, A.indices, A.data, X.ravel(),
+                             Y.ravel())
+    return Y
+
+
 def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     """Every agent's local minimizer at the stacked pressure ``a``, of shape
-    (n,), or at p pressures given as the rows of a (p, n) array; the result
-    has the shape of ``a``.  Diagonal costs take one vectorized clip per
-    pressure; the dense agents take one ``solve_local`` call over all p
-    pressures, as the instance's dense stack repeated p times, which gives
-    every row the bits of its own solve."""
+    (n,), or at p pressures given as the columns of an (n, p) array; the
+    result has the shape of ``a``.  Diagonal costs take one clip, broadcast
+    over the columns; the dense agents take one ``solve_local`` call over
+    all p pressures, as the instance's dense stack repeated p times, which
+    gives every column the bits of its own solve."""
     st = instance.dense_stack
     cols, diag = instance.diag_columns
+    c, lo, hi = instance.c_vec, instance.lo_vec, instance.hi_vec
     if st is None and a.ndim == 1:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
-        return np.minimum(np.maximum(-(instance.c_vec + a) / diag, instance.lo_vec),
-                          instance.hi_vec)
-    n = instance.n_total
-    u = np.empty(a.shape)
+        return np.minimum(np.maximum(-(c + a) / diag, lo), hi)
+    if st is None:
+        return np.minimum(np.maximum(-(c[:, None] + a) / diag[:, None], lo[:, None]),
+                          hi[:, None])
+    if a.ndim == 1:
+        u = np.empty(a.shape)
+        u[st.cols] = solve_local(st, a[st.cols])
+    else:
+        # a repeated stack's columns index the p pressures laid end to end,
+        # which are the rows of a.T (a view when a is Fortran-ordered)
+        rows = np.empty(a.shape[::-1])
+        rep = st.repeat(*rows.shape)
+        rows.reshape(-1)[rep.cols] = solve_local(rep, a.T.reshape(-1)[rep.cols])
+        u = rows.T
     if len(cols):
-        c, lo, hi = instance.c_vec[cols], instance.lo_vec[cols], instance.hi_vec[cols]
-        for x, out in zip(a.reshape(-1, n), u.reshape(-1, n)):
-            out[cols] = np.minimum(np.maximum(-(c + x[cols]) / diag, lo), hi)
-    if st is not None:
-        # a repeated stack's columns index the p pressures laid end to end
-        rep = st.repeat(a.size // n, n)
-        u.reshape(-1)[rep.cols] = solve_local(rep, a.reshape(-1)[rep.cols])
+        c, lo, hi = c[cols], lo[cols], hi[cols]
+        if a.ndim == 2:
+            c, lo, hi, diag = c[:, None], lo[:, None], hi[:, None], diag[:, None]
+        u[cols] = np.minimum(np.maximum(-(c + a[cols]) / diag, lo), hi)
     return u
 
 
@@ -143,7 +172,7 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray,
     else:
         a_ahead = _matvec(A_T, _multiplier(instance, ahead, "ahead"))
         if instance.dense_stack is not None:
-            u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)))
+            u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)).T).T
         else:  # no stack to share: two clips cost less than stacking the pressures
             u, u_ahead = _local_argmin(instance, a), _local_argmin(instance, a_ahead)
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
@@ -289,15 +318,21 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
     )
 
 
-def _link_block(plan: _Plan, network: NetworkModel | None, ks: range, n_agents: int):
+def _link_block(plan: _Plan, networks, ks: range, n_agents: int, batch: bool):
     """Link states of iterations ``ks`` (one row each), as the up flag of
-    every contribution row and whether each agent's in-links are all up."""
-    up = np.ones((len(ks), plan.n_links + 1), dtype=bool)
-    if network is not None:
-        up[:, :-1] = activation_matrix(network, ks)
-    rows, edges = np.nonzero(~up[:, plan.in_link])
-    fired = np.ones((len(ks), n_agents), dtype=bool)
-    fired[rows, plan.in_agent[edges]] = False
+    every contribution row and whether each agent's in-links are all up.
+    For a batch, ``networks`` lists one network per replicate column, all
+    drawn in one pass, and both arrays gain a trailing axis of columns."""
+    tail = (len(networks),) if batch else ()
+    up = np.ones((len(ks), plan.n_links + 1) + tail, dtype=bool)
+    if batch:
+        up[:, :-1] = activation_matrix(networks, ks).reshape(up.shape[0], *tail, -1) \
+            .transpose(0, 2, 1)
+    elif networks is not None:
+        up[:, :-1] = activation_matrix(networks, ks)
+    rows, edges, *col = np.nonzero(~up[:, plan.in_link])
+    fired = np.ones((len(ks), n_agents) + tail, dtype=bool)
+    fired[(rows, plan.in_agent[edges], *col)] = False
     return up[:, plan.c_link], fired
 
 
@@ -332,67 +367,98 @@ def _checked_inputs(instance, max_iters, eps, lambda_star, record):
 
 
 def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, algo,
-         record="full"):
+         record="full", batch=False):
     """The one iteration loop: every driver is this kernel with a network
-    (or none, i.e. every link always up) and momentum on or off."""
+    (or none, i.e. every link always up) and momentum on or off.
+
+    With ``batch``, ``network`` is a list of S networks over one link set,
+    and every vector of the state gains a trailing axis of S replicate
+    columns.  Each column draws its own link states and leaves the batch
+    once it converges or its iteration turns non-finite, with its own
+    ``iters`` and stop reason; the kernel then returns one unrecorded trace
+    per column.  theta depends only on k, so it stays one scalar.
+    """
     eps, lambda_star = _checked_inputs(instance, max_iters, eps, lambda_star, record)
+    nets = network if batch else [network]
     log = record == "full"
-    plan = _plan(instance, stepsizes, network)
+    plan = _plan(instance, stepsizes, nets[0])
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
-    alpha_arr = np.array([1.0 if network is None else network.alpha[i] for i in instance.ids])
+    alphas = [np.array([1.0 if net is None else net.alpha[i] for i in instance.ids])
+              for net in nets]
     q_star = None
     if lambda_star is not None:
         q_star = eval_dual(instance, lambda_star).q
-        v_weight = 1.0 / (2.0 * np.repeat(alpha_arr * eta_arr, [a.m for a in instance.agents]))
-    g = instance.g_vec
+        v_weight = 1.0 / (2.0 * np.repeat(alphas[0] * eta_arr, [a.m for a in instance.agents]))
+    g, eta_rows, matvec, tail = instance.g_vec, plan.eta_rows, _matvec, ()
+    if batch:  # per-row constants broadcast over the columns
+        g, eta_rows, matvec, tail = g[:, None], eta_rows[:, None], _matvecs, (len(nets),)
     A_T = instance.coupling_csr_T
     n_blocks = len(plan.starts)
     T = _stop_threshold(eps)
 
-    lam = np.zeros(instance.m_total)
-    hat = lam                              # interpolated multipliers
-    recv = np.zeros(plan.C.shape[0])       # cached contributions, zero until received
+    lam = np.zeros((instance.m_total,) + tail)
+    hat = lam                                   # interpolated multipliers
+    recv = np.zeros((plan.C.shape[0],) + tail)  # cached contributions, zero until received
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
-    theta, stop, iters, ev = 1.0, "budget", 0, None
+    theta, ev = 1.0, None
     zero = np.zeros(instance.m_total)
+    live = np.arange(len(nets))                 # the batch's running columns
+    stops, ends = ["budget"] * len(nets), [max_iters] * len(nets)  # per column
+    links = network
 
     for k in range(1, max_iters + 1):
         b = (k - 1) % LINK_BLOCK
         if b == 0:
             ks = range(k, min(k + LINK_BLOCK, max_iters + 1))
-            c_up, fired_blk = _link_block(plan, network, ks, n_agents)
+            c_up, fired_blk = _link_block(plan, links, ks, n_agents, batch)
             row_fired = fired_blk[:, plan.row_agent]
-            log_upd.append(fired_blk)  # update flags, cut to iters at the end
+            log_upd.append((fired_blk, live if batch else None))  # cut to iters at the end
         # local solves at the interpolated multipliers: the last log solved
         # them ahead, or it had no ahead because the momentum coefficient was
         # zero, so hat equals lam(k-1) (hat is finite here), where it solved
         if ev is None:
-            u = _local_argmin(instance, _matvec(A_T, hat))
+            u = _local_argmin(instance, matvec(A_T, hat))
         else:
             u = ev.u if ev.u_ahead is None else ev.u_ahead
         # primal exchange: a contribution is refreshed only over a link that is up
-        recv = np.where(c_up[b], _matvec(plan.C, u), recv)
-        s = _matvec(plan.S, recv) - g
+        recv = np.where(c_up[b], matvec(plan.C, u), recv)
+        s = matvec(plan.S, recv) - g
         # gradient step, held unless every in-neighbor link is up
-        lam_new = np.where(row_fired[b], hat + plan.eta_rows * s, hat)
+        lam_new = np.where(row_fired[b], hat + eta_rows * s, hat)
         # stop once each agent's residual from its cached blocks is below eps
         # (NaN never is): sqrt(x) < eps exactly when x < T, and a block's sum
         # of squares is never below its largest term, so that term decides first
         ss = s * s
-        ok = n_blocks == 0 or (
-            np.maximum.reduce(ss) < T
-            and np.count_nonzero(np.add.reduceat(ss, plan.starts) < T) == n_blocks)
+        if batch:  # per column; each column's block sums are its 1-D sums bit for bit
+            ok = (np.add.reduceat(ss, plan.starts) < T).all(axis=0) if n_blocks else True
+        else:
+            ok = n_blocks == 0 or (
+                np.maximum.reduce(ss) < T
+                and np.count_nonzero(np.add.reduceat(ss, plan.starts) < T) == n_blocks)
         # momentum interpolation (every tracker copy of lam_j equals lam_j)
         theta_new = theta_next(theta) if accelerate else 1.0
         coef = (theta - 1.0) / theta_new
         hat = lam_new + coef * (lam_new - lam)
+        log_theta.append(theta)  # cut to iters at the end
+        if batch:
+            # a column whose hat is not finite ends at k - 1, one that passed the test at k
+            bad = ~np.isfinite(hat).all(axis=0)
+            out = bad | ok
+            if out.any():
+                for j, nonfinite in zip(live[out], bad[out]):
+                    stops[j], ends[j] = ("nonfinite", k - 1) if nonfinite else ("converged", k)
+                if out.all():
+                    break
+                keep = ~out
+                live, links = live[keep], [nets[j] for j in live[keep]]
+                lam_new, hat, recv = lam_new[:, keep], hat[:, keep], recv[:, keep]
+                c_up, row_fired = c_up[..., keep], row_fired[..., keep]
         # one scalar probe, no array: 0 * inf and 0 * nan are nan, so this is 0
         # exactly when hat (and with it lam_new) is finite
-        if not hat.dot(zero) == 0.0:
-            stop = "nonfinite"
+        elif not hat.dot(zero) == 0.0:
+            stops[0], ends[0] = "nonfinite", k - 1
             break
-        log_theta.append(theta)
         if log:  # at the shared multiplier, and at the next interpolant if one follows
             ahead = hat if coef != 0.0 and not ok and k < max_iters else None
             ev = eval_dual(instance, lam_new, ahead)
@@ -404,26 +470,32 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
             log_gap.append(q_star - ev.q)
             omega = theta * lam_new - (theta - 1.0) * lam - lambda_star
             log_V.append(float(np.dot(omega * omega, v_weight)))
-        lam, theta, iters = lam_new, theta_new, k
-        if ok:
-            stop = "converged"
+        lam, theta = lam_new, theta_new
+        if not batch and ok:
+            stops[0], ends[0] = "converged", k
             break
 
+    def trace(j):
+        stop, iters = stops[j], ends[j]
+        upd = [f if at is None else f[..., at.searchsorted(j)]
+               for f, at in log_upd if at is None or j in at]
+        return RunTrace(
+            algo=algo, instance=instance, eta=eta_arr, alpha=alphas[j],
+            eps=eps, stop=stop, iters=iters,
+            theta=np.array(log_theta[:iters]),
+            q=np.array(log_q) if log else None,
+            residual=np.array(log_res) if log else None,
+            updates=(np.concatenate(upd)[:iters]
+                     if iters else np.zeros((0, n_agents), dtype=bool)),
+            lam=((np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
+                 if log else None),
+            gap=np.array(log_gap) if lambda_star is not None else None,
+            V=np.array(log_V) if lambda_star is not None else None,
+            q_star=q_star, lambda_star=lambda_star, u_final=None if ev is None else ev.u,
+        )
+
     m = instance.m_total
-    return RunTrace(
-        algo=algo, instance=instance, eta=eta_arr, alpha=alpha_arr,
-        eps=eps, stop=stop, iters=iters,
-        theta=np.array(log_theta),
-        q=np.array(log_q) if log else None,
-        residual=np.array(log_res) if log else None,
-        updates=(np.concatenate(log_upd)[:iters]
-                 if iters else np.zeros((0, n_agents), dtype=bool)),
-        lam=((np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
-             if log else None),
-        gap=np.array(log_gap) if lambda_star is not None else None,
-        V=np.array(log_V) if lambda_star is not None else None,
-        q_star=q_star, lambda_star=lambda_star, u_final=None if ev is None else ev.u,
-    )
+    return [trace(j) for j in range(len(nets))] if batch else trace(0)
 
 
 def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int,
@@ -451,6 +523,25 @@ def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: Netwo
     same as a ``"full"`` run's; it rejects ``lambda_star``.
     """
     return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, "alg2", record)
+
+
+def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
+              networks: list[NetworkModel], max_iters: int,
+              eps: float = DEFAULT_EPS) -> list[RunTrace]:
+    """``run_alg2(..., record="none")`` once per network, as the replicate
+    columns of one kernel pass.
+
+    The networks must share one link set (say, one instance at several
+    seeds).  Each returned trace's ``iters``, ``stop``, ``theta`` and
+    ``updates`` are those of the lone run bit for bit.
+    """
+    networks = list(networks)
+    if not networks:
+        raise ValidationError("run_batch needs at least one network")
+    if any(net.edges != networks[0].edges for net in networks):
+        raise ValidationError("the networks of a batch must share one link set")
+    return _run(instance, stepsizes, networks, max_iters, eps, True, None, "alg2", "none",
+                batch=True)
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,

@@ -13,6 +13,7 @@ are reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +98,17 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
                         edge_index=index, _base=base)
 
 
-def activation_matrix(model: NetworkModel, ks) -> np.ndarray:
-    """Boolean matrix of link states, rows = iterations in ``ks``, cols = edges."""
+def activation_matrix(model: NetworkModel | Sequence[NetworkModel], ks) -> np.ndarray:
+    """Boolean matrix of link states, rows = iterations in ``ks``, cols = edges.
+
+    Given a sequence of models, the columns are every model's edges, model
+    after model, drawn in the same one pass.
+    """
+    if isinstance(model, NetworkModel):
+        base, beta = model._base, model.beta
+    else:
+        base = np.concatenate([m._base for m in model])
+        beta = np.concatenate([m.beta for m in model])
     kmix = _mix_np(np.asarray(list(ks), dtype=np.uint64))
-    h = _mix_np(model._base[None, :] ^ kmix[:, None])
-    return (h >> np.uint64(11)) * 2.0 ** -53 < model.beta[None, :]
+    h = _mix_np(base[None, :] ^ kmix[:, None])
+    return (h >> np.uint64(11)) * 2.0 ** -53 < beta[None, :]

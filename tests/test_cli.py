@@ -10,7 +10,7 @@ import pytest
 
 from conftest import CASES
 from dualdec import (build_network, build_stepsizes, engine, random_instance, run_alg2,
-                     save_instance)
+                     run_batch, save_instance)
 from dualdec.cli import main
 
 
@@ -258,19 +258,25 @@ def test_montecarlo_rows_equal_logged_runs(tmp_path, capsys):
 
 
 def test_montecarlo_runs_always_up_replicates_once(tmp_path, capsys, monkeypatch):
-    # at gamma 0 every link draw is up whatever the seed: one run serves all four rows
+    # at gamma 0 every link draw is up whatever the seed: one run serves all four
+    # rows; the lossy replicates run as the columns of one batch
     seen = []
 
     def counting(instance, table, net, *args, **kwargs):
-        seen.append((float(net.beta.min()), net.seed))
+        seen.append(("run_alg2", float(net.beta.min()), net.seed))
         return run_alg2(instance, table, net, *args, **kwargs)
 
+    def counting_batch(instance, table, nets, *args, **kwargs):
+        seen.append(("run_batch", [float(n.beta.min()) for n in nets], [n.seed for n in nets]))
+        return run_batch(instance, table, nets, *args, **kwargs)
+
     monkeypatch.setattr(engine, "run_alg2", counting)
+    monkeypatch.setattr(engine, "run_batch", counting_batch)
     out = tmp_path / "mc.csv"
     assert main(["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0,0.3",
                  "--runs", "4", "--seed", "5", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert seen == [(1.0, 5)] + [(0.7, s) for s in (5, 6, 7, 8)]
+    assert seen == [("run_alg2", 1.0, 5), ("run_batch", [0.7] * 4, [5, 6, 7, 8])]
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     assert [(g, s) for g, s, _, _ in rows] == [(g, str(s)) for g in ("0.0", "0.3")
                                                 for s in (5, 6, 7, 8)]

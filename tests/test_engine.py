@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import CASES, mesh_grid, mixed_twin, solve_pgd_reference
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
                      check_lyapunov_step, check_quadratic_model, engine, eval_dual, load_case,
-                     load_instance, random_instance, run_alg1, run_alg2, run_unaccelerated,
-                     solve_kkt, solve_local, theta_next)
-from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan, _stop_threshold
+                     load_instance, random_instance, run_alg1, run_alg2, run_batch,
+                     run_unaccelerated, solve_kkt, solve_local, theta_next)
+from dualdec.engine import (TRACE_HEADER, _local_argmin, _matvec, _matvecs, _plan,
+                            _stop_threshold)
 from dualdec.model import AgentSpec, ProblemInstance
 from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
@@ -21,6 +22,7 @@ from dualdec.stepsize import StepsizeTable
 CHAIN = load_instance(CASES / "chain3.json")
 CHAIN_TAB = build_stepsizes(CHAIN)
 CHAIN_STAR = solve_kkt(CHAIN)
+RAND5 = random_instance(5, seed=0)
 
 
 def corrupt(table: StepsizeTable, factor: float) -> StepsizeTable:
@@ -340,9 +342,9 @@ BOXED10 = ProblemInstance(agents=tuple(
 
 def per_agent_argmin(instance, a):
     """Every agent's local minimizer, one agent and one pressure at a time;
-    ``a`` is one pressure or p of them as rows, like the kernel's."""
+    ``a`` is one pressure or p of them as columns, like the kernel's."""
     if a.ndim == 2:
-        return np.array([per_agent_argmin(instance, x) for x in a])
+        return np.array([per_agent_argmin(instance, x) for x in a.T]).T
     u = np.empty(instance.n_total)
     for ag in instance.agents:
         sl = instance.u_slice(ag.id)
@@ -437,6 +439,12 @@ def test_matvec_is_scipy_matvec_bit_for_bit(name):
         x[::3], x[1::5] = 0.0, -0.0
         for v in (x, np.zeros(A.shape[1]), -np.zeros(A.shape[1])):
             assert _matvec(A, v).tobytes() == (A @ v).tobytes()
+        # a batch's columns: each column of the product is that column's _matvec
+        X = rng.standard_normal((A.shape[1], 7)) * np.logspace(-8, 8, 7)
+        X[::3, 2], X[1::5, 4] = 0.0, -0.0
+        Y = _matvecs(A, X)
+        for j in range(7):
+            assert Y[:, j].tobytes() == _matvec(A, X[:, j].copy()).tobytes()
 
 
 def test_local_argmin_is_np_clip_bit_for_bit():
@@ -450,11 +458,11 @@ def test_local_argmin_is_np_clip_bit_for_bit():
         a = np.full(7, val)
         want = np.clip(-(inst.c_vec + a) / inst.diag_columns[1], lo, hi)
         assert _local_argmin(inst, a).tobytes() == want.tobytes(), val
-        # two pressures as rows: each row clipped on its own
+        # two pressures as columns: each column clipped on its own
         back = np.clip(-(inst.c_vec + -a) / inst.diag_columns[1], lo, hi)
-        got = _local_argmin(inst, np.array((a, -a)))
-        assert got.shape == (2, 7), val
-        assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == back.tobytes(), val
+        got = _local_argmin(inst, np.column_stack((a, -a)))
+        assert got.shape == (7, 2), val
+        assert got[:, 0].tobytes() == want.tobytes() and got[:, 1].tobytes() == back.tobytes(), val
 
 
 def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
@@ -490,6 +498,60 @@ def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
     calls.clear()
     run_alg2(DENSE10, tab, net, 20, 0.0, record="none")
     assert len(calls) == 10 * 20
+
+
+# dense10 with perfbench's seed-1 cost shift (its denseq-pgd instance)
+DENSEQ = ProblemInstance(agents=tuple(
+    dataclasses.replace(a, c=a.c + 0.1 * np.random.default_rng(1).uniform(-1.0, 1.0, a.dim))
+    for a in DENSE10.agents))
+BATCH_CASES = {"rand5": lambda: RAND5, "chain3": lambda: CHAIN, "denseq": lambda: DENSEQ,
+               "mixed10": lambda: MIXED10, "grid6": mesh_grid}
+# (case, gamma, step factor or None, max_iters, eps): at gamma 0.1 the budgets
+# and tolerances end some columns by convergence and some by the budget (the
+# grid's all by the budget); the oversized steps overflow columns to inf at
+# different k, and leave some to the budget
+BATCH_RUNS = ([(name, gamma, None, iters, eps)
+               for name, iters, eps in (("rand5", 500, 1e-6), ("chain3", 80, 1e-6),
+                                        ("denseq", 220, 1e-4), ("mixed10", 200, 1e-4),
+                                        ("grid6", 60, 1e-2))
+               for gamma in (0.1, 0.5, 0.7)]
+              + [("chain3", 0.7, 1e306, 400, 1e-6), ("rand5", 0.5, 1e306, 400, 1e-6),
+                 ("mixed10", 0.7, 1e305, 400, 1e-6),
+                 ("rand5", 0.3, None, 0, 1e-6), ("denseq", 0.3, None, 1, 1e-6)])
+
+
+@pytest.mark.parametrize("name, gamma, factor, max_iters, eps", BATCH_RUNS,
+                         ids=lambda v: repr(v) if isinstance(v, float) else str(v))
+def test_batch_columns_are_single_runs_bit_for_bit(name, gamma, factor, max_iters, eps):
+    inst = BATCH_CASES[name]()
+    tab = build_stepsizes(inst)
+    if factor is not None:
+        tab = corrupt(tab, factor)
+    nets = [build_network(inst, gamma, seed=s) for s in range(7, 27)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [run_alg2(inst, tab, net, max_iters, eps, record="none") for net in nets]
+        for S in (1, 2, 7, 20):
+            batch = run_batch(inst, tab, nets[:S], max_iters, eps)
+            assert len(batch) == S
+            for col, run in zip(batch, alone):
+                assert (col.algo, col.iters, col.stop) == (run.algo, run.iters, run.stop)
+                for f in ("theta", "updates", "alpha", "eta"):
+                    a, b = getattr(col, f), getattr(run, f)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
+                assert col.q is col.residual is col.lam is col.u_final is None
+    stops = [run.stop for run in alone]
+    if factor is not None:  # columns go non-finite at different k
+        assert len({run.iters for run in alone if run.stop == "nonfinite"}) > 1
+    elif gamma == 0.1 and name != "grid6":
+        assert {"converged", "budget"} <= set(stops), stops
+
+
+def test_batch_rejects_networks_of_other_links():
+    nets = [build_network(CHAIN, 0.3, seed=1), build_network(RAND5, 0.3, seed=1)]
+    with pytest.raises(ValidationError, match="one link set"):
+        run_batch(CHAIN, CHAIN_TAB, nets, 10)
+    with pytest.raises(ValidationError, match="at least one network"):
+        run_batch(CHAIN, CHAIN_TAB, [], 10)
 
 
 def test_ieee14_iteration_counts_pinned():
@@ -645,7 +707,6 @@ def test_omega_requires_optimum():
     np.testing.assert_array_equal(tr.lam_at(0), np.zeros(3))
 
 
-RAND5 = random_instance(5, seed=0)
 RAND5_RUN = run_alg1(RAND5, build_stepsizes(RAND5), 5, 0.0, lambda_star=solve_kkt(RAND5).lam)
 
 

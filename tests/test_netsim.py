@@ -87,6 +87,11 @@ def test_draw_is_pure_in_seed_and_k(seed, k):
     np.testing.assert_array_equal(activation_matrix(net, [k + 1, k, 1])[1], row)
     again = build_network(CHAIN, 0.35, seed=seed)
     np.testing.assert_array_equal(activation_matrix(again, [k])[0], row)
+    # nor on other networks drawn with it: a sequence lays their links end to end
+    other = build_network(CHAIN, 0.6, seed=seed + 1)
+    np.testing.assert_array_equal(activation_matrix([other, net], [k + 1, k]),
+                                  np.hstack([activation_matrix(other, [k + 1, k]),
+                                             activation_matrix(net, [k + 1, k])]))
 
 
 def test_marginal_frequencies(chain3):

@@ -44,13 +44,16 @@ def test_rate_check_rejects_an_empty_budget(tmp_path):
 
 
 def test_rate_check_rejects_no_agents(tmp_path):
-    # --agents 0 used to end in random_instance's ValueError traceback (exit 1)
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "rate_check.py"), "--agents", "0", "--runs", "1",
-         "--iters", "5", "--out", str(tmp_path / "rate.csv")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2 and "--agents must be >= 1" in proc.stderr, proc.stderr
-    assert "Traceback" not in proc.stderr and not (tmp_path / "rate.csv").exists()
+    # --agents 0 and --instance-seed -1 used to end in random_instance's
+    # ValueError traceback (exit 1)
+    for flag, value, msg in (("--agents", "0", "--agents must be >= 1"),
+                             ("--instance-seed", "-1", "--instance-seed must be >= 0")):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "rate_check.py"), flag, value, "--runs", "1",
+             "--iters", "5", "--out", str(tmp_path / "rate.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and msg in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr and not (tmp_path / "rate.csv").exists()
 
 
 def test_rate_check_gammas_short_run(tmp_path):

@@ -48,6 +48,7 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-12
+_REPEATS_KEPT = 4  # repeated stacks cached per AgentStack
 
 _AGENT_KEYS = {"id", "dim", "Q", "c", "lo", "hi", "m", "g", "blocks"}
 
@@ -380,7 +381,9 @@ class AgentStack:
         end to end: group by group, row r * k_d + i of a group belongs to
         its agent i, at that agent's columns shifted by r * n, so each
         group stays one group.  One lock-step solve of it solves the stack
-        at p pressures.  Built once per (p, n)."""
+        at p pressures.  The last ``_REPEATS_KEPT`` built are kept: a batch
+        of replicate columns asks for one repeat per number of columns
+        still running."""
         if p == 1:
             return self
         rep = self._repeats.get((p, n))
@@ -391,6 +394,8 @@ class AgentStack:
             cols = np.concatenate([(self.cols[es] + shift).ravel() for _, es, _ in self.groups])
             rep = self._repeats[p, n] = AgentStack([self.agents[i] for i in idx], cols,
                                                    self.pos[idx])
+            if len(self._repeats) > _REPEATS_KEPT:  # dicts keep insertion order
+                del self._repeats[next(iter(self._repeats))]
         return rep
 
     @cached_property

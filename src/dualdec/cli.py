@@ -149,10 +149,12 @@ def _cmd_montecarlo(args, parser) -> int:
             # every link draw is up whatever the seed: each replicate is this one run
             traces = [engine.run_alg2(instance, table, first, args.max_iters, args.eps,
                                       record="none")] * len(seeds)
-        else:  # the replicates as the columns of one kernel pass per _BATCH of them
+        else:  # the replicates as the columns of one kernel pass, _BATCH at a time
             nets = [first] + [netsim.build_network(instance, gamma, seed=s) for s in seeds[1:]]
-            traces = [tr for i in range(0, len(nets), _BATCH) for tr in engine.run_batch(
-                instance, table, nets[i:i + _BATCH], args.max_iters, args.eps)]
+            traces = []
+            for i in range(0, len(nets), _BATCH):
+                traces += engine.run_batch(instance, table, nets[i:i + _BATCH],
+                                           args.max_iters, args.eps)
         rows += [(gamma, seed, tr.iters, 1 if tr.converged else 0)
                  for seed, tr in zip(seeds, traces)]
     rows.sort(key=lambda t: (t[0], t[1]))

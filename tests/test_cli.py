@@ -11,6 +11,7 @@ import pytest
 from conftest import CASES
 from dualdec import (build_network, build_stepsizes, engine, random_instance, run_alg2,
                      run_batch, save_instance)
+from dualdec import cli
 from dualdec.cli import main
 
 
@@ -281,6 +282,25 @@ def test_montecarlo_runs_always_up_replicates_once(tmp_path, capsys, monkeypatch
     assert [(g, s) for g, s, _, _ in rows] == [(g, str(s)) for g in ("0.0", "0.3")
                                                 for s in (5, 6, 7, 8)]
     assert len({(it, c) for g, _, it, c in rows if g == "0.0"}) == 1
+
+
+def test_montecarlo_batches_split_into_passes(tmp_path, capsys, monkeypatch):
+    # more replicates than one pass takes: the rows are those of one pass
+    args = ["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0.3", "--runs", "7"]
+    one, split = tmp_path / "one.csv", tmp_path / "split.csv"
+    assert main(args + ["--out", str(one)]) == 0
+    widths = []
+
+    def counting_batch(instance, table, nets, *a, **kw):
+        widths.append(len(nets))
+        return run_batch(instance, table, nets, *a, **kw)
+
+    monkeypatch.setattr(engine, "run_batch", counting_batch)
+    monkeypatch.setattr(cli, "_BATCH", 3)
+    assert main(args + ["--out", str(split)]) == 0
+    capsys.readouterr()
+    assert widths == [3, 3, 1]
+    assert one.read_bytes() == split.read_bytes()
 
 
 def test_montecarlo_byte_deterministic(tmp_path, capsys):

@@ -21,6 +21,9 @@ run gets two digests.  ``NAME/RUN`` covers the iterates: ``iters``,
 ``u_final``.  ``NAME/RUN/oracle-side`` covers what depends on the
 oracle's answer: ``gap``, ``V`` and the trace CSV bytes.  A change to the
 oracle alone thus moves only ``oracle`` and ``oracle-side`` digests.
+``NAME/batch`` covers the replicate columns of one ``run_batch`` over
+three networks at gamma 0.3 (seeds 3, 4 and 5, eps 1e-4, the same
+budgets): every column's ``iters``, ``stop``, ``theta`` and ``updates``.
 The ``montecarlo`` CSV and summary bytes are hashed on rand5 (the
 sweep-rand5 settings, and a short budget that ends some replicates
 unconverged), chain3, and denseq (a dense stack in every batch).
@@ -53,6 +56,7 @@ GRID_ITERS = 600
 NET_SEED = 3
 BOX = 0.9  # boxed10's bound
 GAMMAS = (0.0, 0.3, 0.5)
+BATCH_SEEDS = (NET_SEED, NET_SEED + 1, NET_SEED + 2)
 RUNS = (["alg1"] + [f"{algo}-g{g}" for g in GAMMAS for algo in ("alg2", "unaccel")]
         + ["alg2-g0.1-eps1e-4"])
 
@@ -134,6 +138,16 @@ def _run(key: str, inst, tab, star, iters: int):
     return run(inst, tab, net, iters, 0.0, lambda_star=star)
 
 
+def _batch_digest(inst, tab, iters: int) -> str:
+    """Digest of the columns of a ``run_batch`` over the ``BATCH_SEEDS`` networks."""
+    from dualdec import build_network, run_batch
+
+    nets = [build_network(inst, 0.3, seed=s) for s in BATCH_SEEDS]
+    cols = run_batch(inst, tab, nets, iters, 1e-4)
+    return _sha(*(part for tr in cols for part in (np.array([tr.iters]), tr.stop.encode(),
+                                                    tr.theta, tr.updates)))
+
+
 def _sha(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -181,7 +195,8 @@ def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
         tmp = Path(td)
         for name, build in _instances(tree).items():
             runs = [r for r in RUNS if wanted(f"{name}/{r}") or wanted(f"{name}/{r}/oracle-side")]
-            if not (runs or any(wanted(f"{name}/{d}") for d in ("steps", "eval_dual", "oracle"))):
+            if not (runs or any(wanted(f"{name}/{d}")
+                                for d in ("steps", "eval_dual", "oracle", "batch"))):
                 continue
             inst = build()
             tab = build_stepsizes(inst)
@@ -196,6 +211,8 @@ def compute(tree: Path, prefixes: list[str]) -> dict[str, str]:
                 out[f"{name}/oracle"] = _sha(star.u, star.lam, np.array([star.q]),
                                              star.method.encode())
             iters = GRID_ITERS if name == "grid6" else ITERS
+            if wanted(f"{name}/batch"):
+                out[f"{name}/batch"] = _batch_digest(inst, tab, iters)
             for r in runs:
                 iterates, oracle_side = _run_digests(_run(r, inst, tab, star.lam, iters), tmp)
                 for key, digest in ((f"{name}/{r}", iterates),

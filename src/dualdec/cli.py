@@ -144,11 +144,10 @@ def _cmd_montecarlo(args, parser) -> int:
     for gamma in sorted(gammas):
         seeds = range(args.seed, args.seed + args.runs)
         first = netsim.build_network(instance, gamma, seed=seeds[0])
-        # the CSV needs only iters and converged: record="none" skips the logging re-solve
         if (first.beta == 1.0).all():
             # every link draw is up whatever the seed: each replicate is this one run
-            traces = [engine.run_alg2(instance, table, first, args.max_iters, args.eps,
-                                      record="none")] * len(seeds)
+            traces = [engine.run_alg2(instance, table, first, args.max_iters,
+                                      args.eps)] * len(seeds)
         else:  # the replicates as the columns of one kernel pass, _BATCH at a time
             nets = [first] + [netsim.build_network(instance, gamma, seed=s) for s in seeds[1:]]
             traces = []

@@ -26,34 +26,30 @@ The stop test compares squared residual norms with a threshold T fixed
 per run (``_stop_threshold``), which gives the same booleans as comparing
 their square roots with eps.
 
-All drivers log, per iteration, the dual value and gradient norm at the
-shared multiplier lam(k) (agents' own blocks re-solved jointly), plus the
-optional distance diagnostics when the optimal multiplier is supplied.
-``run_alg2(record="none")`` skips that re-solve and keeps only the
-stop state, theta and the update flags.  Without momentum the interpolant
-is lam(k) itself, so the logging solve at lam(k) is reused as the next
-iteration's local solve.  With momentum, when the run goes on, the
-logging solve looks ahead: ``eval_dual(instance, lam(k), ahead=hat(k))``
-also solves the local QPs at the next interpolant, in the same stacked
-call (the dense stack repeated twice, so every row keeps the bits of its
-own solve), and that is the next iteration's local solve.  Either
-way every logged iteration after the first makes one local-solve pass,
-not two.
+The kernel's state is a block of replicate columns: ``run_batch`` runs
+one column per network, and the lone drivers are the one-column case.
+Every vector is a (rows, S) block, theta stays one scalar, and a column
+leaves the block once it converges or turns non-finite; its ``iters``,
+``stop``, ``theta`` and ``updates`` are its lone run's bit for bit.
 
-``run_batch`` runs ``run_alg2(..., record="none")`` over many networks
-as the replicate columns of one pass of the same kernel: every vector
-gains a trailing axis of columns (``csr_matvecs`` over the (n, S) block,
-a broadcast clip, the dense stack repeated S times, and every column's
-links drawn in one ``activation_matrix`` call), theta stays one scalar,
-and a column leaves the batch once it converges or turns non-finite.
-Each column's ``iters``, ``stop``, ``theta`` and ``updates`` are the lone
-run's bit for bit.  The lone drivers are the one-column case and keep
-1-D arrays.
+A one-column run logs, per iteration, the dual value and gradient norm
+at the shared multiplier lam(k) (agents' own blocks re-solved jointly),
+plus the optional distance diagnostics when the optimal multiplier is
+supplied; the columns of a wider block are not logged.  Without momentum
+the interpolant is lam(k) itself, so the logging solve at lam(k) is
+reused as the next iteration's local solve.  With momentum, when the run
+goes on, the logging solve looks ahead: ``eval_dual(instance, lam(k),
+ahead=hat(k))`` also solves the local QPs at the next interpolant, in the
+same stacked call (the dense stack repeated twice, so every row keeps the
+bits of its own solve), and that is the next iteration's local solve.
+Either way every logged iteration after the first makes one local-solve
+pass, not two.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,8 +57,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .model import ProblemInstance, ValidationError, blocks_to_csr, primal_cost
-from .netsim import NetworkModel, activation_matrix
+from .model import ProblemInstance, ValidationError, _int, blocks_to_csr, primal_cost
+from .netsim import NetworkModel, activation_matrix, links
 from .stepsize import StepsizeTable
 from .subsolver import solve_local
 
@@ -76,7 +72,6 @@ DEFAULT_EPS = 1e-6
 MODEL_SLACK = 1e-9  # absolute slack of check_quadratic_model
 TRACE_HEADER = "k,q,residual,gap,V,updates"
 LINK_BLOCK = 64  # iterations of link states (and the masks from them) made at once
-RECORDS = ("full", "none")
 
 
 def theta_next(theta: float) -> float:
@@ -94,23 +89,18 @@ class DualEval(NamedTuple):
 
 
 def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a float CSR matrix and a float vector, without scipy's
-    dispatch: the same C routine into the same zeroed buffer, so the same bits."""
+    """``A @ x`` for a float CSR matrix and a float vector or (n, S) block,
+    without scipy's dispatch: the same C routines into the same zeroed
+    buffer, so the same bits.  A block takes ``csr_matvecs``, which gives
+    every column the bits of ``csr_matvec`` on that column; a vector or one
+    column takes ``csr_matvec``, which costs about half as much."""
     m, n = A.shape
-    y = np.zeros(m)
-    _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    y = np.zeros((m,) + x.shape[1:])
+    if x.size == n:  # both routines read and write C-ordered buffers, whatever their shape
+        _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    else:
+        _sparsetools.csr_matvecs(m, n, x.shape[1], A.indptr, A.indices, A.data, x, y)
     return y
-
-
-def _matvecs(A: sp.csr_array, X: np.ndarray) -> np.ndarray:
-    """``A @ X`` for a float (n, S) block, as a C-ordered (m, S) block:
-    scipy's ``csr_matvecs``, which gives every column the bits of
-    ``_matvec`` on that column."""
-    m, n = A.shape
-    Y = np.zeros((m, X.shape[1]))
-    _sparsetools.csr_matvecs(m, n, X.shape[1], A.indptr, A.indices, A.data, X.ravel(),
-                             Y.ravel())
-    return Y
 
 
 def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
@@ -192,9 +182,9 @@ class RunTrace:
     iteration is not recorded).  ``gap`` and
     ``V`` are populated only when the run was given the optimal
     multiplier; ``updates[k-1, p]`` says whether agent p (ascending id)
-    took its gradient step at iteration k.  An unrecorded run
-    (``record="none"``) leaves ``q``, ``residual``, ``lam`` and
-    ``u_final`` as None.
+    took its gradient step at iteration k.  A column of a ``run_batch``
+    over several networks is not logged: it leaves ``q``, ``residual``,
+    ``lam`` and ``u_final`` as None.
     """
 
     algo: str
@@ -247,7 +237,7 @@ class RunTrace:
     def to_csv(self, path) -> None:
         """Write ``k,q,residual,gap,V,updates`` rows; floats via repr."""
         if self.q is None:
-            raise ValueError("the run did not record q and residual (record='none')")
+            raise ValueError("the run did not log q and residual (a column of a wider run_batch)")
         lines = [TRACE_HEADER]
         for k in range(1, self.iters + 1):
             gap = repr(float(self.gap[k - 1])) if self.gap is not None else ""
@@ -272,8 +262,9 @@ class _Plan(NamedTuple):
     S: sp.csr_array           # m_total x contributions: sums each owner's blocks, own first
     c_link: np.ndarray        # contribution row -> link slot
     row_agent: np.ndarray     # lam row -> owner position
-    in_agent: np.ndarray      # in-edge -> owner position
-    in_link: np.ndarray       # in-edge -> link slot
+    in_link: np.ndarray       # in-edge -> link slot, owner after owner
+    in_owner: np.ndarray      # position of every agent with in-edges
+    in_start: np.ndarray      # its first in-edge
     starts: np.ndarray        # first lam row of every agent with m_i > 0
     eta_rows: np.ndarray
     n_links: int
@@ -290,7 +281,7 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
 
     graph = instance.graph
     C_blocks, S_blocks = [], []
-    c_link, in_agent, in_link = [], [], []
+    c_link, in_link, in_owner, in_start = [], [], [], []
     r = 0
     for p, a in enumerate(instance.agents):
         i = a.id
@@ -301,9 +292,11 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
                 S_blocks.append((instance.lam_slice(i).start, r, eye))
                 c_link += [link(i, j)] * a.m
                 r += a.m
-        for j in graph.in_neighbors[i]:
-            in_agent.append(p)
-            in_link.append(link(i, j))
+        if graph.in_neighbors[i]:
+            in_owner.append(p)
+            in_start.append(len(in_link))
+            in_link += [link(i, j) for j in graph.in_neighbors[i]]
+
     def idx(v):
         return np.array(v, dtype=np.intp)
 
@@ -312,28 +305,27 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
         S=blocks_to_csr((instance.m_total, r), S_blocks),
         c_link=idx(c_link),
         row_agent=np.repeat(np.arange(len(instance.agents)), [a.m for a in instance.agents]),
-        in_agent=idx(in_agent), in_link=idx(in_link),
+        in_link=idx(in_link), in_owner=idx(in_owner), in_start=idx(in_start),
         starts=idx([instance.lam_slice(a.id).start for a in instance.agents if a.m]),
         eta_rows=stepsizes.eta_rows(instance), n_links=n_links,
     )
 
 
-def _link_block(plan: _Plan, networks, ks: range, n_agents: int, batch: bool):
-    """Link states of iterations ``ks`` (one row each), as the up flag of
-    every contribution row and whether each agent's in-links are all up.
-    For a batch, ``networks`` lists one network per replicate column, all
-    drawn in one pass, and both arrays gain a trailing axis of columns."""
-    tail = (len(networks),) if batch else ()
-    up = np.ones((len(ks), plan.n_links + 1) + tail, dtype=bool)
-    if batch:
-        up[:, :-1] = activation_matrix(networks, ks).reshape(up.shape[0], *tail, -1) \
-            .transpose(0, 2, 1)
-    elif networks is not None:
-        up[:, :-1] = activation_matrix(networks, ks)
-    rows, edges, *col = np.nonzero(~up[:, plan.in_link])
-    fired = np.ones((len(ks), n_agents) + tail, dtype=bool)
-    fired[(rows, plan.in_agent[edges], *col)] = False
-    return up[:, plan.c_link], fired
+def _link_block(plan: _Plan, networks, ks: range, n_agents: int):
+    """Link states of iterations ``ks`` for every replicate column (one per
+    network, drawn in one pass; ``[None]`` is one column with every link
+    up), as the up flag of every contribution row and whether each agent's
+    in-links are all up: (rows, len(ks), columns) and (agents, len(ks),
+    columns).  Row-major gathers (``take`` along the first axis) copy whole
+    runs of iterations, several times faster than gathering the middle axis."""
+    up = np.ones((plan.n_links + 1, len(ks), len(networks)), dtype=bool)
+    if plan.n_links:
+        up[:-1] = activation_matrix(networks, ks).reshape(len(ks), len(networks), -1) \
+            .transpose(2, 0, 1)
+    fired = np.ones((n_agents, len(ks), len(networks)), dtype=bool)
+    fired[plan.in_owner] = np.logical_and.reduceat(up.take(plan.in_link, axis=0),
+                                                   plan.in_start, axis=0)
+    return up.take(plan.c_link, axis=0), fired
 
 
 def _stop_threshold(eps: float) -> float:
@@ -347,15 +339,26 @@ def _stop_threshold(eps: float) -> float:
     return t
 
 
-def _checked_inputs(instance, max_iters, eps, lambda_star, record):
-    """Validate a run's budget, tolerance, record level and optional
-    optimal multiplier at the API boundary."""
-    if record not in RECORDS:
-        raise ValidationError(f"record must be one of {RECORDS}, got {record!r}")
-    if record == "none" and lambda_star is not None:
-        raise ValidationError("record='none' logs no gap or V; do not pass lambda_star")
+def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star, algo):
+    """Validate a run's step table, networks, budget, tolerance and optional
+    optimal multiplier at the API boundary.  alg1 runs on ``[None]``, its
+    always-up links; every other run needs networks built over the
+    instance's links."""
+    ids = set(instance.ids)
+    if stepsizes.eta.keys() != ids:
+        raise ValidationError("the step table's agent ids are not the instance's")
+    if algo != "alg1":
+        edges = links(instance)
+        for net in networks:
+            if not (isinstance(net, NetworkModel) and net.edges == edges
+                    and net.alpha.keys() == ids):
+                raise ValidationError(f"{type(net).__name__} is not a NetworkModel built "
+                                      "over the instance's links")
+    max_iters = _int(max_iters, "max_iters")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        raise ValidationError(f"eps {eps!r} is not a number")
     eps = float(eps)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
@@ -363,122 +366,114 @@ def _checked_inputs(instance, max_iters, eps, lambda_star, record):
         lambda_star = _multiplier(instance, lambda_star, "lambda_star").copy()
         if not np.all(np.isfinite(lambda_star)):
             raise ValidationError("lambda_star has non-finite entries")
-    return eps, lambda_star
+    return max_iters, eps, lambda_star
 
 
-def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, algo,
-         record="full", batch=False):
-    """The one iteration loop: every driver is this kernel with a network
-    (or none, i.e. every link always up) and momentum on or off.
-
-    With ``batch``, ``network`` is a list of S networks over one link set,
-    and every vector of the state gains a trailing axis of S replicate
-    columns.  Each column draws its own link states and leaves the batch
-    once it converges or its iteration turns non-finite, with its own
-    ``iters`` and stop reason; the kernel then returns one unrecorded trace
-    per column.  theta depends only on k, so it stays one scalar.
-    """
-    eps, lambda_star = _checked_inputs(instance, max_iters, eps, lambda_star, record)
-    nets = network if batch else [network]
-    log = record == "full"
-    plan = _plan(instance, stepsizes, nets[0])
+def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star, algo):
+    """The one iteration loop over a block of replicate columns, one per
+    network (``[None]``: one column with every link up), with momentum on
+    or off; one trace per column.  Only a one-column run is logged: its
+    multiplier is the vector ``eval_dual`` takes."""
+    max_iters, eps, lambda_star = _checked_inputs(instance, stepsizes, networks, max_iters,
+                                                  eps, lambda_star, algo)
+    log = len(networks) == 1
+    plan = _plan(instance, stepsizes, networks[0])
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
     alphas = [np.array([1.0 if net is None else net.alpha[i] for i in instance.ids])
-              for net in nets]
+              for net in networks]
     q_star = None
     if lambda_star is not None:
         q_star = eval_dual(instance, lambda_star).q
         v_weight = 1.0 / (2.0 * np.repeat(alphas[0] * eta_arr, [a.m for a in instance.agents]))
-    g, eta_rows, matvec, tail = instance.g_vec, plan.eta_rows, _matvec, ()
-    if batch:  # per-row constants broadcast over the columns
-        g, eta_rows, matvec, tail = g[:, None], eta_rows[:, None], _matvecs, (len(nets),)
+    g, eta_rows = instance.g_vec[:, None], plan.eta_rows[:, None]  # broadcast over columns
     A_T = instance.coupling_csr_T
     n_blocks = len(plan.starts)
     T = _stop_threshold(eps)
 
-    lam = np.zeros((instance.m_total,) + tail)
-    hat = lam                                   # interpolated multipliers
-    recv = np.zeros((plan.C.shape[0],) + tail)  # cached contributions, zero until received
+    lam = np.zeros((instance.m_total, len(networks)))
+    hat = lam                                          # interpolated multipliers
+    recv = np.zeros((plan.C.shape[0], len(networks)))  # cached contributions, zero until received
     log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
     theta, ev = 1.0, None
-    zero = np.zeros(instance.m_total)
-    live = np.arange(len(nets))                 # the batch's running columns
-    stops, ends = ["budget"] * len(nets), [max_iters] * len(nets)  # per column
-    links = network
+    zero = np.zeros(lam.size)
+    live, nets = np.arange(len(networks)), networks    # the running columns
+    stops, ends = ["budget"] * len(networks), [max_iters] * len(networks)
 
     for k in range(1, max_iters + 1):
         b = (k - 1) % LINK_BLOCK
         if b == 0:
             ks = range(k, min(k + LINK_BLOCK, max_iters + 1))
-            c_up, fired_blk = _link_block(plan, links, ks, n_agents, batch)
-            row_fired = fired_blk[:, plan.row_agent]
-            log_upd.append((fired_blk, live if batch else None))  # cut to iters at the end
+            c_up, fired_blk = _link_block(plan, nets, ks, n_agents)
+            row_fired = fired_blk.take(plan.row_agent, axis=0)
+            log_upd.append((fired_blk, live))  # cut to iters at the end
         # local solves at the interpolated multipliers: the last log solved
         # them ahead, or it had no ahead because the momentum coefficient was
         # zero, so hat equals lam(k-1) (hat is finite here), where it solved
         if ev is None:
-            u = _local_argmin(instance, matvec(A_T, hat))
+            u = _local_argmin(instance, _matvec(A_T, hat))
         else:
-            u = ev.u if ev.u_ahead is None else ev.u_ahead
+            u = (ev.u if ev.u_ahead is None else ev.u_ahead)[:, None]
         # primal exchange: a contribution is refreshed only over a link that is up
-        recv = np.where(c_up[b], matvec(plan.C, u), recv)
-        s = matvec(plan.S, recv) - g
+        recv = np.where(c_up[:, b], _matvec(plan.C, u), recv)
+        s = _matvec(plan.S, recv)
+        s -= g
         # gradient step, held unless every in-neighbor link is up
-        lam_new = np.where(row_fired[b], hat + eta_rows * s, hat)
-        # stop once each agent's residual from its cached blocks is below eps
-        # (NaN never is): sqrt(x) < eps exactly when x < T, and a block's sum
-        # of squares is never below its largest term, so that term decides first
-        ss = s * s
-        if batch:  # per column; each column's block sums are its 1-D sums bit for bit
-            ok = (np.add.reduceat(ss, plan.starts) < T).all(axis=0) if n_blocks else True
-        else:
-            ok = n_blocks == 0 or (
-                np.maximum.reduce(ss) < T
-                and np.count_nonzero(np.add.reduceat(ss, plan.starts) < T) == n_blocks)
-        # momentum interpolation (every tracker copy of lam_j equals lam_j)
+        step = eta_rows * s
+        step += hat
+        lam_new = np.where(row_fired[:, b], step, hat)
+        # momentum interpolation (every tracker copy of lam_j equals lam_j):
+        # hat = lam_new + coef (lam_new - lam), with fewer temporaries
         theta_new = theta_next(theta) if accelerate else 1.0
         coef = (theta - 1.0) / theta_new
-        hat = lam_new + coef * (lam_new - lam)
+        hat = lam_new - lam
+        hat *= coef
+        hat += lam_new
         log_theta.append(theta)  # cut to iters at the end
-        if batch:
-            # a column whose hat is not finite ends at k - 1, one that passed the test at k
-            bad = ~np.isfinite(hat).all(axis=0)
+        # a column stops once each agent's residual from its cached blocks is
+        # below eps (NaN never is): sqrt(x) < eps exactly when x < T, and a
+        # block's sum of squares is never below its largest term, so the
+        # columns' largest terms decide first.  One scalar probe, no array,
+        # finds a non-finite hat: 0 * inf and 0 * nan are nan, so the probe
+        # is 0 exactly when every column's hat (and lam_new) is finite
+        ss = s * s
+        out = None
+        if (n_blocks == 0 or np.fmin.reduce(np.maximum.reduce(ss)) < T
+                or not hat.reshape(-1).dot(zero) == 0.0):
+            bad = ~np.isfinite(hat).all(axis=0)   # ends at k - 1, unlogged
+            ok = ~bad
+            if n_blocks:  # each column's block sums are its lone sums bit for bit
+                ok &= (np.add.reduceat(ss, plan.starts) < T).all(axis=0)
             out = bad | ok
-            if out.any():
-                for j, nonfinite in zip(live[out], bad[out]):
-                    stops[j], ends[j] = ("nonfinite", k - 1) if nonfinite else ("converged", k)
-                if out.all():
-                    break
-                keep = ~out
-                live, links = live[keep], [nets[j] for j in live[keep]]
-                lam_new, hat, recv = lam_new[:, keep], hat[:, keep], recv[:, keep]
-                c_up, row_fired = c_up[..., keep], row_fired[..., keep]
-        # one scalar probe, no array: 0 * inf and 0 * nan are nan, so this is 0
-        # exactly when hat (and with it lam_new) is finite
-        elif not hat.dot(zero) == 0.0:
-            stops[0], ends[0] = "nonfinite", k - 1
-            break
-        if log:  # at the shared multiplier, and at the next interpolant if one follows
-            ahead = hat if coef != 0.0 and not ok and k < max_iters else None
-            ev = eval_dual(instance, lam_new, ahead)
+            if not out.any():
+                out = None
+        if log and (out is None or ok[0]):
+            # at the shared multiplier, and at the next interpolant if one follows
+            ahead = hat[:, 0] if coef != 0.0 and out is None and k < max_iters else None
+            ev = eval_dual(instance, lam_new[:, 0], ahead)
             log_q.append(ev.q)
             # what np.linalg.norm computes for a 1-D float vector, without its dispatch
             log_res.append(math.sqrt(ev.grad.dot(ev.grad)))
             log_lam.append(lam_new)
-        if lambda_star is not None:
-            log_gap.append(q_star - ev.q)
-            omega = theta * lam_new - (theta - 1.0) * lam - lambda_star
-            log_V.append(float(np.dot(omega * omega, v_weight)))
+            if lambda_star is not None:
+                log_gap.append(q_star - ev.q)
+                omega = theta * lam_new[:, 0] - (theta - 1.0) * lam[:, 0] - lambda_star
+                log_V.append(float(np.dot(omega * omega, v_weight)))
+        if out is not None:
+            for j, nonfinite in zip(live[out], bad[out]):
+                stops[j], ends[j] = ("nonfinite", k - 1) if nonfinite else ("converged", k)
+            if out.all():
+                break
+            keep = ~out
+            live, nets = live[keep], [networks[j] for j in live[keep]]
+            lam_new, hat, recv = lam_new[:, keep], hat[:, keep], recv[:, keep]
+            c_up, row_fired = c_up[..., keep], row_fired[..., keep]
+            zero = zero[:hat.size]
         lam, theta = lam_new, theta_new
-        if not batch and ok:
-            stops[0], ends[0] = "converged", k
-            break
 
     def trace(j):
         stop, iters = stops[j], ends[j]
-        upd = [f if at is None else f[..., at.searchsorted(j)]
-               for f, at in log_upd if at is None or j in at]
+        upd = [f[..., at.searchsorted(j)].T for f, at in log_upd if j in at]
         return RunTrace(
             algo=algo, instance=instance, eta=eta_arr, alpha=alphas[j],
             eps=eps, stop=stop, iters=iters,
@@ -495,7 +490,7 @@ def _run(instance, stepsizes, network, max_iters, eps, accelerate, lambda_star, 
         )
 
     m = instance.m_total
-    return [trace(j) for j in range(len(nets))] if batch else trace(0)
+    return [trace(j) for j in range(len(networks))]
 
 
 def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int,
@@ -507,48 +502,44 @@ def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int
     Non-convergence within ``max_iters``, or a multiplier that overflows
     to inf or NaN, is reported on the trace (``stop``), not raised.
     """
-    return _run(instance, stepsizes, None, max_iters, eps, True, lambda_star, "alg1")
+    return _run(instance, stepsizes, [None], max_iters, eps, True, lambda_star, "alg1")[0]
 
 
 def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel,
              max_iters: int, eps: float = DEFAULT_EPS, *,
-             lambda_star: np.ndarray | None = None, record: str = "full") -> RunTrace:
+             lambda_star: np.ndarray | None = None) -> RunTrace:
     """Tracker-based accelerated dual ascent over an unreliable network.
 
     Stopping uses each agent's most recently received neighbor
     contributions (zero before anything arrives over a link); the trace
     additionally records the true residual at the shared multiplier.
-    ``record="none"`` skips that logging re-solve and keeps only
-    ``iters``, ``converged``, ``theta`` and ``updates``, which are the
-    same as a ``"full"`` run's; it rejects ``lambda_star``.
     """
-    return _run(instance, stepsizes, network, max_iters, eps, True, lambda_star, "alg2", record)
+    return _run(instance, stepsizes, [network], max_iters, eps, True, lambda_star, "alg2")[0]
 
 
 def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
               networks: list[NetworkModel], max_iters: int,
               eps: float = DEFAULT_EPS) -> list[RunTrace]:
-    """``run_alg2(..., record="none")`` once per network, as the replicate
-    columns of one kernel pass.
+    """``run_alg2`` once per network, as the replicate columns of one kernel pass.
 
-    The networks must share one link set (say, one instance at several
-    seeds).  Each returned trace's ``iters``, ``stop``, ``theta`` and
-    ``updates`` are those of the lone run bit for bit.
+    Every network must be built over the instance's links (say, the
+    instance at several seeds).  Each returned trace's ``iters``, ``stop``,
+    ``theta`` and ``updates`` are those of the lone run bit for bit; with
+    more than one network the runs are not logged (``q``, ``residual``,
+    ``lam`` and ``u_final`` are None).
     """
     networks = list(networks)
     if not networks:
         raise ValidationError("run_batch needs at least one network")
-    if any(net.edges != networks[0].edges for net in networks):
-        raise ValidationError("the networks of a batch must share one link set")
-    return _run(instance, stepsizes, networks, max_iters, eps, True, None, "alg2", "none",
-                batch=True)
+    return _run(instance, stepsizes, networks, max_iters, eps, True, None, "alg2")
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                       network: NetworkModel, max_iters: int, eps: float = DEFAULT_EPS, *,
                       lambda_star: np.ndarray | None = None) -> RunTrace:
     """Momentum-free baseline: theta pinned to 1, so the interpolant is lam itself."""
-    return _run(instance, stepsizes, network, max_iters, eps, False, lambda_star, "unaccel")
+    return _run(instance, stepsizes, [network], max_iters, eps, False, lambda_star,
+                "unaccel")[0]
 
 
 def check_lyapunov_step(trace: RunTrace, k: int,

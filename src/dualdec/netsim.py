@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import ProblemInstance, ValidationError
 
-__all__ = ["NetworkModel", "build_network", "activation_matrix"]
+__all__ = ["NetworkModel", "links", "build_network", "activation_matrix"]
 
 _MASK = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -55,6 +55,14 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def links(instance: ProblemInstance) -> tuple[tuple[int, int], ...]:
+    """The instance's communication links: every pair (i, j), i < j, of
+    agents where one influences the other, in ascending order."""
+    g = instance.graph
+    return tuple(sorted({_edge_key(i, j) for i in instance.ids
+                         for j in g.in_neighbors[i] + g.out_neighbors[i] if j != i}))
+
+
 def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
                   beta_overrides: dict | None = None) -> NetworkModel:
     """Uniform-failure network over the instance's communication links.
@@ -66,12 +74,7 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
     if not (0.0 <= gamma < 1.0):
         raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
     g = instance.graph
-    edges = set()
-    for i in instance.ids:
-        for j in set(g.in_neighbors[i]) | set(g.out_neighbors[i]):
-            if j != i:
-                edges.add(_edge_key(i, j))
-    edge_list = tuple(sorted(edges))
+    edge_list = links(instance)
     index = {e: p for p, e in enumerate(edge_list)}
     beta = np.full(len(edge_list), 1.0 - gamma)
     if beta_overrides:

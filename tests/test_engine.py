@@ -13,8 +13,7 @@ from dualdec import (ValidationError, build_network, build_opf_instance, build_s
                      check_lyapunov_step, check_quadratic_model, engine, eval_dual, load_case,
                      load_instance, random_instance, run_alg1, run_alg2, run_batch,
                      run_unaccelerated, solve_kkt, solve_local, theta_next)
-from dualdec.engine import (TRACE_HEADER, _local_argmin, _matvec, _matvecs, _plan,
-                            _stop_threshold)
+from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan, _stop_threshold
 from dualdec.model import AgentSpec, ProblemInstance
 from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
@@ -399,31 +398,26 @@ KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_record_none_matches_full(name, gamma):
+    # a batch of one network is the lone run, logged; a wider batch's columns
+    # skip the logging re-solve and keep the lone run's stop state and steps
     inst = KERNEL_CASES[name]
     tab = build_stepsizes(inst)
     net = build_network(inst, gamma, seed=4)
     full = run_alg2(inst, tab, net, 400, 1e-4)
-    bare = run_alg2(inst, tab, net, 400, 1e-4, record="none")
-    assert (bare.iters, bare.converged) == (full.iters, full.converged)
-    np.testing.assert_array_equal(bare.updates, full.updates)
-    np.testing.assert_array_equal(bare.theta, full.theta)
+    [one] = run_batch(inst, tab, [net], 400, 1e-4)
+    bare, _ = run_batch(inst, tab, [net, build_network(inst, gamma, seed=5)], 400, 1e-4)
+    for tr in (one, bare):
+        assert (tr.iters, tr.converged) == (full.iters, full.converged)
+        np.testing.assert_array_equal(tr.updates, full.updates)
+        np.testing.assert_array_equal(tr.theta, full.theta)
+    for f in ("q", "residual", "lam", "u_final"):
+        assert getattr(one, f).tobytes() == getattr(full, f).tobytes(), f
     assert bare.q is bare.residual is bare.lam is bare.u_final is None
 
 
-def test_record_none_rejects_lambda_star():
-    with pytest.raises(ValidationError, match="lambda_star"):
-        run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10,
-                 lambda_star=CHAIN_STAR.lam, record="none")
-
-
-def test_unknown_record_level_rejected():
-    with pytest.raises(ValidationError, match="record"):
-        run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10, record="scalars")
-
-
 def test_unrecorded_trace_has_no_csv(tmp_path):
-    tr = run_alg2(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10, record="none")
-    with pytest.raises(ValueError, match="record"):
+    tr, _ = run_batch(CHAIN, CHAIN_TAB, [build_network(CHAIN, 0.3, seed=s) for s in (1, 2)], 10)
+    with pytest.raises(ValueError, match="did not log"):
         tr.to_csv(tmp_path / "t.csv")
     assert not (tmp_path / "t.csv").exists()
 
@@ -439,12 +433,15 @@ def test_matvec_is_scipy_matvec_bit_for_bit(name):
         x[::3], x[1::5] = 0.0, -0.0
         for v in (x, np.zeros(A.shape[1]), -np.zeros(A.shape[1])):
             assert _matvec(A, v).tobytes() == (A @ v).tobytes()
-        # a batch's columns: each column of the product is that column's _matvec
+        # a block's columns, and a block of one column: each column of the
+        # product is that column's _matvec
         X = rng.standard_normal((A.shape[1], 7)) * np.logspace(-8, 8, 7)
         X[::3, 2], X[1::5, 4] = 0.0, -0.0
-        Y = _matvecs(A, X)
-        for j in range(7):
-            assert Y[:, j].tobytes() == _matvec(A, X[:, j].copy()).tobytes()
+        for B in (X, X[:, 2:3], X[:, 4:5].copy()):
+            Y = _matvec(A, B)
+            assert Y.shape == (A.shape[0], B.shape[1])
+            for j in range(B.shape[1]):
+                assert Y[:, j].tobytes() == _matvec(A, B[:, j].copy()).tobytes()
 
 
 def test_local_argmin_is_np_clip_bit_for_bit():
@@ -496,8 +493,9 @@ def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
     assert len(calls) == 10 * (2 * tr.iters - 1) == 21_630
     assert len(stack_calls) == tr.iters + 1
     calls.clear()
-    run_alg2(DENSE10, tab, net, 20, 0.0, record="none")
-    assert len(calls) == 10 * 20
+    stack_calls.clear()
+    run_batch(DENSE10, tab, [net, build_network(DENSE10, 0.3, seed=2)], 20, 0.0)
+    assert len(calls) == 2 * 10 * 20 and len(stack_calls) == 20
 
 
 # dense10 with perfbench's seed-1 cost shift (its denseq-pgd instance)
@@ -529,7 +527,7 @@ def test_batch_columns_are_single_runs_bit_for_bit(name, gamma, factor, max_iter
         tab = corrupt(tab, factor)
     nets = [build_network(inst, gamma, seed=s) for s in range(7, 27)]
     with np.errstate(over="ignore", invalid="ignore"):
-        alone = [run_alg2(inst, tab, net, max_iters, eps, record="none") for net in nets]
+        alone = [run_alg2(inst, tab, net, max_iters, eps) for net in nets]
         for S in (1, 2, 7, 20):
             batch = run_batch(inst, tab, nets[:S], max_iters, eps)
             assert len(batch) == S
@@ -538,7 +536,8 @@ def test_batch_columns_are_single_runs_bit_for_bit(name, gamma, factor, max_iter
                 for f in ("theta", "updates", "alpha", "eta"):
                     a, b = getattr(col, f), getattr(run, f)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
-                assert col.q is col.residual is col.lam is col.u_final is None
+                if S > 1:
+                    assert col.q is col.residual is col.lam is col.u_final is None
     stops = [run.stop for run in alone]
     if factor is not None:  # columns go non-finite at different k
         assert len({run.iters for run in alone if run.stop == "nonfinite"}) > 1
@@ -548,7 +547,7 @@ def test_batch_columns_are_single_runs_bit_for_bit(name, gamma, factor, max_iter
 
 def test_batch_rejects_networks_of_other_links():
     nets = [build_network(CHAIN, 0.3, seed=1), build_network(RAND5, 0.3, seed=1)]
-    with pytest.raises(ValidationError, match="one link set"):
+    with pytest.raises(ValidationError, match="instance's links"):
         run_batch(CHAIN, CHAIN_TAB, nets, 10)
     with pytest.raises(ValidationError, match="at least one network"):
         run_batch(CHAIN, CHAIN_TAB, [], 10)
@@ -583,6 +582,63 @@ def test_negative_max_iters_rejected():
         assert run(CHAIN, CHAIN_TAB, net, 0, 1e-6).iters == 0
     with pytest.raises(ValidationError, match="max_iters must be >= 0"):
         run_alg1(CHAIN, CHAIN_TAB, -1, 1e-6)
+
+
+@pytest.mark.parametrize("max_iters", [10.5, True, "5", None])
+def test_max_iters_must_be_an_integer(max_iters):
+    net = build_network(CHAIN, 0.3, seed=1)
+    for call in (lambda: run_alg1(CHAIN, CHAIN_TAB, max_iters),
+                 lambda: run_alg2(CHAIN, CHAIN_TAB, net, max_iters),
+                 lambda: run_unaccelerated(CHAIN, CHAIN_TAB, net, max_iters),
+                 lambda: run_batch(CHAIN, CHAIN_TAB, [net], max_iters)):
+        with pytest.raises(ValidationError, match="max_iters"):
+            call()
+    assert run_alg1(CHAIN, CHAIN_TAB, np.int64(3)).iters == 3
+
+
+@pytest.mark.parametrize("eps", ["1e-3", True, None, [1e-3]])
+def test_eps_must_be_a_number(eps):
+    net = build_network(CHAIN, 0.3, seed=1)
+    with pytest.raises(ValidationError, match="eps"):
+        run_alg1(CHAIN, CHAIN_TAB, 10, eps)
+    with pytest.raises(ValidationError, match="eps"):
+        run_batch(CHAIN, CHAIN_TAB, [net], 10, eps)
+    assert run_alg1(CHAIN, CHAIN_TAB, 3, np.float32(1e-3)).eps == float(np.float32(1e-3))
+
+
+RAND6 = random_instance(6, seed=1)
+
+
+def test_foreign_or_missing_network_rejected():
+    # rand6's links include some of rand5's pairs; its network used to end in
+    # a raw KeyError, and run_alg2 on no network ran alg1 under the label alg2
+    tab = build_stepsizes(RAND5)
+    foreign = build_network(RAND6, 0.3, seed=1)
+    own = build_network(RAND5, 0.3, seed=1)
+    for call in (lambda: run_alg2(RAND5, tab, foreign, 10),
+                 lambda: run_unaccelerated(RAND5, tab, foreign, 10),
+                 lambda: run_batch(RAND5, tab, [own, foreign], 10),
+                 lambda: run_batch(RAND5, tab, [foreign], 10)):
+        with pytest.raises(ValidationError, match="instance's links"):
+            call()
+    for call in (lambda: run_alg2(RAND5, tab, None, 10),
+                 lambda: run_unaccelerated(RAND5, tab, None, 10),
+                 lambda: run_batch(RAND5, tab, [None], 10),
+                 lambda: run_batch(RAND5, tab, [own, None], 10)):
+        with pytest.raises(ValidationError, match="NoneType is not a NetworkModel"):
+            call()
+
+
+def test_step_table_of_another_instance_rejected():
+    # rand6's table holds every rand5 id, so its steps used to be taken silently
+    other = build_stepsizes(RAND6)
+    assert set(build_stepsizes(RAND5).eta) < set(other.eta)
+    net = build_network(RAND5, 0.3, seed=1)
+    for call in (lambda: run_alg1(RAND5, other, 10),
+                 lambda: run_alg2(RAND5, other, net, 10),
+                 lambda: run_batch(RAND5, other, [net], 10)):
+        with pytest.raises(ValidationError, match="step table"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.inf, 0.0])])
@@ -646,7 +702,8 @@ def test_stop_reasons():
     assert (done.stop, done.converged) == ("converged", True) and done.iters < 10_000
     assert (short.stop, short.converged, short.iters) == ("budget", False, 5)
     assert (empty.stop, empty.iters) == ("budget", 0)
-    bare = run_alg2(CHAIN, CHAIN_TAB, net, 10_000, 1e-6, record="none")
+    bare, _ = run_batch(CHAIN, CHAIN_TAB, [net, build_network(CHAIN, 0.3, seed=2)],
+                        10_000, 1e-6)
     assert (bare.stop, bare.iters) == ("converged", done.iters)
 
 

@@ -147,11 +147,12 @@ def test_digests_against_itself(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "19 digests, 0 differ"
+    assert lines[-1] == "20 digests, 0 differ"
     rows = [ln.split() for ln in lines[:-1]]
     runs = {"alg1", "alg2-g0.1-eps1e-4"} | {f"{a}-g{g}" for a in ("alg2", "unaccel")
                                              for g in (0.0, 0.3, 0.5)}
-    assert {r[1] for r in rows} == {"chain3/steps", "chain3/eval_dual", "chain3/oracle"} | {
+    assert {r[1] for r in rows} == {"chain3/steps", "chain3/eval_dual", "chain3/oracle",
+                                    "chain3/batch"} | {
         f"chain3/{r}" for r in runs} | {f"chain3/{r}/oracle-side" for r in runs}
     assert all(r[0] == "same" and r[2] == r[3] and len(r[2]) == 64 for r in rows)
     # alg2 at gamma 0 is alg1 bit for bit (criterion 7)

@@ -405,7 +405,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star,
         if b == 0:
             ks = range(k, min(k + LINK_BLOCK, max_iters + 1))
             c_up, fired_blk = _link_block(plan, nets, ks, n_agents)
-            row_fired = fired_blk.take(plan.row_agent, axis=0)
+            row_held = ~fired_blk.take(plan.row_agent, axis=0)
             log_upd.append((fired_blk, live))  # cut to iters at the end
         # local solves at the interpolated multipliers: the last log solved
         # them ahead, or it had no ahead because the momentum coefficient was
@@ -414,14 +414,15 @@ def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star,
             u = _local_argmin(instance, _matvec(A_T, hat))
         else:
             u = (ev.u if ev.u_ahead is None else ev.u_ahead)[:, None]
-        # primal exchange: a contribution is refreshed only over a link that is up
-        recv = np.where(c_up[:, b], _matvec(plan.C, u), recv)
+        # primal exchange: a contribution is refreshed only over a link that
+        # is up (in place: recv is this loop's own array)
+        np.copyto(recv, _matvec(plan.C, u), where=c_up[:, b])
         s = _matvec(plan.S, recv)
         s -= g
         # gradient step, held unless every in-neighbor link is up
-        step = eta_rows * s
-        step += hat
-        lam_new = np.where(row_fired[:, b], step, hat)
+        lam_new = eta_rows * s
+        lam_new += hat
+        np.copyto(lam_new, hat, where=row_held[:, b])
         # momentum interpolation (every tracker copy of lam_j equals lam_j):
         # hat = lam_new + coef (lam_new - lam), with fewer temporaries
         theta_new = theta_next(theta) if accelerate else 1.0
@@ -467,7 +468,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star,
             keep = ~out
             live, nets = live[keep], [networks[j] for j in live[keep]]
             lam_new, hat, recv = lam_new[:, keep], hat[:, keep], recv[:, keep]
-            c_up, row_fired = c_up[..., keep], row_fired[..., keep]
+            c_up, row_held = c_up[..., keep], row_held[..., keep]
             zero = zero[:hat.size]
         lam, theta = lam_new, theta_new
 

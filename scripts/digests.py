@@ -10,10 +10,11 @@ the benchmark's seed-1 cost shift), boxed10 (dense10 with every box
 clipped to +-0.9, so ``solve_kkt`` takes the active-set route and some
 local solves take several projected-gradient steps), ieee14, chain3, the
 6x6x24 mesh grid from ``perfbench/grid.py``, dense twins of rand5, chain3
-and ieee14 (every cost declared dense), and mixed (dense10 with the odd
-ids declared diagonal).  Per instance it hashes the step table, ``eval_dual`` at a
-fixed multiplier, ``solve_kkt`` (``u``, ``lam``, ``q`` and ``method``, as
-``NAME/oracle``) and eight runs: alg1; alg2 and unaccel at gamma 0, 0.3
+and ieee14 (every cost declared dense), mixed (dense10 with the odd ids
+declared diagonal), and solo (``random_instance(1, seed=0)``: one agent,
+no links, so every network is empty).  Per instance it hashes the step
+table, ``eval_dual`` at a fixed multiplier, ``solve_kkt`` (``u``,
+``lam``, ``q`` and ``method``, as ``NAME/oracle``) and eight runs: alg1; alg2 and unaccel at gamma 0, 0.3
 and 0.5 (network seed 3, eps 0, 1500 iterations, 600 on the grid,
 ``lambda_star`` given); and alg2 at gamma 0.1 stopped by eps 1e-4.  Each
 run gets two digests.  ``NAME/RUN`` covers the iterates: ``iters``,
@@ -121,6 +122,7 @@ def _instances(tree: Path) -> dict:
         "chain3-dense": lambda: twin(chain3()),
         "ieee14-dense": lambda: twin(ieee14()),
         "mixed": lambda: twin(dense10(), diagonal_ids=range(1, 11, 2)),
+        "solo": functools.partial(random_instance, 1, seed=0),
     }
 
 

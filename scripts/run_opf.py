@@ -6,6 +6,7 @@ against the centralized oracle, and prints hourly generation totals.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,12 @@ def main() -> int:
     ap.add_argument("--max-iters", type=int, default=40_000)
     ap.add_argument("--trace", type=Path, help="write the per-iteration trace CSV here")
     args = ap.parse_args()
+    if not 0.0 <= args.gamma < 1.0:
+        ap.error(f"--gamma must lie in [0, 1), got {args.gamma!r}")
+    if args.max_iters < 0:
+        ap.error(f"--max-iters must be >= 0, got {args.max_iters}")
+    if not (math.isfinite(args.eps) and args.eps >= 0.0):
+        ap.error(f"--eps must be finite and >= 0, got {args.eps!r}")
 
     case = load_case(args.case)
     inst = build_opf_instance(case)

@@ -15,13 +15,14 @@ failures the two drivers produce the same trajectory bit for bit.
 
 ``run_unaccelerated`` is the momentum-free baseline (theta pinned to 1).
 
-All three run one kernel over flat arrays (see ``_Plan``): ``run_alg1``
-is the lossy scheme with every link always up, and ``run_unaccelerated``
-pins theta to 1.  The kernel keeps one copy of each multiplier, which is
-the tracker protocol exactly: each holder i of a copy of lam_j is an
-in-neighbor of j, so when a refresh of that copy is lost, j held its step
-and its new lam_j is the interpolant the copy already holds.  The loop
-resolves ``solve_local`` and ``eval_dual`` through this module's globals.
+All three run one kernel over flat arrays (see ``_Plan``), each on a
+network: ``run_alg1`` is the lossy scheme on a gamma-0 network, whose
+links are always up, and ``run_unaccelerated`` pins theta to 1.  The
+kernel keeps one copy of each multiplier, which is the tracker protocol
+exactly: each holder i of a copy of lam_j is an in-neighbor of j, so
+when a refresh of that copy is lost, j held its step and its new lam_j
+is the interpolant the copy already holds.  The loop resolves
+``solve_local`` and ``eval_dual`` through this module's globals.
 The stop test compares squared residual norms with a threshold T fixed
 per run (``_stop_threshold``), which gives the same booleans as comparing
 their square roots with eps.
@@ -30,7 +31,9 @@ The kernel's state is a block of replicate columns: ``run_batch`` runs
 one column per network, and the lone drivers are the one-column case.
 Every vector is a (rows, S) block, theta stays one scalar, and a column
 leaves the block once it converges or turns non-finite; its ``iters``,
-``stop``, ``theta`` and ``updates`` are its lone run's bit for bit.
+``stop``, ``theta`` and ``updates`` are its lone run's bit for bit.  The
+local solve takes its pressures as rows, so the kernel hands it the
+transposed (S, n) block and transposes the minimizers back.
 
 A one-column run logs, per iteration, the dual value and gradient norm
 at the shared multiplier lam(k) (agents' own blocks re-solved jointly),
@@ -58,7 +61,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .model import ProblemInstance, ValidationError, _int, blocks_to_csr, primal_cost
-from .netsim import NetworkModel, activation_matrix, links
+from .netsim import NetworkModel, activation_matrix, build_network, links
 from .stepsize import StepsizeTable
 from .subsolver import solve_local
 
@@ -105,35 +108,24 @@ def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
 
 def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     """Every agent's local minimizer at the stacked pressure ``a``, of shape
-    (n,), or at p pressures given as the columns of an (n, p) array; the
-    result has the shape of ``a``.  Diagonal costs take one clip, broadcast
-    over the columns; the dense agents take one ``solve_local`` call over
-    all p pressures, as the instance's dense stack repeated p times, which
-    gives every column the bits of its own solve."""
+    (n,), or at p pressures given as the rows of a (p, n) array; the result
+    has the shape of ``a``.  Diagonal costs take one clip, its (n,)
+    constants broadcast along the rows; the dense agents take one
+    ``solve_local`` call over all p pressures, as the instance's dense stack
+    repeated p times over the pressures laid end to end, which gives every
+    row the bits of its own solve."""
     st = instance.dense_stack
     cols, diag = instance.diag_columns
     c, lo, hi = instance.c_vec, instance.lo_vec, instance.hi_vec
-    if st is None and a.ndim == 1:
+    if st is None:
         # np.clip's exact twin (signed zeros, NaN, inf) at half its call cost
         return np.minimum(np.maximum(-(c + a) / diag, lo), hi)
-    if st is None:
-        return np.minimum(np.maximum(-(c[:, None] + a) / diag[:, None], lo[:, None]),
-                          hi[:, None])
-    if a.ndim == 1:
-        u = np.empty(a.shape)
-        u[st.cols] = solve_local(st, a[st.cols])
-    else:
-        # a repeated stack's columns index the p pressures laid end to end,
-        # which are the rows of a.T (a view when a is Fortran-ordered)
-        rows = np.empty(a.shape[::-1])
-        rep = st.repeat(*rows.shape)
-        rows.reshape(-1)[rep.cols] = solve_local(rep, a.T.reshape(-1)[rep.cols])
-        u = rows.T
+    u = np.empty(a.shape)
+    rep = st.repeat(a.size // len(c), len(c))
+    u.ravel()[rep.cols] = solve_local(rep, a.ravel()[rep.cols])
     if len(cols):
-        c, lo, hi = c[cols], lo[cols], hi[cols]
-        if a.ndim == 2:
-            c, lo, hi, diag = c[:, None], lo[:, None], hi[:, None], diag[:, None]
-        u[cols] = np.minimum(np.maximum(-(c + a[cols]) / diag, lo), hi)
+        u[..., cols] = np.minimum(np.maximum(-(c[cols] + a[..., cols]) / diag, lo[cols]),
+                                  hi[cols])
     return u
 
 
@@ -162,8 +154,8 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray,
     else:
         a_ahead = _matvec(A_T, _multiplier(instance, ahead, "ahead"))
         if instance.dense_stack is not None:
-            u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)).T).T
-        else:  # no stack to share: two clips cost less than stacking the pressures
+            u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)))
+        else:  # no stack to share: two (n,) clips cost less than one over a (2, n) copy
             u, u_ahead = _local_argmin(instance, a), _local_argmin(instance, a_ahead)
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
     grad = _matvec(instance.coupling_csr, u) - instance.g_vec
@@ -225,14 +217,13 @@ class RunTrace:
             raise ValueError(f"theta_at needs 1 <= k <= {self.iters}, got {k}")
         return float(self.theta[k - 1])
 
-    def omega(self, k: int, lambda_star: np.ndarray | None = None) -> np.ndarray:
+    def omega(self, k: int) -> np.ndarray:
         """Stacked momentum-corrected distance theta(k) lam(k) - (theta(k)-1) lam(k-1) - lam*,
-        for 1 <= k <= iters."""
-        ls = self.lambda_star if lambda_star is None else np.asarray(lambda_star, float)
-        if ls is None:
+        for 1 <= k <= iters, at the run's own optimal multiplier."""
+        if self.lambda_star is None:
             raise ValueError("omega needs the optimal multiplier")
         th = self.theta_at(k)
-        return th * self.lam_at(k) - (th - 1.0) * self.lam_at(k - 1) - ls
+        return th * self.lam_at(k) - (th - 1.0) * self.lam_at(k - 1) - self.lambda_star
 
     def to_csv(self, path) -> None:
         """Write ``k,q,residual,gap,V,updates`` rows; floats via repr."""
@@ -253,9 +244,8 @@ class _Plan(NamedTuple):
 
     Contribution rows: for each agent i with m_i > 0, the blocks
     G_i^i u_i, then G_i^j u_j for j in N_i ascending.  Every row names
-    the link slot that carries it; the last slot is always up and
-    carries an agent's own block (and every row when there is no
-    network).
+    the link slot that carries it: a link of the network, or the last
+    slot, which is always up and carries an agent's own block.
     """
 
     C: sp.csr_array           # contributions x n_total: one G_i^j block per row block
@@ -270,14 +260,11 @@ class _Plan(NamedTuple):
     n_links: int
 
 
-def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
-          network: NetworkModel | None) -> _Plan:
-    n_links = 0 if network is None else len(network.edges)
+def _plan(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel) -> _Plan:
+    n_links = len(network.edges)
 
     def link(i, j):
-        if i == j or network is None:
-            return n_links
-        return network.edge_index[(min(i, j), max(i, j))]
+        return n_links if i == j else network.edge_index[(min(i, j), max(i, j))]
 
     graph = instance.graph
     C_blocks, S_blocks = [], []
@@ -313,15 +300,14 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable,
 
 def _link_block(plan: _Plan, networks, ks: range, n_agents: int):
     """Link states of iterations ``ks`` for every replicate column (one per
-    network, drawn in one pass; ``[None]`` is one column with every link
-    up), as the up flag of every contribution row and whether each agent's
-    in-links are all up: (rows, len(ks), columns) and (agents, len(ks),
-    columns).  Row-major gathers (``take`` along the first axis) copy whole
-    runs of iterations, several times faster than gathering the middle axis."""
+    network, drawn in one pass), as the up flag of every contribution row
+    and whether each agent's in-links are all up: (rows, len(ks), columns)
+    and (agents, len(ks), columns).  Row-major gathers (``take`` along the
+    first axis) copy whole runs of iterations, several times faster than
+    gathering the middle axis."""
     up = np.ones((plan.n_links + 1, len(ks), len(networks)), dtype=bool)
-    if plan.n_links:
-        up[:-1] = activation_matrix(networks, ks).reshape(len(ks), len(networks), -1) \
-            .transpose(2, 0, 1)
+    up[:-1] = activation_matrix(networks, ks).reshape(len(ks), len(networks), plan.n_links) \
+        .transpose(2, 0, 1)
     fired = np.ones((n_agents, len(ks), len(networks)), dtype=bool)
     fired[plan.in_owner] = np.logical_and.reduceat(up.take(plan.in_link, axis=0),
                                                    plan.in_start, axis=0)
@@ -339,21 +325,19 @@ def _stop_threshold(eps: float) -> float:
     return t
 
 
-def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star, algo):
-    """Validate a run's step table, networks, budget, tolerance and optional
-    optimal multiplier at the API boundary.  alg1 runs on ``[None]``, its
-    always-up links; every other run needs networks built over the
-    instance's links."""
+def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star):
+    """Validate a run's step table, networks (each built over the
+    instance's links), budget, tolerance and optional optimal multiplier
+    at the API boundary."""
     ids = set(instance.ids)
     if stepsizes.eta.keys() != ids:
         raise ValidationError("the step table's agent ids are not the instance's")
-    if algo != "alg1":
-        edges = links(instance)
-        for net in networks:
-            if not (isinstance(net, NetworkModel) and net.edges == edges
-                    and net.alpha.keys() == ids):
-                raise ValidationError(f"{type(net).__name__} is not a NetworkModel built "
-                                      "over the instance's links")
+    edges = links(instance)
+    for net in networks:
+        if not (isinstance(net, NetworkModel) and net.edges == edges
+                and net.alpha.keys() == ids):
+            raise ValidationError(f"{type(net).__name__} is not a NetworkModel built "
+                                  "over the instance's links")
     max_iters = _int(max_iters, "max_iters")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
@@ -371,17 +355,16 @@ def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star, 
 
 def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star, algo):
     """The one iteration loop over a block of replicate columns, one per
-    network (``[None]``: one column with every link up), with momentum on
-    or off; one trace per column.  Only a one-column run is logged: its
-    multiplier is the vector ``eval_dual`` takes."""
+    network, with momentum on or off; one trace per column, labelled
+    ``algo``.  Only a one-column run is logged: its multiplier is the
+    vector ``eval_dual`` takes."""
     max_iters, eps, lambda_star = _checked_inputs(instance, stepsizes, networks, max_iters,
-                                                  eps, lambda_star, algo)
+                                                  eps, lambda_star)
     log = len(networks) == 1
     plan = _plan(instance, stepsizes, networks[0])
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
-    alphas = [np.array([1.0 if net is None else net.alpha[i] for i in instance.ids])
-              for net in networks]
+    alphas = [np.array([net.alpha[i] for i in instance.ids]) for net in networks]
     q_star = None
     if lambda_star is not None:
         q_star = eval_dual(instance, lambda_star).q
@@ -411,7 +394,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star,
         # them ahead, or it had no ahead because the momentum coefficient was
         # zero, so hat equals lam(k-1) (hat is finite here), where it solved
         if ev is None:
-            u = _local_argmin(instance, _matvec(A_T, hat))
+            u = _local_argmin(instance, _matvec(A_T, hat).T).T
         else:
             u = (ev.u if ev.u_ahead is None else ev.u_ahead)[:, None]
         # primal exchange: a contribution is refreshed only over a link that
@@ -496,14 +479,17 @@ def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star,
 
 def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int,
              eps: float = DEFAULT_EPS, *, lambda_star: np.ndarray | None = None) -> RunTrace:
-    """Full-information accelerated dual ascent: the kernel with every link up.
+    """Full-information accelerated dual ascent: the kernel on a network
+    whose links are always up (gamma 0), which is ``run_alg2`` on that
+    network bit for bit, with every ``alpha`` 1.
 
     Stops at the first iteration where every agent's own residual norm
     (at that iteration's local solutions) drops below ``eps``.
     Non-convergence within ``max_iters``, or a multiplier that overflows
     to inf or NaN, is reported on the trace (``stop``), not raised.
     """
-    return _run(instance, stepsizes, [None], max_iters, eps, True, lambda_star, "alg1")[0]
+    return _run(instance, stepsizes, [build_network(instance, 0.0)], max_iters, eps, True,
+                lambda_star, "alg1")[0]
 
 
 def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel,
@@ -543,8 +529,7 @@ def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                 "unaccel")[0]
 
 
-def check_lyapunov_step(trace: RunTrace, k: int,
-                        lambda_star: np.ndarray | None = None) -> bool:
+def check_lyapunov_step(trace: RunTrace, k: int) -> bool:
     """One-step decrease certificate of the scaled distance sequence.
 
     Verifies, at iteration k of a full-information run,
@@ -552,18 +537,17 @@ def check_lyapunov_step(trace: RunTrace, k: int,
         sum_i (||omega_i(k+1)||^2 - ||omega_i(k)||^2) / (2 eta_i)
             <= theta(k)^2 (q* - q(lam(k))) - theta(k+1)^2 (q* - q(lam(k+1)))
 
-    with slack 1e-9 (1 + |q*|).  Requires 1 <= k < trace.iters.
+    with slack 1e-9 (1 + |q*|), at the run's own optimal multiplier.
+    Requires 1 <= k < trace.iters.
     """
     if not (1 <= k < trace.iters):
         raise ValueError(f"need 1 <= k < {trace.iters}, got {k}")
     inst = trace.instance
-    ls = trace.lambda_star if lambda_star is None else np.asarray(lambda_star, float)
-    if ls is None:
+    if trace.lambda_star is None:
         raise ValueError("check_lyapunov_step needs the optimal multiplier")
-    q_star = trace.q_star if (lambda_star is None and trace.q_star is not None) \
-        else eval_dual(inst, ls).q
-    w_k = trace.omega(k, ls)
-    w_k1 = trace.omega(k + 1, ls)
+    q_star = trace.q_star
+    w_k = trace.omega(k)
+    w_k1 = trace.omega(k + 1)
     lhs = 0.0
     for p, i in enumerate(inst.ids):
         sl = inst.lam_slice(i)

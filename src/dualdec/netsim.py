@@ -101,17 +101,11 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
                         edge_index=index, _base=base)
 
 
-def activation_matrix(model: NetworkModel | Sequence[NetworkModel], ks) -> np.ndarray:
-    """Boolean matrix of link states, rows = iterations in ``ks``, cols = edges.
-
-    Given a sequence of models, the columns are every model's edges, model
-    after model, drawn in the same one pass.
-    """
-    if isinstance(model, NetworkModel):
-        base, beta = model._base, model.beta
-    else:
-        base = np.concatenate([m._base for m in model])
-        beta = np.concatenate([m.beta for m in model])
+def activation_matrix(models: Sequence[NetworkModel], ks) -> np.ndarray:
+    """Boolean matrix of link states, rows = iterations in ``ks``, columns =
+    every model's edges, model after model, drawn in one pass."""
+    base = np.concatenate([m._base for m in models])
+    beta = np.concatenate([m.beta for m in models])
     kmix = _mix_np(np.asarray(list(ks), dtype=np.uint64))
     h = _mix_np(base[None, :] ^ kmix[:, None])
     return (h >> np.uint64(11)) * 2.0 ** -53 < beta[None, :]

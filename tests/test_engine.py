@@ -157,6 +157,31 @@ def test_alg2_gamma_zero_identical_to_alg1():
     np.testing.assert_array_equal(t1.updates, t2.updates)
 
 
+ALG1_CASES = ("chain3", "rand5", "dense10", "mixed10", "ieee14", "uncoupled")
+
+
+@pytest.mark.parametrize("net_seed", [0, 123])
+@pytest.mark.parametrize("name", ALG1_CASES)
+def test_alg1_is_alg2_on_an_always_up_network(name, net_seed, tmp_path):
+    # alg1 runs the kernel on a gamma-0 network; any always-up network,
+    # whatever its seed, gives alg2 the same run bit for bit
+    inst = {"chain3": CHAIN, "rand5": RAND5, "dense10": DENSE10, "mixed10": MIXED10,
+            "ieee14": IEEE14, "uncoupled": UNCOUPLED}[name]
+    tab = UNCOUPLED_TAB if name == "uncoupled" else build_stepsizes(inst)
+    star = solve_kkt(inst).lam
+    t1 = run_alg1(inst, tab, 300, 1e-8, lambda_star=star)
+    t2 = run_alg2(inst, tab, build_network(inst, 0.0, seed=net_seed), 300, 1e-8,
+                  lambda_star=star)
+    assert (t1.algo, t2.algo) == ("alg1", "alg2")
+    assert (t1.iters, t1.stop) == (t2.iters, t2.stop)
+    assert (t1.alpha == 1.0).all()
+    for f in ("theta", "updates", "alpha", "lam", "q", "residual", "gap", "V", "u_final"):
+        assert getattr(t1, f).tobytes() == getattr(t2, f).tobytes(), f
+    t1.to_csv(tmp_path / "alg1.csv")
+    t2.to_csv(tmp_path / "alg2.csv")
+    assert (tmp_path / "alg1.csv").read_bytes() == (tmp_path / "alg2.csv").read_bytes()
+
+
 def test_alg2_pair_seeded_anchor(instance_a):
     tab = build_stepsizes(instance_a)
     star = solve_kkt(instance_a)
@@ -204,7 +229,7 @@ def test_alg2_held_update_freezes_omega():
 def test_update_flags_follow_link_draws():
     net = build_network(CHAIN, 0.5, seed=29)
     tr = run_alg2(CHAIN, CHAIN_TAB, net, 100, 0.0)
-    up = activation_matrix(net, range(1, 101))
+    up = activation_matrix([net], range(1, 101))
     for pos, i in enumerate(CHAIN.ids):
         want = np.ones(100, dtype=bool)  # every in-neighbor link is up
         for j in CHAIN.graph.in_neighbors[i]:
@@ -248,7 +273,7 @@ def reference_alg2(inst, table, net, iters):
     recv = {i: {j: np.zeros(agent(i).m) for j in g.in_neighbors[i]} for i in inst.ids}
     theta, lams, fired = 1.0, [], []
     for k in range(1, iters + 1):
-        link_up = activation_matrix(net, [k])[0]
+        link_up = activation_matrix([net], [k])[0]
 
         def up(i, j):
             return j == i or link_up[net.edge_index[(min(i, j), max(i, j))]]
@@ -341,9 +366,9 @@ BOXED10 = ProblemInstance(agents=tuple(
 
 def per_agent_argmin(instance, a):
     """Every agent's local minimizer, one agent and one pressure at a time;
-    ``a`` is one pressure or p of them as columns, like the kernel's."""
+    ``a`` is one pressure or p of them as rows, like the kernel's."""
     if a.ndim == 2:
-        return np.array([per_agent_argmin(instance, x) for x in a.T]).T
+        return np.array([per_agent_argmin(instance, x) for x in a])
     u = np.empty(instance.n_total)
     for ag in instance.agents:
         sl = instance.u_slice(ag.id)
@@ -455,11 +480,29 @@ def test_local_argmin_is_np_clip_bit_for_bit():
         a = np.full(7, val)
         want = np.clip(-(inst.c_vec + a) / inst.diag_columns[1], lo, hi)
         assert _local_argmin(inst, a).tobytes() == want.tobytes(), val
-        # two pressures as columns: each column clipped on its own
+        # two pressures as rows: each row clipped on its own
         back = np.clip(-(inst.c_vec + -a) / inst.diag_columns[1], lo, hi)
-        got = _local_argmin(inst, np.column_stack((a, -a)))
-        assert got.shape == (7, 2), val
-        assert got[:, 0].tobytes() == want.tobytes() and got[:, 1].tobytes() == back.tobytes(), val
+        got = _local_argmin(inst, np.array((a, -a)))
+        assert got.shape == (2, 7), val
+        assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == back.tobytes(), val
+
+
+@pytest.mark.parametrize("name", ["rand5", "dense10", "mixed10"])
+def test_local_argmin_rows_are_lone_calls_bit_for_bit(name):
+    # p pressures as the rows of a (p, n) block, C-ordered or the
+    # Fortran-ordered transpose of an (n, p) block as the kernel passes it
+    inst = {"rand5": RAND5, "dense10": DENSE10, "mixed10": MIXED10}[name]
+    rng = np.random.default_rng(3)
+    for p in (1, 2, 3):
+        cols = rng.standard_normal((inst.n_total, p)) * np.logspace(-1, 1, p)
+        cols[::4, 0] = -0.0
+        for a in (np.ascontiguousarray(cols.T), cols.T):
+            u = _local_argmin(inst, a)
+            assert u.shape == (p, inst.n_total), (p, a.flags.f_contiguous)
+            for r in range(p):
+                lone = _local_argmin(inst, a[r].copy())
+                assert lone.shape == (inst.n_total,)
+                assert u[r].tobytes() == lone.tobytes(), (p, r, a.flags.f_contiguous)
 
 
 def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
@@ -678,15 +721,18 @@ def test_stop_threshold_matches_sqrt(x, eps):
     assert (math.sqrt(x) < eps) == (x < _stop_threshold(eps))
 
 
+UNCOUPLED = ProblemInstance(agents=tuple(
+    AgentSpec(id=i, dim=1, Q=np.empty(0), diag=[1.0], c=[1.0], lo=[-1.0], hi=[1.0], m=0, g=[],
+              blocks={}) for i in (1, 2)))
+UNCOUPLED_TAB = StepsizeTable(sigma={1: 1.0, 2: 1.0}, out_norm={1: 0.0, 2: 0.0},
+                              L={1: 0.0, 2: 0.0}, eta={1: 1.0, 2: 1.0})
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-6])
 def test_uncoupled_instance_converges_at_once(eps):
     # with every m = 0 there is no residual block, so the stop test passes
     # vacuously at k = 1 (and must not reduce an empty array)
-    agents = tuple(AgentSpec(id=i, dim=1, Q=np.empty(0), diag=[1.0], c=[1.0], lo=[-1.0],
-                             hi=[1.0], m=0, g=[], blocks={}) for i in (1, 2))
-    inst = ProblemInstance(agents=agents)
-    tab = StepsizeTable(sigma={1: 1.0, 2: 1.0}, out_norm={1: 0.0, 2: 0.0},
-                        L={1: 0.0, 2: 0.0}, eta={1: 1.0, 2: 1.0})
+    inst, tab = UNCOUPLED, UNCOUPLED_TAB
     net = build_network(inst, 0.3, seed=1)
     for tr in (run_alg1(inst, tab, 10, eps), run_alg2(inst, tab, net, 10, eps),
                run_unaccelerated(inst, tab, net, 10, eps)):

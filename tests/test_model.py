@@ -174,7 +174,6 @@ def _block_sets(inst, monkeypatch):
     monkeypatch.setattr(engine, "blocks_to_csr", record)
     tab = build_stepsizes(inst)
     engine._plan(inst, tab, build_network(inst, 0.3, seed=1))
-    engine._plan(inst, tab, None)
     return sets
 
 

@@ -40,7 +40,7 @@ def test_gamma_range(instance_a, gamma):
 def test_gamma_zero_every_link_always_up(chain3):
     net = build_network(chain3, 0.0, seed=99)
     assert net.edges == ((1, 2), (1, 3))
-    assert activation_matrix(net, range(1, 200)).all()
+    assert activation_matrix([net], range(1, 200)).all()
 
 
 def test_override_validation(chain3):
@@ -68,14 +68,14 @@ def test_same_seed_same_draws(chain3):
     a = build_network(chain3, 0.3, seed=7)
     b = build_network(chain3, 0.3, seed=7)
     ks = range(1, 500)
-    np.testing.assert_array_equal(activation_matrix(a, ks), activation_matrix(b, ks))
+    np.testing.assert_array_equal(activation_matrix([a], ks), activation_matrix([b], ks))
 
 
 def test_different_seeds_differ(chain3):
     a = build_network(chain3, 0.3, seed=7)
     b = build_network(chain3, 0.3, seed=8)
     ks = range(1, 500)
-    assert not np.array_equal(activation_matrix(a, ks), activation_matrix(b, ks))
+    assert not np.array_equal(activation_matrix([a], ks), activation_matrix([b], ks))
 
 
 @settings(deadline=None, max_examples=30)
@@ -83,22 +83,22 @@ def test_different_seeds_differ(chain3):
 def test_draw_is_pure_in_seed_and_k(seed, k):
     # a row depends on k alone: not on the other iterations drawn with it, nor on the build
     net = build_network(CHAIN, 0.35, seed=seed)
-    row = activation_matrix(net, [k])[0]
-    np.testing.assert_array_equal(activation_matrix(net, [k + 1, k, 1])[1], row)
+    row = activation_matrix([net], [k])[0]
+    np.testing.assert_array_equal(activation_matrix([net], [k + 1, k, 1])[1], row)
     again = build_network(CHAIN, 0.35, seed=seed)
-    np.testing.assert_array_equal(activation_matrix(again, [k])[0], row)
+    np.testing.assert_array_equal(activation_matrix([again], [k])[0], row)
     # nor on other networks drawn with it: a sequence lays their links end to end
     other = build_network(CHAIN, 0.6, seed=seed + 1)
     np.testing.assert_array_equal(activation_matrix([other, net], [k + 1, k]),
-                                  np.hstack([activation_matrix(other, [k + 1, k]),
-                                             activation_matrix(net, [k + 1, k])]))
+                                  np.hstack([activation_matrix([other], [k + 1, k]),
+                                             activation_matrix([net], [k + 1, k])]))
 
 
 def test_marginal_frequencies(chain3):
     gamma = 0.3
     n = 100_000
     net = build_network(chain3, gamma, seed=12)
-    act = activation_matrix(net, range(1, n + 1))
+    act = activation_matrix([net], range(1, n + 1))
     p = 1.0 - gamma
     sigma = np.sqrt(p * (1 - p) / n)
     for col in range(act.shape[1]):
@@ -107,7 +107,7 @@ def test_marginal_frequencies(chain3):
 
 def test_lag1_autocorrelation_small(chain3):
     net = build_network(chain3, 0.5, seed=5)
-    act = activation_matrix(net, range(1, 100_001)).astype(float)
+    act = activation_matrix([net], range(1, 100_001)).astype(float)
     for col in range(act.shape[1]):
         x = act[:, col] - act[:, col].mean()
         rho = np.dot(x[:-1], x[1:]) / np.dot(x, x)
@@ -116,7 +116,7 @@ def test_lag1_autocorrelation_small(chain3):
 
 def test_cross_edge_independence(chain3):
     net = build_network(chain3, 0.4, seed=6)
-    act = activation_matrix(net, range(1, 100_001)).astype(float)
+    act = activation_matrix([net], range(1, 100_001)).astype(float)
     x = act[:, 0] - act[:, 0].mean()
     y = act[:, 1] - act[:, 1].mean()
     rho = np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y))
@@ -128,7 +128,7 @@ def test_per_agent_update_fraction(chain3):
     gamma = 0.25
     net = build_network(chain3, gamma, seed=9)
     n = 100_000
-    hits = activation_matrix(net, range(1, n + 1))[:, net.edge_index[(1, 2)]].sum()
+    hits = activation_matrix([net], range(1, n + 1))[:, net.edge_index[(1, 2)]].sum()
     alpha = net.alpha[1]
     sigma = np.sqrt(alpha * (1 - alpha) / n)
     assert abs(hits / n - alpha) < 3 * sigma
@@ -138,7 +138,7 @@ def test_vectorized_matches_scalar_path(chain3):
     # reference: the scalar splitmix64 finalizer, one link and one k at a time
     net = build_network(chain3, 0.45, seed=11)
     ks = list(range(1, 300))
-    mat = activation_matrix(net, ks)
+    mat = activation_matrix([net], ks)
     base = [int(b) for b in net._base]
     rows = [[(_mix(b ^ _mix(k)) >> 11) * 2.0 ** -53 < p for b, p in zip(base, net.beta)]
             for k in ks]

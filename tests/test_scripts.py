@@ -102,6 +102,24 @@ def test_run_opf_empty_budget(tmp_path):
     assert trace.read_text().splitlines() == ["k,q,residual,gap,V,updates"]
 
 
+def test_run_opf_rejects_bad_flags(tmp_path):
+    # each used to end in a ValidationError traceback after solve_kkt had run
+    for flags, msg in [(["--gamma", "1"], "--gamma must lie in [0, 1)"),
+                       (["--gamma", "-0.1"], "--gamma must lie in [0, 1)"),
+                       (["--gamma", "nan"], "--gamma must lie in [0, 1)"),
+                       (["--max-iters", "-1"], "--max-iters must be >= 0"),
+                       (["--eps=-1e-6"], "--eps must be finite and >= 0"),
+                       (["--eps", "inf"], "--eps must be finite and >= 0"),
+                       (["--eps", "nan"], "--eps must be finite and >= 0")]:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_opf.py"), "--case", str(CASES / "opf_2bus.json"),
+             *flags, "--trace", str(tmp_path / "trace.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and msg in proc.stderr, (flags, proc.stderr)
+        assert "Traceback" not in proc.stderr and proc.stdout == "", flags
+        assert not (tmp_path / "trace.csv").exists()
+
+
 def test_oracle_ladder_smallest_grid():
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "oracle_ladder.py"), "--sizes", "2"],

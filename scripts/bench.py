@@ -12,11 +12,20 @@ that drifts in machine speed fall on both sides alike.  The entry
 lines as printed, the result JSON and ``rounds``; per workload it
 summarises each metric (end-to-end, or per-layer with ``--trace 1``) by
 the median over seeds and, for pairs, how often this tree did better.
+Paired end-to-end metrics also get a verdict against the other checkout,
+printed one line per workload: ``worse`` (the median is worse by more
+than the metric's bound in BENCHMARK.json), ``unresolved`` (the other
+side's interquartile range is wider than that bound, or there are fewer
+than two pairs, and not every run here beats every run there), ``gain``
+(at least 9 of 10 pairs won, ties counting for neither side, and the
+medians apart by more than the other side's interquartile range) or
+``inside``; the first that applies.
 """
 
 import argparse
 import datetime
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -54,8 +63,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
             "result": result, "rounds": rounds}
 
 
+def verdict(ours: list[float], theirs: list[float], *, wins: int, iqr: float, sign: int,
+            bound: float) -> str:
+    """One metric's verdict from paired runs (this tree's, the other's, in
+    pair order), the pairs this tree won, and the other's interquartile
+    range (inf for fewer than two runs); ``sign`` is 1 when lower is
+    better, -1 when higher is."""
+    mine, base = statistics.median(ours), statistics.median(theirs)
+    if sign * (mine - base) > bound * abs(base):
+        return "worse"
+    every_run_better = max(sign * a for a in ours) < min(sign * b for b in theirs)
+    if iqr > bound * abs(base) and not every_run_better:
+        return "unresolved"
+    if wins >= 0.9 * len(theirs) and sign * (base - mine) > iqr:
+        return "gain"
+    return "inside"
+
+
 def summarise(runs: list[dict], metrics: list[dict], paired: bool) -> dict:
-    """Per workload and metric: median per tree, and pair wins when paired."""
+    """Per workload and metric: median per tree, and pair wins when paired,
+    with a verdict for each metric that has a bound."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         mine = {r["seed"]: r for r in runs if r["workload"] == wl and r["tree"] == "this"}
@@ -73,13 +100,18 @@ def summarise(runs: list[dict], metrics: list[dict], paired: bool) -> dict:
                 theirs = [other[s]["result"]["metrics"][name]["value"] for s in seeds]
                 ours = [mine[s]["result"]["metrics"][name]["value"] for s in seeds]
                 row["against_median"] = statistics.median(theirs)
+                iqr = math.inf
                 if len(theirs) > 1:
                     q1, _, q3 = statistics.quantiles(theirs, n=4, method="inclusive")
                     row["against_q1_q3"] = [q1, q3]
+                    iqr = q3 - q1
                 sign = 1 if m["better"] == "lower" else -1
                 row["this_better"] = sum(sign * (b - a) > 0 for a, b in zip(ours, theirs))
                 row["ties"] = sum(a == b for a, b in zip(ours, theirs))
                 row["pairs"] = len(seeds)
+                if "bound" in m:
+                    row["verdict"] = verdict(ours, theirs, wins=row["this_better"], iqr=iqr,
+                                             sign=sign, bound=m["bound"])
             rows[name] = row
         out[wl] = rows
     return out
@@ -136,6 +168,10 @@ def main(argv=None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{date}_{args.label}.json"
     out.write_text(json.dumps(entry, indent=1) + "\n")
+    for wl, rows in entry["summary"].items():
+        got = [f"{name} {row['verdict']}" for name, row in rows.items() if "verdict" in row]
+        if got:
+            print(f"{wl}: " + ", ".join(got))
     print(f"wrote {out}")
     return 0
 

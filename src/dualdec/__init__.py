@@ -2,10 +2,9 @@
 executed over simulated unreliable communication networks."""
 
 from .model import (AgentSpec, InfluenceGraph, ProblemInstance, ValidationError,
-                    constraint_residual, derive_graph, load_instance, primal_cost,
-                    save_instance)
+                    derive_graph, load_instance, primal_cost, save_instance)
 from .subsolver import solve_local
-from .stepsize import StepsizeTable, build_stepsizes, spectral_norm
+from .stepsize import StepsizeTable, build_stepsizes
 from .netsim import NetworkModel, build_network
 from .engine import (RunTrace, check_lyapunov_step, check_quadratic_model, eval_dual,
                      run_alg1, run_alg2, run_batch, run_unaccelerated, theta_next)
@@ -18,9 +17,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentSpec", "InfluenceGraph", "ProblemInstance", "ValidationError",
-    "constraint_residual", "derive_graph", "load_instance", "primal_cost", "save_instance",
+    "derive_graph", "load_instance", "primal_cost", "save_instance",
     "solve_local",
-    "StepsizeTable", "build_stepsizes", "spectral_norm",
+    "StepsizeTable", "build_stepsizes",
     "NetworkModel", "build_network",
     "RunTrace", "check_lyapunov_step", "check_quadratic_model", "eval_dual",
     "run_alg1", "run_alg2", "run_batch", "run_unaccelerated", "theta_next",

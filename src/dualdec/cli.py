@@ -156,7 +156,6 @@ def _cmd_montecarlo(args, parser) -> int:
                                            args.max_iters, args.eps)
         rows += [(gamma, seed, tr.iters, 1 if tr.converged else 0)
                  for seed, tr in zip(seeds, traces)]
-    rows.sort(key=lambda t: (t[0], t[1]))
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("gamma,seed,iters,converged\n")
@@ -166,7 +165,7 @@ def _cmd_montecarlo(args, parser) -> int:
     summary_path = out.with_name(out.stem + ".summary.csv")
     lines = ["gamma,runs,min,p25,median,p75,max"]
     print("gamma  runs  min  p25  median  p75  max")
-    for gamma in sorted(set(g for g, *_ in rows)):
+    for gamma in sorted(gammas):
         iters = sorted(it for g, _, it, _ in rows if g == gamma)
         stats = (iters[0], _percentile(iters, 25), _percentile(iters, 50),
                  _percentile(iters, 75), iters[-1])

@@ -353,14 +353,14 @@ def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star):
     return max_iters, eps, lambda_star
 
 
-def _run(instance, stepsizes, networks, max_iters, eps, accelerate, lambda_star, algo):
+def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo):
     """The one iteration loop over a block of replicate columns, one per
-    network, with momentum on or off; one trace per column, labelled
-    ``algo``.  Only a one-column run is logged: its multiplier is the
-    vector ``eval_dual`` takes."""
+    network, with momentum unless ``algo`` is "unaccel"; one trace per
+    column, labelled ``algo``.  Only a one-column run is logged: its
+    multiplier is the vector ``eval_dual`` takes."""
     max_iters, eps, lambda_star = _checked_inputs(instance, stepsizes, networks, max_iters,
                                                   eps, lambda_star)
-    log = len(networks) == 1
+    log, accelerate = len(networks) == 1, algo != "unaccel"
     plan = _plan(instance, stepsizes, networks[0])
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
@@ -488,7 +488,7 @@ def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int
     Non-convergence within ``max_iters``, or a multiplier that overflows
     to inf or NaN, is reported on the trace (``stop``), not raised.
     """
-    return _run(instance, stepsizes, [build_network(instance, 0.0)], max_iters, eps, True,
+    return _run(instance, stepsizes, [build_network(instance, 0.0)], max_iters, eps,
                 lambda_star, "alg1")[0]
 
 
@@ -501,7 +501,7 @@ def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: Netwo
     contributions (zero before anything arrives over a link); the trace
     additionally records the true residual at the shared multiplier.
     """
-    return _run(instance, stepsizes, [network], max_iters, eps, True, lambda_star, "alg2")[0]
+    return _run(instance, stepsizes, [network], max_iters, eps, lambda_star, "alg2")[0]
 
 
 def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
@@ -518,15 +518,14 @@ def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
     networks = list(networks)
     if not networks:
         raise ValidationError("run_batch needs at least one network")
-    return _run(instance, stepsizes, networks, max_iters, eps, True, None, "alg2")
+    return _run(instance, stepsizes, networks, max_iters, eps, None, "alg2")
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                       network: NetworkModel, max_iters: int, eps: float = DEFAULT_EPS, *,
                       lambda_star: np.ndarray | None = None) -> RunTrace:
     """Momentum-free baseline: theta pinned to 1, so the interpolant is lam itself."""
-    return _run(instance, stepsizes, [network], max_iters, eps, False, lambda_star,
-                "unaccel")[0]
+    return _run(instance, stepsizes, [network], max_iters, eps, lambda_star, "unaccel")[0]
 
 
 def check_lyapunov_step(trace: RunTrace, k: int) -> bool:

@@ -42,7 +42,6 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "primal_cost",
-    "constraint_residual",
     "blocks_to_csr",
 ]
 
@@ -431,10 +430,9 @@ def derive_graph(agents) -> InfluenceGraph:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A validated, immutable collection of agents plus the derived graph."""
+    """A validated, immutable collection of agents; everything else is derived."""
 
     agents: tuple[AgentSpec, ...]
-    graph: InfluenceGraph = field(default=None, repr=False)
 
     def __post_init__(self):
         agents = tuple(sorted(self.agents, key=lambda a: a.id))
@@ -453,9 +451,12 @@ class ProblemInstance:
                         f"agent {a.id}: block for {j} has {B.shape[1]} columns, expected {dims[j]}"
                     )
         object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "graph", derive_graph(agents))
         for a in agents:
             a.sigma  # force the PD check at load time
+
+    @cached_property
+    def graph(self) -> InfluenceGraph:
+        return derive_graph(self.agents)
 
     # -- indexing ---------------------------------------------------------
 
@@ -513,27 +514,26 @@ class ProblemInstance:
         would pay on every draw it rejects.
         """
         A = np.zeros((self.m_total, self.n_total))
-        for r0, c0, B in self._coupling_blocks(False):
+        for r0, c0, B in self._coupling_blocks():
             A[r0:r0 + B.shape[0], c0:c0 + B.shape[1]] = B
         A.setflags(write=False)
         return A
 
-    def _coupling_blocks(self, transpose: bool):
+    def _coupling_blocks(self):
         for a in self.agents:
             r0 = self._m_offsets[a.id].start
             for j, B in a.blocks.items():
-                c0 = self._u_offsets[j].start
-                yield (c0, r0, B.T) if transpose else (r0, c0, B)
+                yield r0, self._u_offsets[j].start, B
 
     @cached_property
     def coupling_csr(self) -> sp.csr_array:
         """``coupling_matrix`` in CSR form, built from the blocks."""
-        return blocks_to_csr((self.m_total, self.n_total), self._coupling_blocks(False))
+        return blocks_to_csr((self.m_total, self.n_total), self._coupling_blocks())
 
     @cached_property
     def coupling_csr_T(self) -> sp.csr_array:
         """Transpose of ``coupling_csr``, held as its own CSR matrix."""
-        return blocks_to_csr((self.n_total, self.m_total), self._coupling_blocks(True))
+        return self.coupling_csr.T.tocsr()
 
     @cached_property
     def g_vec(self) -> np.ndarray:
@@ -620,18 +620,6 @@ def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
             if a.is_diagonal:
                 cost[p] = a.cost(u[instance.u_slice(a.id)])
     return sum(cost.tolist())
-
-
-def constraint_residual(instance: ProblemInstance, u: np.ndarray):
-    """Stacked coupling residual and its Euclidean norm.
-
-    Block i of the returned vector is G_i^i u_i + sum_j G_i^j u_j - g_i.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (instance.n_total,):
-        raise ValidationError(f"u has shape {u.shape}, expected ({instance.n_total},)")
-    res = instance.coupling_csr @ u - instance.g_vec
-    return res, float(np.linalg.norm(res))
 
 
 # -- JSON round trip -------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProblemInstance, ValidationError
+from .model import ProblemInstance, ValidationError, _int
 
 __all__ = ["NetworkModel", "links", "build_network", "activation_matrix"]
 
@@ -56,11 +56,10 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
 
 
 def links(instance: ProblemInstance) -> tuple[tuple[int, int], ...]:
-    """The instance's communication links: every pair (i, j), i < j, of
-    agents where one influences the other, in ascending order."""
-    g = instance.graph
-    return tuple(sorted({_edge_key(i, j) for i in instance.ids
-                         for j in g.in_neighbors[i] + g.out_neighbors[i] if j != i}))
+    """The instance's communication links: every pair (i, j), i < j, where
+    one agent is the other's in-neighbor, in ascending order."""
+    n_in = instance.graph.in_neighbors
+    return tuple(sorted({_edge_key(i, j) for i in instance.ids for j in n_in[i]}))
 
 
 def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
@@ -69,8 +68,10 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
 
     ``gamma`` in [0, 1) is the per-link failure probability (beta = 1-gamma).
     ``beta_overrides`` maps (i, j) pairs to link-specific probabilities
-    in (0, 1], taking precedence over the uniform value.
+    in (0, 1], taking precedence over the uniform value.  An integer
+    ``seed`` is read mod 2^64; any other raises ValidationError.
     """
+    seed = _int(seed, "seed")
     if not (0.0 <= gamma < 1.0):
         raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
     g = instance.graph
@@ -93,11 +94,11 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
             prod *= float(beta[index[_edge_key(i, j)]])
         alpha[i] = prod
     # one pass mixes the seed (first) and every link's key
-    mixed = _mix_np(np.array([int(seed) & _MASK] + [
+    mixed = _mix_np(np.array([seed & _MASK] + [
         ((i & 0xFFFFFFFF) << 32) | (j & 0xFFFFFFFF) for i, j in edge_list], dtype=np.uint64))
     base = _mix_np(mixed[:1] ^ mixed[1:])
     base.setflags(write=False)
-    return NetworkModel(edges=edge_list, beta=beta, seed=int(seed), alpha=alpha,
+    return NetworkModel(edges=edge_list, beta=beta, seed=seed, alpha=alpha,
                         edge_index=index, _base=base)
 
 

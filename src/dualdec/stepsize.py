@@ -18,18 +18,7 @@ import numpy as np
 
 from .model import ProblemInstance, ValidationError
 
-__all__ = ["StepsizeTable", "spectral_norm", "build_stepsizes"]
-
-def spectral_norm(M) -> float:
-    """Largest singular value ||M||_2, exact (LAPACK SVD); ValueError on an empty matrix.
-
-    An exact value matters: an estimate from below makes L_i low and
-    eta_i = 1/L_i larger than the safe step.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        raise ValueError("spectral_norm: empty matrix")
-    return float(np.linalg.norm(M, 2))
+__all__ = ["StepsizeTable", "build_stepsizes"]
 
 
 @dataclass(frozen=True)
@@ -43,8 +32,7 @@ class StepsizeTable:
 
     def eta_rows(self, instance: ProblemInstance) -> np.ndarray:
         """eta_i repeated over agent i's coupling rows, stacked ascending."""
-        parts = [np.full(a.m, self.eta[a.id]) for a in instance.agents]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate([np.full(a.m, self.eta[a.id]) for a in instance.agents])
 
 
 def build_stepsizes(instance: ProblemInstance) -> StepsizeTable:
@@ -53,7 +41,8 @@ def build_stepsizes(instance: ProblemInstance) -> StepsizeTable:
     out_norm = {}
     for a in instance.agents:
         S = instance.out_stack(a.id)
-        out_norm[a.id] = spectral_norm(S) if S.shape[0] > 0 else 0.0
+        # exact (SVD), not an estimate from below, which would make eta_i unsafe
+        out_norm[a.id] = float(np.linalg.norm(S, 2)) if S.shape[0] > 0 else 0.0
     L, eta = {}, {}
     for a in instance.agents:
         hood = set(instance.graph.in_neighbors[a.id]) | {a.id}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AgentSpec, ProblemInstance
+from .model import AgentSpec, ProblemInstance, _int
 
 __all__ = ["random_instance"]
 
@@ -30,9 +30,11 @@ def random_instance(n_agents: int = 5, *, seed: int = 0,
     Each agent gets 1..MAX_DIM variables, 1..MAX_M coupling rows, and up
     to ``MAX_IN`` in-neighbors.  ``diagonal`` switches the local costs
     between diagonal and dense symmetric positive definite.  Boxes are
-    [-BOX, BOX]; feasibility is guaranteed by construction.
+    [-BOX, BOX]; feasibility is guaranteed by construction.  A non-integer
+    ``n_agents`` or ``seed`` raises ValidationError.
     """
-    if n_agents < 1:
+    seed = _int(seed, "seed")
+    if _int(n_agents, "n_agents") < 1:
         raise ValueError("need at least one agent")
     for attempt in range(100):
         rng = np.random.default_rng(seed if attempt == 0 else (seed, attempt))
@@ -59,10 +61,7 @@ def _draw(rng, n_agents, diagonal) -> ProblemInstance:
         nbrs = sorted(rng.choice(others, size=k, replace=False).tolist()) if k else []
         blocks = {i: rng.uniform(-1.0, 1.0, (m, n)) + 1.5 * np.eye(m, n)}
         for j in nbrs:
-            B = rng.uniform(-1.0, 1.0, (m, dims[j]))
-            if not np.any(B):  # vanishingly unlikely, but keep the invariant
-                B[0, 0] = 1.0
-            blocks[j] = B
+            blocks[j] = rng.uniform(-1.0, 1.0, (m, dims[j]))
         g = blocks[i] @ u0[i]
         for j in nbrs:
             g = g + blocks[j] @ u0[j]

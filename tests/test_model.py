@@ -1,5 +1,6 @@
 """Problem container: validation, graph derivation, stacking, JSON round trip."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import CASES, make_pair, mesh_grid
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
-                     constraint_residual, engine, load_case, primal_cost, random_instance)
+                     engine, load_case, primal_cost, random_instance)
 from dualdec.model import (AgentSpec, ProblemInstance, blocks_to_csr, instance_from_dict,
                            instance_to_dict, load_instance, save_instance)
 
@@ -25,6 +26,8 @@ def scalar_agent(i, *, m=1, g=(0.0,), blocks=None, Q=((1.0,),), lo=-10.0, hi=10.
 
 
 def test_graph_pair(instance_a):
+    # the graph is derived from the agents, which are the instance's only field
+    assert [f.name for f in dataclasses.fields(ProblemInstance)] == ["agents"]
     g = instance_a.graph
     assert g.in_neighbors == {1: (2,), 2: ()}
     assert g.out_neighbors == {1: (1,), 2: (1, 2)}
@@ -162,10 +165,17 @@ def blocks_to_csr_reference(shape, blocks):
                         shape=shape)
 
 
+def _transposed(blocks):
+    """The blocks of the transposed matrix: block (r0, c0, B) moves to (c0, r0, B.T)."""
+    return [(c0, r0, B.T) for r0, c0, B in blocks]
+
+
 def _block_sets(inst, monkeypatch):
-    """The coupling block lists of ``inst`` and the lists ``engine._plan`` builds from it."""
-    sets = [((inst.m_total, inst.n_total), list(inst._coupling_blocks(False))),
-            ((inst.n_total, inst.m_total), list(inst._coupling_blocks(True)))]
+    """The coupling block lists of ``inst``, transposed too, and the lists
+    ``engine._plan`` builds from it."""
+    blocks = list(inst._coupling_blocks())
+    sets = [((inst.m_total, inst.n_total), blocks),
+            ((inst.n_total, inst.m_total), _transposed(blocks))]
 
     def record(shape, blocks):
         sets.append((shape, list(blocks)))
@@ -177,18 +187,19 @@ def _block_sets(inst, monkeypatch):
     return sets
 
 
+def _instances(name):
+    if name == "rand":
+        return [random_instance(n, seed=s, diagonal=s % 2 == 0)
+                for n in (4, 5, 10) for s in range(4)]
+    if name == "opf":
+        return [build_opf_instance(load_case(CASES / f)) for f in ("ieee14.json",
+                                                                   "opf_2bus.json")] + [mesh_grid()]
+    return []
+
+
 @pytest.mark.parametrize("name", ["rand", "opf", "empty"])
 def test_blocks_to_csr_matches_per_block_reference(name, monkeypatch):
-    if name == "rand":
-        insts = [random_instance(n, seed=s, diagonal=s % 2 == 0)
-                 for n in (4, 5, 10) for s in range(4)]
-    elif name == "opf":
-        insts = [build_opf_instance(load_case(CASES / f)) for f in ("ieee14.json",
-                                                                    "opf_2bus.json")]
-        insts.append(mesh_grid())
-    else:
-        insts = []
-    sets = [s for inst in insts for s in _block_sets(inst, monkeypatch)]
+    sets = [s for inst in _instances(name) for s in _block_sets(inst, monkeypatch)]
     sets.append(((3, 4), []))
     sets.append(((2, 5), [(0, 1, np.zeros((2, 2))), (1, 3, np.array([[0.0, -0.0]]))]))
     for shape, blocks in sets:
@@ -197,6 +208,21 @@ def test_blocks_to_csr_matches_per_block_reference(name, monkeypatch):
         for field in ("indptr", "indices", "data"):
             a, b = getattr(got, field), getattr(want, field)
             assert np.array_equal(a, b) and a.dtype == b.dtype, field
+
+
+@pytest.mark.parametrize("name", ["rand", "opf"])
+def test_transpose_equals_the_transposed_blocks(name):
+    # coupling_csr_T is derived from the CSR; the sums of every product with
+    # it follow its entry order, so pin its bytes to the block-built transpose
+    insts = _instances(name) + ([random_instance(10, seed=0, diagonal=False)]
+                                if name == "rand" else [])
+    for inst in insts:
+        got = inst.coupling_csr_T
+        want = blocks_to_csr((inst.n_total, inst.m_total), _transposed(inst._coupling_blocks()))
+        assert got.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def test_agents_sorted_by_id():
@@ -208,12 +234,18 @@ def test_agents_sorted_by_id():
 def test_cost_and_residual(chain3):
     u = np.array([1.0, 1.0, 1.0])
     assert primal_cost(chain3, u) == pytest.approx(1.5)
-    vec, nrm = constraint_residual(chain3, u)
-    np.testing.assert_allclose(vec, 0.0, atol=1e-15)
-    assert nrm == 0.0
-    vec, nrm = constraint_residual(chain3, np.zeros(3))
-    np.testing.assert_array_equal(vec, [-2.0, -1.0, -1.5])
-    assert nrm == pytest.approx(np.sqrt(4 + 1 + 2.25))
+
+
+@pytest.mark.parametrize("kwargs", [{"n_agents": True}, {"n_agents": 2.0}, {"seed": True},
+                                    {"seed": 1.7}, {"seed": "1"}])
+def test_random_instance_rejects_non_integers(kwargs):
+    with pytest.raises(ValidationError, match="is not an integer"):
+        random_instance(**kwargs)
+
+
+def test_random_instance_takes_numpy_integers():
+    got = random_instance(np.int64(3), seed=np.int64(2))
+    assert instance_to_dict(got) == instance_to_dict(random_instance(3, seed=2))
 
 
 def test_diag_columns(chain3):

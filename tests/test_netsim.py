@@ -145,6 +145,18 @@ def test_vectorized_matches_scalar_path(chain3):
     np.testing.assert_array_equal(mat, np.array(rows))
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, "1", None])
+def test_seed_must_be_an_integer(chain3, seed):
+    with pytest.raises(ValidationError, match="seed .* is not an integer"):
+        build_network(chain3, 0.3, seed=seed)
+
+
+def test_numpy_integer_seed_is_that_seed(chain3):
+    net, want = build_network(chain3, 0.3, seed=np.int64(5)), build_network(chain3, 0.3, seed=5)
+    assert type(net.seed) is int and net.seed == 5
+    assert net._base.tobytes() == want._base.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 11, -1, 2**64 - 1, 10**30])
 def test_link_hash_base_matches_scalar_reference(seed):
     # each link's base is the scalar finalizer of the seed mixed with its key

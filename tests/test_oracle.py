@@ -113,6 +113,30 @@ def test_capacity_cut_grid_takes_the_active_set_route():
     assert oracle.kkt_residual(inst, sol.u, sol.lam) <= oracle.CERT_TOL
 
 
+def test_active_set_bound_leaves_the_working_set(monkeypatch):
+    # min 1/2 |u|^2 + c'u over [0, 1]^3 with u1 + u2 + u3 = 1 projects -c onto
+    # the capped simplex: (0.62, 0.38, 0).  From (1, 0, 0) the upper bound on
+    # u1 enters the working set, then leaves it when its multiplier has the
+    # wrong sign.
+    a = AgentSpec(id=1, dim=3, Q=None, diag=[1.0, 1.0, 1.0], c=[-1.19, -0.95, 1.0],
+                  lo=np.zeros(3), hi=np.ones(3), m=1, g=[1.0], blocks={1: [[1.0, 1.0, 1.0]]})
+    inst = ProblemInstance(agents=(a,))
+    Q, Qinv = oracle._block_diag(inst, False), oracle._block_diag(inst, True)
+    start = oracle._schur_solve(inst, Q, Qinv, np.zeros(3, dtype=bool), inst.lo_vec)
+    sets, real = [], oracle._schur_solve
+
+    def record(instance, Q, Qinv, pinned, at):
+        sets.append(pinned.copy())  # the caller edits its working set in place
+        return real(instance, Q, Qinv, pinned, at)
+
+    monkeypatch.setattr(oracle, "_schur_solve", record)
+    sol = oracle._primal_active_set(inst, Q, Qinv, np.array([1.0, 0.0, 0.0]), start)
+    assert any((before & ~after).any() for before, after in zip(sets, sets[1:]))
+    np.testing.assert_allclose(sol.u, [0.62, 0.38, 0.0], rtol=0.0, atol=1e-12)
+    assert sol.method == "active_set"
+    assert oracle.kkt_residual(inst, sol.u, sol.lam) <= oracle.CERT_TOL
+
+
 def test_kkt_residual_checks_each_condition():
     # u1 + u2 = 2 at costs u^2/2: optimum (1, 1) at lam -1; scale 1 + max(|c|, |g|) = 3
     def r(inst, u, lam):

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts as subprocesses."""
 
+import importlib.util
 import json
 import re
 import shutil
@@ -155,6 +156,45 @@ def test_bench_writes_paired_entry(tmp_path):
         assert any(ln.startswith("solve_s median") for ln in r["lines"])
     row = entry["summary"]["dispatch-grid"]["rounds"]
     assert row["pairs"] == 1 and row["ties"] == 1
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_summary_verdicts():
+    # per workload, this tree's and the other tree's runs of a lower-better
+    # metric; a higher-better metric read at -v gets the same verdicts, and a
+    # metric without a bound gets none
+    spread = [0.9, 1.3] * 5  # interquartile range 0.4, wider than the bound
+    cases = {
+        "worse": ([1.3] * 10, [1.0] * 10),
+        "unresolved": (spread, spread),
+        "unresolved-one-pair": ([1.05], [1.0]),
+        "gain": ([0.8 + 0.01 * i for i in range(10)], [1.0 + 0.01 * i for i in range(10)]),
+        "gain-past-the-spread": ([0.5] * 10, spread),
+        "inside": ([1.0] * 10, [1.0] * 10),
+        "inside-one-pair": ([0.5], [1.0]),
+        "inside-eight-wins": ([0.8] * 8 + [1.0] * 2, [1.0] * 10),
+    }
+    metrics = [{"name": "solve_s", "better": "lower", "bound": 0.25},
+               {"name": "converged_frac", "better": "higher", "bound": 0.1},
+               {"name": "engine.run_s", "better": "lower"}]
+    runs = []
+    for wl, (ours, theirs) in cases.items():
+        for tree, vals in (("this", ours), ("against", theirs)):
+            runs += [{"workload": wl, "seed": s, "tree": tree, "result": {"metrics": {
+                "solve_s": {"value": v}, "converged_frac": {"value": -v},
+                "engine.run_s": {"value": v}}}} for s, v in enumerate(vals)]
+    summary = _bench_module().summarise(runs, metrics, paired=True)
+    assert sorted(summary) == sorted(cases)
+    for wl, rows in summary.items():
+        want = wl.split("-")[0]
+        assert rows["solve_s"]["verdict"] == rows["converged_frac"]["verdict"] == want, wl
+        assert "verdict" not in rows["engine.run_s"]
 
 
 def test_digests_against_itself(tmp_path):

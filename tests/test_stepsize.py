@@ -1,33 +1,12 @@
-"""Spectral norms, Lipschitz constants and the safe step-size table."""
+"""Out-stack norms, Lipschitz constants and the safe step-size table."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdec import (ValidationError, build_stepsizes, random_instance,
-                     spectral_norm)
+from dualdec import ValidationError, build_stepsizes, random_instance
 from dualdec.model import AgentSpec, ProblemInstance, instance_to_dict, instance_from_dict
-
-
-def test_spectral_norm_exact_values():
-    assert spectral_norm([[1.0]]) == pytest.approx(1.0)
-    assert spectral_norm([[1.0, 1.0]]) == pytest.approx(np.sqrt(2.0))
-    assert spectral_norm([[3.0, 4.0]]) == pytest.approx(5.0)
-    assert spectral_norm(np.zeros((3, 2))) == 0.0
-
-
-def test_spectral_norm_rejects_empty():
-    with pytest.raises(ValueError, match="empty"):
-        spectral_norm(np.zeros((0, 2)))
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6))
-def test_spectral_norm_matches_svd(seed, rows, cols):
-    M = np.random.default_rng(seed).normal(size=(rows, cols))
-    ref = np.linalg.norm(M, 2)
-    assert spectral_norm(M) == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 def test_pair_table(instance_a):

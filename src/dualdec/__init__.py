@@ -2,7 +2,7 @@
 executed over simulated unreliable communication networks."""
 
 from .model import (AgentSpec, InfluenceGraph, ProblemInstance, ValidationError,
-                    derive_graph, load_instance, primal_cost, save_instance)
+                    load_instance, primal_cost, save_instance)
 from .subsolver import solve_local
 from .stepsize import StepsizeTable, build_stepsizes
 from .netsim import NetworkModel, build_network
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentSpec", "InfluenceGraph", "ProblemInstance", "ValidationError",
-    "derive_graph", "load_instance", "primal_cost", "save_instance",
+    "load_instance", "primal_cost", "save_instance",
     "solve_local",
     "StepsizeTable", "build_stepsizes",
     "NetworkModel", "build_network",

@@ -70,9 +70,14 @@ def _load(args, parser):
     return opf.build_opf_instance(opf.load_case(args.case))
 
 
-def _check_eps(args, parser) -> None:
+def _instance_and_steps(args, parser):
+    """Check --max-iters and --eps, then load the instance and build its step table."""
+    if args.max_iters < 0:
+        parser.error("--max-iters must be >= 0")
     if not (math.isfinite(args.eps) and args.eps >= 0.0):
         parser.error(f"--eps must be a finite number >= 0, got {args.eps!r}")
+    instance = _load(args, parser)
+    return instance, stepsize.build_stepsizes(instance)
 
 
 def _cmd_validate(args, parser) -> int:
@@ -93,11 +98,7 @@ def _cmd_validate(args, parser) -> int:
 def _cmd_run(args, parser) -> int:
     if args.algo == "alg1" and args.gamma is not None:
         parser.error("--gamma applies only to alg2/unaccel")
-    if args.max_iters < 0:
-        parser.error("--max-iters must be >= 0")
-    _check_eps(args, parser)
-    instance = _load(args, parser)
-    table = stepsize.build_stepsizes(instance)
+    instance, table = _instance_and_steps(args, parser)
     if args.algo == "alg1":
         trace = engine.run_alg1(instance, table, args.max_iters, args.eps)
     else:
@@ -134,16 +135,14 @@ def _cmd_montecarlo(args, parser) -> int:
         parser.error(f"--gammas repeats a value: {args.gammas!r}")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    if args.max_iters < 0:
-        parser.error("--max-iters must be >= 0")
-    _check_eps(args, parser)
-    instance = _load(args, parser)
-    table = stepsize.build_stepsizes(instance)
+    instance, table = _instance_and_steps(args, parser)
 
+    # every gamma's first network is built, and so checked, before any run
+    seeds = range(args.seed, args.seed + args.runs)
+    firsts = {gamma: netsim.build_network(instance, gamma, seed=seeds[0])
+              for gamma in sorted(gammas)}
     rows = []
-    for gamma in sorted(gammas):
-        seeds = range(args.seed, args.seed + args.runs)
-        first = netsim.build_network(instance, gamma, seed=seeds[0])
+    for gamma, first in firsts.items():
         if (first.beta == 1.0).all():
             # every link draw is up whatever the seed: each replicate is this one run
             traces = [engine.run_alg2(instance, table, first, args.max_iters,

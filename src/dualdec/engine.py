@@ -21,8 +21,13 @@ links are always up, and ``run_unaccelerated`` pins theta to 1.  The
 kernel keeps one copy of each multiplier, which is the tracker protocol
 exactly: each holder i of a copy of lam_j is an in-neighbor of j, so
 when a refresh of that copy is lost, j held its step and its new lam_j
-is the interpolant the copy already holds.  The loop resolves
-``solve_local`` and ``eval_dual`` through this module's globals.
+is the interpolant the copy already holds (``tests/test_engine.py``
+checks this against a per-agent reference that keeps every tracker).  A
+contribution that comes over a down link keeps its last received value,
+and a held agent's stop test still reads it.  The local pressures
+a_i = sum_j G_j^i' lam_j are the transposed coupling matrix applied to
+the interpolants.  The loop resolves ``solve_local`` and ``eval_dual``
+through this module's globals.
 The stop test compares squared residual norms with a threshold T fixed
 per run (``_stop_threshold``), which gives the same booleans as comparing
 their square roots with eps.
@@ -30,7 +35,8 @@ their square roots with eps.
 The kernel's state is a block of replicate columns: ``run_batch`` runs
 one column per network, and the lone drivers are the one-column case.
 Every vector is a (rows, S) block, theta stays one scalar, and a column
-leaves the block once it converges or turns non-finite; its ``iters``,
+leaves the block once it converges or turns non-finite (a column that
+runs out of budget ends with the rest); its ``iters``,
 ``stop``, ``theta`` and ``updates`` are its lone run's bit for bit.  The
 local solve takes its pressures as rows, so the kernel hands it the
 transposed (S, n) block and transposes the minimizers back.
@@ -52,7 +58,6 @@ pass, not two.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,8 +65,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .model import ProblemInstance, ValidationError, _int, blocks_to_csr, primal_cost
-from .netsim import NetworkModel, activation_matrix, build_network, links
+from .model import ProblemInstance, ValidationError, _int, _real, blocks_to_csr, primal_cost
+from .netsim import NetworkModel, _edge_key, activation_matrix, build_network, links
 from .stepsize import StepsizeTable
 from .subsolver import solve_local
 
@@ -264,7 +269,7 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkM
     n_links = len(network.edges)
 
     def link(i, j):
-        return n_links if i == j else network.edge_index[(min(i, j), max(i, j))]
+        return n_links if i == j else network.edge_index[_edge_key(i, j)]
 
     graph = instance.graph
     C_blocks, S_blocks = [], []
@@ -341,9 +346,7 @@ def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star):
     max_iters = _int(max_iters, "max_iters")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
-        raise ValidationError(f"eps {eps!r} is not a number")
-    eps = float(eps)
+    eps = _real(eps, "eps")
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
     if lambda_star is not None:
@@ -368,7 +371,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo):
     q_star = None
     if lambda_star is not None:
         q_star = eval_dual(instance, lambda_star).q
-        v_weight = 1.0 / (2.0 * np.repeat(alphas[0] * eta_arr, [a.m for a in instance.agents]))
+        v_weight = 1.0 / (2.0 * (alphas[0] * eta_arr)[plan.row_agent])
     g, eta_rows = instance.g_vec[:, None], plan.eta_rows[:, None]  # broadcast over columns
     A_T = instance.coupling_csr_T
     n_blocks = len(plan.starts)
@@ -515,6 +518,8 @@ def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
     more than one network the runs are not logged (``q``, ``residual``,
     ``lam`` and ``u_final`` are None).
     """
+    if isinstance(networks, NetworkModel):
+        raise ValidationError("run_batch takes a list of networks, not one NetworkModel")
     networks = list(networks)
     if not networks:
         raise ValidationError("run_batch needs at least one network")

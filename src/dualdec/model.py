@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -36,7 +37,6 @@ __all__ = [
     "StackWork",
     "InfluenceGraph",
     "ProblemInstance",
-    "derive_graph",
     "load_instance",
     "save_instance",
     "instance_from_dict",
@@ -84,6 +84,13 @@ def _int(x, name: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValidationError(f"{name} {x!r} is not an integer")
     return int(x)
+
+
+def _real(x, name: str) -> float:
+    """``x`` as a float; a bool or anything else that is not a real number is rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"{name} {x!r} is not a number")
+    return float(x)
 
 
 def _text_or_bool(x) -> bool:
@@ -414,18 +421,10 @@ class InfluenceGraph:
     out_neighbors: dict[int, tuple[int, ...]]
 
 
-def derive_graph(agents) -> InfluenceGraph:
-    """Read N_i off each agent's block keys and invert for M_i."""
-    ids = sorted(a.id for a in agents)
-    n_in = {a.id: tuple(sorted(j for j in a.blocks if j != a.id)) for a in agents}
-    out = {i: {i} for i in ids}
-    for i, nbrs in n_in.items():
-        for j in nbrs:
-            out[j].add(i)
-    return InfluenceGraph(
-        in_neighbors=n_in,
-        out_neighbors={i: tuple(sorted(s)) for i, s in out.items()},
-    )
+def _slices(agents, sizes) -> dict[int, slice]:
+    """Each agent's slice of a vector that holds ``sizes`` entries per agent, agent after agent."""
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return {a.id: slice(s, e) for a, s, e in zip(agents, ends, ends[1:])}
 
 
 @dataclass(frozen=True)
@@ -456,7 +455,14 @@ class ProblemInstance:
 
     @cached_property
     def graph(self) -> InfluenceGraph:
-        return derive_graph(self.agents)
+        """N_i read off each agent's block keys, and inverted for M_i."""
+        n_in = {a.id: tuple(sorted(j for j in a.blocks if j != a.id)) for a in self.agents}
+        out = {i: {i} for i in self.ids}
+        for i, nbrs in n_in.items():
+            for j in nbrs:
+                out[j].add(i)
+        return InfluenceGraph(in_neighbors=n_in,
+                              out_neighbors={i: tuple(sorted(s)) for i, s in out.items()})
 
     # -- indexing ---------------------------------------------------------
 
@@ -481,19 +487,11 @@ class ProblemInstance:
 
     @cached_property
     def _u_offsets(self) -> dict[int, slice]:
-        out, pos = {}, 0
-        for a in self.agents:
-            out[a.id] = slice(pos, pos + a.dim)
-            pos += a.dim
-        return out
+        return _slices(self.agents, (a.dim for a in self.agents))
 
     @cached_property
     def _m_offsets(self) -> dict[int, slice]:
-        out, pos = {}, 0
-        for a in self.agents:
-            out[a.id] = slice(pos, pos + a.m)
-            pos += a.m
-        return out
+        return _slices(self.agents, (a.m for a in self.agents))
 
     def u_slice(self, i: int) -> slice:
         """Columns of agent i inside a stacked decision vector."""
@@ -624,15 +622,28 @@ def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
 
 # -- JSON round trip -------------------------------------------------------
 
-def _agent_from_dict(d: dict) -> AgentSpec:
+def _read_json(path):
+    """The JSON value in the file at ``path``; invalid JSON raises ValidationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _check_fields(d, keys: set[str], what: str) -> None:
+    """Reject ``d`` unless it is a JSON object with exactly the fields ``keys``."""
     if not isinstance(d, dict):
-        raise ValidationError("agent entry is not an object")
-    missing = _AGENT_KEYS - set(d)
+        raise ValidationError(f"{what} is not an object")
+    missing = keys - set(d)
     if missing:
-        raise ValidationError(f"agent entry missing fields: {sorted(missing)}")
-    extra = set(d) - _AGENT_KEYS
+        raise ValidationError(f"{what} missing fields: {sorted(missing)}")
+    extra = set(d) - keys
     if extra:
-        raise ValidationError(f"agent entry has unknown fields: {sorted(extra)}")
+        raise ValidationError(f"{what} has unknown fields: {sorted(extra)}")
+
+
+def _agent_from_dict(d: dict) -> AgentSpec:
+    _check_fields(d, _AGENT_KEYS, "agent entry")
     q = d["Q"]
     diag = None
     if isinstance(q, dict):
@@ -657,8 +668,7 @@ def _agent_from_dict(d: dict) -> AgentSpec:
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
-    if not isinstance(data, dict) or set(data) != {"agents"}:
-        raise ValidationError("top level must be an object with exactly the key 'agents'")
+    _check_fields(data, {"agents"}, "top level")
     if not isinstance(data["agents"], list) or not data["agents"]:
         raise ValidationError("'agents' must be a non-empty list")
     return ProblemInstance(agents=tuple(_agent_from_dict(d) for d in data["agents"]))
@@ -666,11 +676,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
 
 def load_instance(path) -> ProblemInstance:
     """Parse and validate a problem JSON file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(_read_json(path))
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

@@ -13,12 +13,13 @@ are reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProblemInstance, ValidationError, _int
+from .model import ProblemInstance, ValidationError, _int, _real
 
 __all__ = ["NetworkModel", "links", "build_network", "activation_matrix"]
 
@@ -69,9 +70,10 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
     ``gamma`` in [0, 1) is the per-link failure probability (beta = 1-gamma).
     ``beta_overrides`` maps (i, j) pairs to link-specific probabilities
     in (0, 1], taking precedence over the uniform value.  An integer
-    ``seed`` is read mod 2^64; any other raises ValidationError.
+    ``seed`` is read mod 2^64; any other seed or gamma raises ValidationError.
     """
     seed = _int(seed, "seed")
+    gamma = _real(gamma, "gamma")
     if not (0.0 <= gamma < 1.0):
         raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
     g = instance.graph
@@ -87,12 +89,8 @@ def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
                 raise ValidationError(f"beta for link {key} must lie in (0, 1], got {p}")
             beta[index[e]] = p
     beta.setflags(write=False)
-    alpha = {}
-    for i in instance.ids:
-        prod = 1.0
-        for j in g.in_neighbors[i]:
-            prod *= float(beta[index[_edge_key(i, j)]])
-        alpha[i] = prod
+    alpha = {i: math.prod((float(beta[index[_edge_key(i, j)]]) for j in g.in_neighbors[i]),
+                          start=1.0) for i in instance.ids}
     # one pass mixes the seed (first) and every link's key
     mixed = _mix_np(np.array([seed & _MASK] + [
         ((i & 0xFFFFFFFF) << 32) | (j & 0xFFFFFFFF) for i, j in edge_list], dtype=np.uint64))

@@ -16,13 +16,12 @@ angles pinned to zero through a degenerate box.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .model import AgentSpec, ProblemInstance, ValidationError, _farray, _int
+from .model import (AgentSpec, ProblemInstance, ValidationError, _check_fields, _farray, _int,
+                    _read_json)
 
 __all__ = ["Bus", "Branch", "Generator", "OpfCase", "load_case", "build_opf_instance"]
 
@@ -149,18 +148,8 @@ class OpfCase:
 
 def load_case(path) -> OpfCase:
     """Parse and validate an OPF case JSON file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("case file must be a JSON object")
-    missing = _CASE_KEYS - set(data)
-    if missing:
-        raise ValidationError(f"case file missing fields: {sorted(missing)}")
-    extra = set(data) - _CASE_KEYS
-    if extra:
-        raise ValidationError(f"case file has unknown fields: {sorted(extra)}")
+    data = _read_json(path)
+    _check_fields(data, _CASE_KEYS, "case file")
     try:
         buses = tuple(Bus(id=b["id"], demand=b["demand"]) for b in data["buses"])
         branches = tuple(Branch(i=br["from"], j=br["to"], b=br["b"]) for br in data["branches"])
@@ -175,53 +164,34 @@ def load_case(path) -> OpfCase:
 
 def build_opf_instance(case: OpfCase) -> ProblemInstance:
     """Translate a case into the coupled quadratic form, one agent per bus."""
-    h = case.h
+    h, t = case.h, np.arange(case.h)
     gen_at = {g.bus: g for g in case.generators}
     # accumulated susceptance between bus pairs (parallel branches add up)
-    b_sum: dict[tuple[int, int], float] = {}
-    for br in case.branches:
-        key = (min(br.i, br.j), max(br.i, br.j))
-        b_sum[key] = b_sum.get(key, 0.0) + br.b
     nbrs = {b.id: {} for b in case.buses}
-    for (i, j), b in b_sum.items():
-        nbrs[i][j] = b
-        nbrs[j][i] = b
+    for br in case.branches:
+        nbrs[br.i][br.j] = nbrs[br.j][br.i] = nbrs[br.i].get(br.j, 0.0) + br.b
+    psi0 = {b.id: (h if b.id in gen_at else 0) for b in case.buses}  # first angle column of u_i
 
-    dims = {b.id: (2 * h if b.id in gen_at else h) for b in case.buses}
     agents = []
     for bus in case.buses:
-        i = bus.id
-        gen = gen_at.get(i)
-        n = dims[i]
-        psi0 = h if gen else 0  # first angle column inside u_i
-        if gen:
-            diag = np.concatenate([np.full(h, 2.0 * gen.a), np.full(h, 2.0 * case.eps_psi)])
-            c = np.concatenate([np.full(h, gen.b), np.zeros(h)])
-            lo = np.concatenate([np.zeros(h), np.full(h, -case.psi_max)])
-            hi = np.concatenate([np.full(h, gen.pmax), np.full(h, case.psi_max)])
-        else:
-            diag = np.full(h, 2.0 * case.eps_psi)
-            c = np.zeros(h)
-            lo = np.full(h, -case.psi_max)
-            hi = np.full(h, case.psi_max)
-        if i == case.ref_bus:
-            lo[psi0:] = 0.0
-            hi[psi0:] = 0.0
-
-        own = np.zeros((h, n))
-        total_b = sum(nbrs[i].values())
-        for t in range(h):
-            if gen:
-                own[t, t] = 1.0
-            own[t, psi0 + t] = -total_b
+        i, gen = bus.id, gen_at.get(bus.id)
+        own = np.zeros((h, psi0[i] + h))
+        own[t, psi0[i] + t] = -sum(nbrs[i].values())
         blocks = {i: own}
         for j, b in nbrs[i].items():
-            Bj = np.zeros((h, dims[j]))
-            psi0_j = h if j in gen_at else 0
-            for t in range(h):
-                Bj[t, psi0_j + t] = b
-            blocks[j] = Bj
-
-        agents.append(AgentSpec(id=i, dim=n, Q=None, c=c, lo=lo, hi=hi,
+            blocks[j] = np.zeros((h, psi0[j] + h))
+            blocks[j][t, psi0[j] + t] = b
+        # the angle columns, which a generating bus's power columns precede
+        diag, c = np.full(h, 2.0 * case.eps_psi), np.zeros(h)
+        lo, hi = np.full(h, -case.psi_max), np.full(h, case.psi_max)
+        if i == case.ref_bus:  # its angles are pinned to zero
+            lo[:] = hi[:] = 0.0
+        if gen:
+            own[t, t] = 1.0
+            diag = np.concatenate([np.full(h, 2.0 * gen.a), diag])
+            c = np.concatenate([np.full(h, gen.b), c])
+            lo = np.concatenate([np.zeros(h), lo])
+            hi = np.concatenate([np.full(h, gen.pmax), hi])
+        agents.append(AgentSpec(id=i, dim=psi0[i] + h, Q=None, c=c, lo=lo, hi=hi,
                                 m=h, g=bus.demand.copy(), blocks=blocks, diag=diag))
     return ProblemInstance(agents=tuple(agents))

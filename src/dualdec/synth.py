@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AgentSpec, ProblemInstance, _int
+from .model import AgentSpec, ProblemInstance, ValidationError, _int
 
 __all__ = ["random_instance"]
 
@@ -31,11 +31,11 @@ def random_instance(n_agents: int = 5, *, seed: int = 0,
     to ``MAX_IN`` in-neighbors.  ``diagonal`` switches the local costs
     between diagonal and dense symmetric positive definite.  Boxes are
     [-BOX, BOX]; feasibility is guaranteed by construction.  A non-integer
-    ``n_agents`` or ``seed`` raises ValidationError.
+    ``n_agents`` or ``seed``, or fewer than one agent, raises ValidationError.
     """
     seed = _int(seed, "seed")
     if _int(n_agents, "n_agents") < 1:
-        raise ValueError("need at least one agent")
+        raise ValidationError("need at least one agent")
     for attempt in range(100):
         rng = np.random.default_rng(seed if attempt == 0 else (seed, attempt))
         inst = _draw(rng, n_agents, diagonal)

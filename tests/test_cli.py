@@ -51,6 +51,17 @@ def test_usage_errors_exit_1(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gammas, msg", [
+    (",", "--gammas is empty"),
+    ("a,b", "cannot parse --gammas 'a,b'"),
+    ("0.1,1e-1", "--gammas repeats a value"),
+], ids=["empty", "unparsable", "repeated"])
+def test_gammas_usage_error_names_the_fault(gammas, msg, tmp_path, capsys):
+    assert main(["montecarlo", "--problem", pj(), "--gammas", gammas, "--runs", "1",
+                 "--out", str(tmp_path / "mc.csv")]) == 1
+    assert msg in capsys.readouterr().err
+
+
 def test_validate_both_inputs_rejected(capsys):
     code = main(["validate", "--problem", pj(), "--case", str(CASES / "opf_2bus.json")])
     assert code == 1
@@ -284,6 +295,18 @@ def test_montecarlo_runs_always_up_replicates_once(tmp_path, capsys, monkeypatch
     assert len({(it, c) for g, _, it, c in rows if g == "0.0"}) == 1
 
 
+def test_montecarlo_checks_every_gamma_before_running_any(tmp_path, capsys, monkeypatch):
+    # gamma 1.5 fails before gammas 0 and 0.3 run, so no CSV is left half made
+    calls = []
+    monkeypatch.setattr(engine, "run_alg2", lambda *a, **kw: calls.append("run_alg2"))
+    monkeypatch.setattr(engine, "run_batch", lambda *a, **kw: calls.append("run_batch"))
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0,0.3,1.5",
+                 "--runs", "4", "--out", str(out)]) == 2
+    assert "gamma must lie in [0, 1), got 1.5" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_montecarlo_batches_split_into_passes(tmp_path, capsys, monkeypatch):
     # more replicates than one pass takes: the rows are those of one pass
     args = ["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0.3", "--runs", "7"]
@@ -315,15 +338,18 @@ def test_montecarlo_byte_deterministic(tmp_path, capsys):
 
 # ------------------------------------------------------- entry points
 
+SRC = CASES.parent / "src"  # `python -m` imports from its working directory first
+
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "dualdec", "validate",
-                           "--problem", pj()], capture_output=True, text=True)
+                           "--problem", pj()], capture_output=True, text=True, cwd=SRC)
     assert proc.returncode == 0
     assert "agents: 2" in proc.stdout
 
 
 def test_module_usage_error_code():
     proc = subprocess.run([sys.executable, "-m", "dualdec", "frobnicate"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=SRC)
     assert proc.returncode == 1
+    assert "invalid choice: 'frobnicate'" in proc.stderr

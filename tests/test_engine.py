@@ -596,6 +596,11 @@ def test_batch_rejects_networks_of_other_links():
         run_batch(CHAIN, CHAIN_TAB, [], 10)
 
 
+def test_batch_takes_a_list_of_networks():
+    with pytest.raises(ValidationError, match="list of networks, not one NetworkModel"):
+        run_batch(CHAIN, CHAIN_TAB, build_network(CHAIN, 0.3, seed=1), 10)
+
+
 def test_ieee14_iteration_counts_pinned():
     inst = build_opf_instance(load_case(CASES / "ieee14.json"))
     tab = build_stepsizes(inst)
@@ -785,6 +790,17 @@ def test_lyapunov_k_range_validated():
         check_lyapunov_step(tr, 0)
     with pytest.raises(ValueError):
         check_lyapunov_step(tr, tr.iters)
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: run_batch(CHAIN, CHAIN_TAB, [build_network(CHAIN, 0.3, seed=s) for s in (1, 2)],
+                       5)[0].lam_at(1), "did not record its multipliers"),
+    (lambda: check_lyapunov_step(run_alg1(CHAIN, CHAIN_TAB, 5, 0.0), 1),
+     "needs the optimal multiplier"),
+], ids=["lam-of-a-batch-column", "lyapunov-without-optimum"])
+def test_trace_checks_name_what_the_run_lacks(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call()
 
 
 def test_quadratic_model_holds_with_safe_steps():

@@ -67,6 +67,47 @@ def test_agent_rejects(mutate, msg):
         scalar_agent(1, **base).sigma  # sigma forces the definiteness check
 
 
+def dense_agent(**kw):
+    base = dict(id=1, dim=2, Q=np.eye(2), c=[0.0, 0.0], lo=[-1.0, -1.0], hi=[1.0, 1.0],
+                m=1, g=[0.0], blocks={1: [[1.0, 1.0]]})
+    return AgentSpec(**{**base, **kw})
+
+
+def with_agent_field(name, value):
+    d = instance_to_dict(load_instance(CASES / "instance_a.json"))
+    d["agents"][0][name] = value
+    return instance_from_dict(d)
+
+
+@pytest.mark.parametrize("build, msg", [
+    (lambda: dense_agent(id=-1), "agent -1: negative ids are not supported"),
+    (lambda: dense_agent(dim=0), "dim must be a positive integer"),
+    (lambda: dense_agent(diag=[1.0, 1.0, 1.0]), r"Q diag has shape \(3,\), expected \(2,\)"),
+    (lambda: dense_agent(Q=np.eye(3)), r"Q has shape \(3, 3\), expected \(2, 2\)"),
+    (lambda: dense_agent(Q=[[1.0, 0.0], [0.0, np.nan]]), "Q has non-finite entries"),
+    (lambda: dense_agent(c=[0.0]), r"c has shape \(1,\), expected \(2,\)"),
+    (lambda: dense_agent(lo=[-1.0] * 3), r"lo has shape \(3,\), expected \(2,\)"),
+    (lambda: dense_agent(hi=[[1.0, 1.0]]), r"hi has shape \(1, 2\), expected \(2,\)"),
+    (lambda: dense_agent(c=[0.0, np.inf]), "c has non-finite entries"),
+    (lambda: dense_agent(m=-1, g=[], blocks={}), "m must be a non-negative integer"),
+    (lambda: dense_agent(g=[np.nan]), "g has non-finite entries"),
+    (lambda: dense_agent(blocks={1: [[1.0, np.inf]]}), "block for 1 has non-finite entries"),
+    (lambda: dense_agent(blocks={1: [[1.0, 1.0, 1.0]]}),
+     "diagonal block has 3 columns, expected 2"),
+    (lambda: dense_agent(c=[0.0, [1.0, 2.0]]), "agent 1: c: not numeric"),  # ragged
+    (lambda: ProblemInstance(agents=()), "instance has no agents"),
+    (lambda: primal_cost(load_instance(CASES / "chain3.json"), np.zeros(2)),
+     r"u has shape \(2,\), expected \(3,\)"),
+    (lambda: instance_from_dict({"agents": [1]}), "agent entry is not an object"),
+    (lambda: with_agent_field("blocks", [[1.0]]), "agent 1: blocks must be an object"),
+], ids=["negative-id", "dim-0", "diag-shape", "Q-shape", "Q-nan", "c-shape", "lo-shape",
+        "hi-shape", "c-inf", "m-negative", "g-nan", "block-inf", "own-block-columns",
+        "ragged", "no-agents", "u-shape", "entry-not-object", "blocks-not-object"])
+def test_input_checks_name_the_fault(build, msg):
+    with pytest.raises(ValidationError, match=msg):
+        build()
+
+
 @pytest.mark.parametrize("field, value", [
     ("c", [True, 0.0]), ("c", ["1.0", 0.0]), ("c", np.array([True, False])),
     ("c", np.array(["1.0", "0.0"])), ("c", np.array([1.0, "x"], dtype=object)),
@@ -241,6 +282,11 @@ def test_cost_and_residual(chain3):
 def test_random_instance_rejects_non_integers(kwargs):
     with pytest.raises(ValidationError, match="is not an integer"):
         random_instance(**kwargs)
+
+
+def test_random_instance_needs_an_agent():
+    with pytest.raises(ValidationError, match="need at least one agent"):
+        random_instance(0)
 
 
 def test_random_instance_takes_numpy_integers():

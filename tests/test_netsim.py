@@ -37,6 +37,20 @@ def test_gamma_range(instance_a, gamma):
         build_network(instance_a, gamma)
 
 
+@pytest.mark.parametrize("gamma", ["0.1", None, [0.1], 0.1 + 0j, True])
+def test_gamma_must_be_a_number(instance_a, gamma):
+    with pytest.raises(ValidationError, match=r"gamma .* is not a number"):
+        build_network(instance_a, gamma)
+
+
+def test_numpy_float_gamma_is_its_float64_value(chain3):
+    # 1.0 - float32(0.1) taken in float32 is 0.9f, not 1 - 0.10000000149011612
+    g32 = np.float32(0.1)
+    np.testing.assert_array_equal(build_network(chain3, g32).beta, 1.0 - float(g32))
+    assert build_network(chain3, np.float64(0.3)).beta.tobytes() == \
+        build_network(chain3, 0.3).beta.tobytes()
+
+
 def test_gamma_zero_every_link_always_up(chain3):
     net = build_network(chain3, 0.0, seed=99)
     assert net.edges == ((1, 2), (1, 3))

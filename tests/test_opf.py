@@ -134,6 +134,24 @@ def test_case_validation(overrides, msg):
         build_opf_instance(two_bus(**overrides))
 
 
+def load_text(tmp_path, text):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    return load_case(p)
+
+
+@pytest.mark.parametrize("build, msg", [
+    (lambda tmp: two_bus(buses=()), "case has no buses"),
+    (lambda tmp: Generator(bus=1, a=[0.5], b=0.0, pmax=1.0), "generator a: not a number"),
+    (lambda tmp: two_bus(eps_psi=[1e-3, 1e-3]), "case eps_psi: not a number"),
+    (lambda tmp: load_text(tmp, "{nope"), "invalid JSON"),
+    (lambda tmp: load_text(tmp, "[1, 2]"), "case file is not an object"),
+], ids=["no-buses", "generator-list", "case-list", "invalid-json", "not-object"])
+def test_case_input_checks_name_the_fault(build, msg, tmp_path):
+    with pytest.raises(ValidationError, match=msg):
+        build(tmp_path)
+
+
 def test_load_case_strict_schema(tmp_path, cases_dir):
     data = json.loads((cases_dir / "opf_2bus.json").read_text())
     del data["ref_bus"]

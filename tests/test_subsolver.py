@@ -34,6 +34,17 @@ def local_objective(agent, a, u):
     return agent.cost(u) + float(np.dot(a, u))
 
 
+@pytest.mark.parametrize("agent, a, msg", [
+    (diag_agent([1.0, 2.0], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]), np.zeros(3),
+     r"a has shape \(3,\), expected \(2,\)"),
+    (random_instance(4, seed=0, diagonal=False).dense_stack, np.zeros(2),
+     r"a has shape \(2,\), expected \(\d+,\)"),
+], ids=["one-agent", "stack"])
+def test_pressure_of_the_wrong_shape_rejected(agent, a, msg):
+    with pytest.raises(ValueError, match=msg):
+        solve_local(agent, a)
+
+
 def test_closed_form_matches_hand_values():
     ag = diag_agent([1.0], [0.0], [-10.0], [10.0])
     assert solve_local(ag, np.array([-1.0]))[0] == 1.0

@@ -141,20 +141,23 @@ def _cmd_montecarlo(args, parser) -> int:
     seeds = range(args.seed, args.seed + args.runs)
     firsts = {gamma: netsim.build_network(instance, gamma, seed=seeds[0])
               for gamma in sorted(gammas)}
-    rows = []
+    traces, lossy = {}, []  # (gamma, seed) -> its run; ((gamma, seed), network) to run
     for gamma, first in firsts.items():
         if (first.beta == 1.0).all():
             # every link draw is up whatever the seed: each replicate is this one run
-            traces = [engine.run_alg2(instance, table, first, args.max_iters,
-                                      args.eps)] * len(seeds)
-        else:  # the replicates as the columns of one kernel pass, _BATCH at a time
-            nets = [first] + [netsim.build_network(instance, gamma, seed=s) for s in seeds[1:]]
-            traces = []
-            for i in range(0, len(nets), _BATCH):
-                traces += engine.run_batch(instance, table, nets[i:i + _BATCH],
-                                           args.max_iters, args.eps)
-        rows += [(gamma, seed, tr.iters, 1 if tr.converged else 0)
-                 for seed, tr in zip(seeds, traces)]
+            tr = engine.run_alg2(instance, table, first, args.max_iters, args.eps)
+            traces.update(((gamma, s), tr) for s in seeds)
+        else:
+            lossy += [((gamma, seeds[0]), first)] + [
+                ((gamma, s), netsim.build_network(instance, gamma, seed=s)) for s in seeds[1:]]
+    # every lossy replicate, gamma after gamma, as the columns of one kernel
+    # pass, _BATCH at a time: a column is its lone run whatever the others' gamma
+    for i in range(0, len(lossy), _BATCH):
+        keys, nets = zip(*lossy[i:i + _BATCH])
+        traces.update(zip(keys, engine.run_batch(instance, table, nets, args.max_iters,
+                                                 args.eps)))
+    rows = [(gamma, seed, tr.iters, 1 if tr.converged else 0)
+            for (gamma, seed), tr in sorted(traces.items())]
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("gamma,seed,iters,converged\n")

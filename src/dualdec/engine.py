@@ -458,17 +458,27 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo):
             zero = zero[:hat.size]
         lam, theta = lam_new, theta_new
 
+    # every column's update flags, column after column, in one array: each
+    # link block's flags go to the rows of its live columns in one assignment
+    lengths = np.array(ends, dtype=np.intp)
+    first = np.cumsum(lengths) - lengths
+    updates = np.empty((int(lengths.sum()), n_agents), dtype=bool)
+    k0 = 0
+    for f, at in log_upd:
+        t = np.arange(f.shape[1])
+        within = t < (lengths[at] - k0)[:, None]
+        updates[((first[at] + k0)[:, None] + t)[within]] = f.transpose(2, 1, 0)[within]
+        k0 += f.shape[1]
+    thetas = np.array(log_theta)
+
     def trace(j):
         stop, iters = stops[j], ends[j]
-        upd = [f[..., at.searchsorted(j)].T for f, at in log_upd if j in at]
         return RunTrace(
             algo=algo, instance=instance, eta=eta_arr, alpha=alphas[j],
-            eps=eps, stop=stop, iters=iters,
-            theta=np.array(log_theta[:iters]),
+            eps=eps, stop=stop, iters=iters, theta=thetas[:iters].copy(),
             q=np.array(log_q) if log else None,
             residual=np.array(log_res) if log else None,
-            updates=(np.concatenate(upd)[:iters]
-                     if iters else np.zeros((0, n_agents), dtype=bool)),
+            updates=updates[first[j]:first[j] + iters],
             lam=((np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
                  if log else None),
             gap=np.array(log_gap) if lambda_star is not None else None,

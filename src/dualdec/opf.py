@@ -21,14 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (AgentSpec, ProblemInstance, ValidationError, _check_fields, _farray, _int,
-                    _read_json)
+                    _read_json, _real)
 
 __all__ = ["Bus", "Branch", "Generator", "OpfCase", "load_case", "build_opf_instance"]
 
 DEFAULT_EPS_PSI = 1e-3
 DEFAULT_PSI_MAX = np.pi
 
-_CASE_KEYS = {"h", "ref_bus", "eps_psi", "psi_max", "buses", "branches", "generators"}
+_ENTRY_KEYS = {"buses": {"id", "demand"}, "branches": {"from", "to", "b"},
+               "generators": {"bus", "a", "b", "pmax"}}
+_CASE_KEYS = {"h", "ref_bus", "eps_psi", "psi_max"} | _ENTRY_KEYS.keys()
 
 
 def _coerce(record, what: str, ints=(), floats=()) -> None:
@@ -36,10 +38,12 @@ def _coerce(record, what: str, ints=(), floats=()) -> None:
     for name in ints:
         object.__setattr__(record, name, _int(getattr(record, name), f"{what} {name}"))
     for name in floats:
-        v = _farray(getattr(record, name), f"{what} {name}")
-        if v.ndim:
+        # _farray rejects a bool or a string, and _real what is left that is
+        # no real number, such as None (JSON null), which _farray reads as NaN
+        x = getattr(record, name)
+        if _farray(x, f"{what} {name}").ndim:
             raise ValidationError(f"{what} {name}: not a number")
-        object.__setattr__(record, name, float(v))
+        object.__setattr__(record, name, _real(x, f"{what} {name}"))
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,15 @@ def load_case(path) -> OpfCase:
     """Parse and validate an OPF case JSON file."""
     data = _read_json(path)
     _check_fields(data, _CASE_KEYS, "case file")
-    try:
-        buses = tuple(Bus(id=b["id"], demand=b["demand"]) for b in data["buses"])
-        branches = tuple(Branch(i=br["from"], j=br["to"], b=br["b"]) for br in data["branches"])
-        gens = tuple(Generator(bus=g["bus"], a=g["a"], b=g["b"], pmax=g["pmax"])
-                     for g in data["generators"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed case entry: {exc}") from exc
+    for name, keys in _ENTRY_KEYS.items():
+        if not isinstance(data[name], list):
+            raise ValidationError(f"case file field {name!r} is not a list")
+        for n, entry in enumerate(data[name]):
+            _check_fields(entry, keys, f"malformed case entry {name}[{n}]")
+    buses = tuple(Bus(id=b["id"], demand=b["demand"]) for b in data["buses"])
+    branches = tuple(Branch(i=br["from"], j=br["to"], b=br["b"]) for br in data["branches"])
+    gens = tuple(Generator(bus=g["bus"], a=g["a"], b=g["b"], pmax=g["pmax"])
+                 for g in data["generators"])
     return OpfCase(buses=buses, branches=branches, generators=gens,
                    h=data["h"], ref_bus=data["ref_bus"],
                    eps_psi=data["eps_psi"], psi_max=data["psi_max"])

@@ -326,6 +326,45 @@ def test_montecarlo_batches_split_into_passes(tmp_path, capsys, monkeypatch):
     assert one.read_bytes() == split.read_bytes()
 
 
+def test_montecarlo_runs_every_lossy_gamma_in_one_pass(tmp_path, capsys, monkeypatch):
+    # the replicates of both lossy gammas are the columns of one batch, gamma
+    # after gamma; the always-up gamma is still its one logged run
+    seen = []
+
+    def counting_batch(instance, table, nets, *a, **kw):
+        seen.append([(float(n.beta.min()), n.seed) for n in nets])
+        return run_batch(instance, table, nets, *a, **kw)
+
+    monkeypatch.setattr(engine, "run_batch", counting_batch)
+    assert main(["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0.5,0,0.3",
+                 "--runs", "3", "--seed", "4", "--out", str(tmp_path / "mc.csv")]) == 0
+    capsys.readouterr()
+    assert seen == [[(beta, s) for beta in (0.7, 0.5) for s in (4, 5, 6)]]
+
+
+def test_montecarlo_passes_cross_gamma_boundaries(tmp_path, capsys, monkeypatch):
+    # passes of 3 columns over 2 lossy gammas of 4 replicates each: the middle
+    # pass holds both gammas, and the rows and summary are those of one pass
+    args = ["montecarlo", "--problem", pj("chain3.json"), "--gammas", "0,0.3,0.5",
+            "--runs", "4"]
+    one, split = tmp_path / "one.csv", tmp_path / "split.csv"
+    assert main(args + ["--out", str(one)]) == 0
+    widths = []
+
+    def counting_batch(instance, table, nets, *a, **kw):
+        widths.append(len(nets))
+        return run_batch(instance, table, nets, *a, **kw)
+
+    monkeypatch.setattr(engine, "run_batch", counting_batch)
+    monkeypatch.setattr(cli, "_BATCH", 3)
+    assert main(args + ["--out", str(split)]) == 0
+    capsys.readouterr()
+    assert widths == [3, 3, 2]
+    assert one.read_bytes() == split.read_bytes()
+    assert ((tmp_path / "one.summary.csv").read_bytes()
+            == (tmp_path / "split.summary.csv").read_bytes())
+
+
 def test_montecarlo_byte_deterministic(tmp_path, capsys):
     args = ["montecarlo", "--problem", pj(), "--gammas", "0,0.5", "--runs", "3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

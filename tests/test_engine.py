@@ -588,6 +588,24 @@ def test_batch_columns_are_single_runs_bit_for_bit(name, gamma, factor, max_iter
         assert {"converged", "budget"} <= set(stops), stops
 
 
+@pytest.mark.parametrize("name, max_iters, eps", [("rand5", 500, 1e-6), ("denseq", 220, 1e-4)])
+def test_batch_of_mixed_gammas_is_single_runs_bit_for_bit(name, max_iters, eps):
+    # networks of several failure rates, interleaved, as the columns of one block
+    inst = BATCH_CASES[name]()
+    tab = build_stepsizes(inst)
+    nets = [build_network(inst, gamma, seed=s) for s in range(7, 13) for gamma in (0.1, 0.3, 0.5)]
+    batch = run_batch(inst, tab, nets, max_iters, eps)
+    stops = set()
+    for col, net in zip(batch, nets):
+        run = run_alg2(inst, tab, net, max_iters, eps)
+        assert (col.iters, col.stop) == (run.iters, run.stop)
+        for f in ("theta", "updates", "alpha"):
+            a, b = getattr(col, f), getattr(run, f)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
+        stops.add(col.stop)
+    assert stops == {"converged", "budget"}
+
+
 def test_batch_rejects_networks_of_other_links():
     nets = [build_network(CHAIN, 0.3, seed=1), build_network(RAND5, 0.3, seed=1)]
     with pytest.raises(ValidationError, match="instance's links"):

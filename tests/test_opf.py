@@ -175,6 +175,35 @@ def test_load_case_malformed_entry(tmp_path, cases_dir):
         load_case(p)
 
 
+def edited_two_bus(tmp_path, cases_dir, edit):
+    data = json.loads((cases_dir / "opf_2bus.json").read_text())
+    edit(data)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+@pytest.mark.parametrize("edit, msg", [
+    (lambda d: d["buses"][1].update(note="slack"),
+     r"case entry buses\[1\] has unknown fields: \['note'\]"),
+    (lambda d: d["generators"][0].update(typo_pmax=5.0),
+     r"case entry generators\[0\] has unknown fields: \['typo_pmax'\]"),
+    (lambda d: d.update(branches=[7]), r"case entry branches\[0\] is not an object"),
+    (lambda d: d.update(buses=5), "case file field 'buses' is not a list"),
+    (lambda d: d.update(generators={"bus": 1}), "case file field 'generators' is not a list"),
+    (lambda d: d["branches"][0].update(b=None), "branch b None is not a number"),
+    (lambda d: d["generators"][0].update(a=None), "generator a None is not a number"),
+    (lambda d: d.update(eps_psi=None), "case eps_psi None is not a number"),
+    (lambda d: d.update(psi_max=None), "case psi_max None is not a number"),
+], ids=["bus-extra", "generator-extra", "branch-not-object", "buses-int",
+        "generators-object", "branch-b-null", "generator-a-null", "eps_psi-null",
+        "psi_max-null"])
+def test_load_case_checks_each_entry_and_scalar(edit, msg, tmp_path, cases_dir):
+    # each entry is checked as agent entries are, and a JSON null is not read as NaN
+    with pytest.raises(ValidationError, match=msg):
+        load_case(edited_two_bus(tmp_path, cases_dir, edit))
+
+
 # ------------------------------------------------------------ 14 buses
 
 

@@ -41,18 +41,18 @@ runs out of budget ends with the rest); its ``iters``,
 local solve takes its pressures as rows, so the kernel hands it the
 transposed (S, n) block and transposes the minimizers back.
 
-A one-column run logs, per iteration, the dual value and gradient norm
-at the shared multiplier lam(k) (agents' own blocks re-solved jointly),
-plus the optional distance diagnostics when the optimal multiplier is
-supplied; the columns of a wider block are not logged.  Without momentum
-the interpolant is lam(k) itself, so the logging solve at lam(k) is
-reused as the next iteration's local solve.  With momentum, when the run
-goes on, the logging solve looks ahead: ``eval_dual(instance, lam(k),
-ahead=hat(k))`` also solves the local QPs at the next interpolant, in the
-same stacked call (the dense stack repeated twice, so every row keeps the
-bits of its own solve), and that is the next iteration's local solve.
-Either way every logged iteration after the first makes one local-solve
-pass, not two.
+A lone driver's run logs, per iteration, the dual value and gradient
+norm at the shared multiplier lam(k) (agents' own blocks re-solved
+jointly), plus the optional distance diagnostics when the optimal
+multiplier is supplied; the columns of a ``run_batch`` are not logged.
+Without momentum the interpolant is lam(k) itself, so the logging solve
+at lam(k) is reused as the next iteration's local solve.  With momentum,
+when the run goes on, the logging solve looks ahead: ``eval_dual(instance,
+lam(k), ahead=hat(k))`` also solves the local QPs at the next
+interpolant, in the same stacked call (the dense stack repeated twice, so
+every row keeps the bits of its own solve), and that is the next
+iteration's local solve.  Either way every logged iteration after the
+first makes one local-solve pass, not two.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .model import ProblemInstance, ValidationError, _int, _real, blocks_to_csr, primal_cost
+from .model import (ProblemInstance, ValidationError, _field, _int, _real, blocks_to_csr,
+                    primal_cost)
 from .netsim import NetworkModel, _edge_key, activation_matrix, build_network, links
 from .stepsize import StepsizeTable
 from .subsolver import solve_local
@@ -180,8 +181,8 @@ class RunTrace:
     ``V`` are populated only when the run was given the optimal
     multiplier; ``updates[k-1, p]`` says whether agent p (ascending id)
     took its gradient step at iteration k.  A column of a ``run_batch``
-    over several networks is not logged: it leaves ``q``, ``residual``,
-    ``lam`` and ``u_final`` as None.
+    is not logged: it leaves ``q``, ``residual``, ``lam`` and ``u_final``
+    as None.
     """
 
     algo: str
@@ -233,7 +234,7 @@ class RunTrace:
     def to_csv(self, path) -> None:
         """Write ``k,q,residual,gap,V,updates`` rows; floats via repr."""
         if self.q is None:
-            raise ValueError("the run did not log q and residual (a column of a wider run_batch)")
+            raise ValueError("the run did not log q and residual (a column of a run_batch)")
         lines = [TRACE_HEADER]
         for k in range(1, self.iters + 1):
             gap = repr(float(self.gap[k - 1])) if self.gap is not None else ""
@@ -350,20 +351,18 @@ def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star):
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
     if lambda_star is not None:
-        lambda_star = _multiplier(instance, lambda_star, "lambda_star").copy()
-        if not np.all(np.isfinite(lambda_star)):
-            raise ValidationError("lambda_star has non-finite entries")
+        lambda_star = _field(lambda_star, "lambda_star", (instance.m_total,))
     return max_iters, eps, lambda_star
 
 
-def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo):
+def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
     """The one iteration loop over a block of replicate columns, one per
     network, with momentum unless ``algo`` is "unaccel"; one trace per
-    column, labelled ``algo``.  Only a one-column run is logged: its
-    multiplier is the vector ``eval_dual`` takes."""
+    column, labelled ``algo``.  Only a lone driver's one-column run is
+    logged (``log``): its multiplier is the vector ``eval_dual`` takes."""
     max_iters, eps, lambda_star = _checked_inputs(instance, stepsizes, networks, max_iters,
                                                   eps, lambda_star)
-    log, accelerate = len(networks) == 1, algo != "unaccel"
+    accelerate = algo != "unaccel"
     plan = _plan(instance, stepsizes, networks[0])
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
@@ -502,7 +501,7 @@ def run_alg1(instance: ProblemInstance, stepsizes: StepsizeTable, max_iters: int
     to inf or NaN, is reported on the trace (``stop``), not raised.
     """
     return _run(instance, stepsizes, [build_network(instance, 0.0)], max_iters, eps,
-                lambda_star, "alg1")[0]
+                lambda_star, "alg1", True)[0]
 
 
 def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel,
@@ -514,7 +513,7 @@ def run_alg2(instance: ProblemInstance, stepsizes: StepsizeTable, network: Netwo
     contributions (zero before anything arrives over a link); the trace
     additionally records the true residual at the shared multiplier.
     """
-    return _run(instance, stepsizes, [network], max_iters, eps, lambda_star, "alg2")[0]
+    return _run(instance, stepsizes, [network], max_iters, eps, lambda_star, "alg2", True)[0]
 
 
 def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
@@ -524,23 +523,24 @@ def run_batch(instance: ProblemInstance, stepsizes: StepsizeTable,
 
     Every network must be built over the instance's links (say, the
     instance at several seeds).  Each returned trace's ``iters``, ``stop``,
-    ``theta`` and ``updates`` are those of the lone run bit for bit; with
-    more than one network the runs are not logged (``q``, ``residual``,
-    ``lam`` and ``u_final`` are None).
+    ``theta`` and ``updates`` are those of the lone run bit for bit; the
+    runs are not logged (``q``, ``residual``, ``lam`` and ``u_final`` are
+    None), whatever the number of networks.
     """
     if isinstance(networks, NetworkModel):
         raise ValidationError("run_batch takes a list of networks, not one NetworkModel")
     networks = list(networks)
     if not networks:
         raise ValidationError("run_batch needs at least one network")
-    return _run(instance, stepsizes, networks, max_iters, eps, None, "alg2")
+    return _run(instance, stepsizes, networks, max_iters, eps, None, "alg2", False)
 
 
 def run_unaccelerated(instance: ProblemInstance, stepsizes: StepsizeTable,
                       network: NetworkModel, max_iters: int, eps: float = DEFAULT_EPS, *,
                       lambda_star: np.ndarray | None = None) -> RunTrace:
     """Momentum-free baseline: theta pinned to 1, so the interpolant is lam itself."""
-    return _run(instance, stepsizes, [network], max_iters, eps, lambda_star, "unaccel")[0]
+    return _run(instance, stepsizes, [network], max_iters, eps, lambda_star, "unaccel",
+                True)[0]
 
 
 def check_lyapunov_step(trace: RunTrace, k: int) -> bool:

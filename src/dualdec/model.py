@@ -93,25 +93,39 @@ def _real(x, name: str) -> float:
     return float(x)
 
 
-def _text_or_bool(x) -> bool:
-    """Whether ``x`` is, or holds at any depth, a bool or a string."""
+def _non_numeric(x) -> bool:
+    """Whether ``x`` is, or holds at any depth, a bool, a string or a None."""
     if isinstance(x, np.ndarray):
-        return x.dtype.kind in "bSU" or (x.dtype.kind == "O" and any(map(_text_or_bool, x.flat)))
+        return x.dtype.kind in "bSU" or (x.dtype.kind == "O" and any(map(_non_numeric, x.flat)))
     if isinstance(x, (list, tuple)):
-        return any(map(_text_or_bool, x))
-    return isinstance(x, (bool, np.bool_, str, bytes))
+        return any(map(_non_numeric, x))
+    return x is None or isinstance(x, (bool, np.bool_, str, bytes))
 
 
 def _farray(x, name: str) -> np.ndarray:
-    """``x`` as a read-only float array; a bool or a string anywhere in it
-    (JSON's ``true`` or ``"0.5"``) is rejected, not read as a number."""
-    if _text_or_bool(x):
+    """``x`` as a read-only float array; a bool, a string or a None anywhere
+    in it (JSON's ``true``, ``"0.5"`` or ``null``) is rejected, not read as a
+    number.  A lone None is read as NaN, for the caller to name."""
+    if x is not None and _non_numeric(x):
         raise ValidationError(f"{name}: not numeric")
     try:
         arr = np.array(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: not numeric") from exc
     arr.setflags(write=False)
+    return arr
+
+
+def _field(x, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``_farray(x, name)`` of shape ``shape`` with every entry finite; a
+    last entry -1 in ``shape`` takes any number of columns."""
+    arr = _farray(x, name)
+    if arr.shape != shape and (shape[-1] != -1 or arr.ndim != len(shape)
+                               or arr.shape[:-1] != shape[:-1]):
+        raise ValidationError(f"{name} has shape {arr.shape}, "
+                              f"expected {str(shape).replace('-1', 'n')}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite entries")
     return arr
 
 
@@ -146,57 +160,31 @@ class AgentSpec:
         object.__setattr__(self, "dim", n)
 
         if self.diag is not None:
-            d = _farray(self.diag, f"agent {self.id}: Q diag")
-            if d.shape != (n,):
-                raise ValidationError(f"agent {self.id}: Q diag has shape {d.shape}, expected ({n},)")
-            object.__setattr__(self, "diag", d)
-            Q = np.diag(d)
+            object.__setattr__(self, "diag", _field(self.diag, f"agent {self.id}: Q diag", (n,)))
+            Q = np.diag(self.diag)
             Q.setflags(write=False)
             object.__setattr__(self, "Q", Q)
         else:
-            Q = _farray(self.Q, f"agent {self.id}: Q")
-            if Q.shape != (n, n):
-                raise ValidationError(f"agent {self.id}: Q has shape {Q.shape}, expected ({n}, {n})")
-            object.__setattr__(self, "Q", Q)
-        if not np.isfinite(self.Q).all():
-            raise ValidationError(f"agent {self.id}: Q has non-finite entries")
+            object.__setattr__(self, "Q", _field(self.Q, f"agent {self.id}: Q", (n, n)))
         scale = 1.0 + float(np.abs(self.Q).max())
         if float(np.abs(self.Q - self.Q.T).max()) > _SYM_TOL * scale:
             raise ValidationError(f"agent {self.id}: Q is not symmetric")
 
         for name in ("c", "lo", "hi"):
-            v = _farray(getattr(self, name), f"agent {self.id}: {name}")
-            if v.shape != (n,):
-                raise ValidationError(f"agent {self.id}: {name} has shape {v.shape}, expected ({n},)")
-            object.__setattr__(self, name, v)
-        if not np.isfinite(self.c).all():
-            raise ValidationError(f"agent {self.id}: c has non-finite entries")
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
-            raise ValidationError(f"agent {self.id}: box bounds must be finite")
+            object.__setattr__(self, name, _field(getattr(self, name), f"agent {self.id}: {name}",
+                                                  (n,)))
         if (self.lo > self.hi).any():
             raise ValidationError(f"agent {self.id}: lo > hi somewhere")
 
         object.__setattr__(self, "m", _int(self.m, f"agent {self.id}: m"))
         if self.m < 0:
             raise ValidationError(f"agent {self.id}: m must be a non-negative integer")
-        g = _farray(self.g, f"agent {self.id}: g")
-        if g.shape != (self.m,):
-            raise ValidationError(f"agent {self.id}: g has shape {g.shape}, expected ({self.m},)")
-        if not np.isfinite(g).all():
-            raise ValidationError(f"agent {self.id}: g has non-finite entries")
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _field(self.g, f"agent {self.id}: g", (self.m,)))
 
         blocks = {}
         for j, B in dict(self.blocks).items():
             j = _int(j, f"agent {self.id}: block key")
-            B = _farray(B, f"agent {self.id}: block for {j}")
-            if B.ndim != 2 or B.shape[0] != self.m:
-                raise ValidationError(
-                    f"agent {self.id}: block for {j} has shape {B.shape}, expected ({self.m}, n_{j})"
-                )
-            if not np.isfinite(B).all():
-                raise ValidationError(f"agent {self.id}: block for {j} has non-finite entries")
-            blocks[j] = B
+            blocks[j] = _field(B, f"agent {self.id}: block for {j}", (self.m, -1))
         object.__setattr__(self, "blocks", blocks)
 
         if self.m > 0:

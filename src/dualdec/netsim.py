@@ -3,8 +3,8 @@
 An undirected link {i,j} exists for every pair of agents that must talk
 (j influences i's block or vice versa).  At iteration k each link is up
 independently with probability beta_{ij}; draws are independent across
-iterations and links.  The default is a uniform failure rate gamma, i.e.
-beta = 1 - gamma, with per-link overrides available.
+iterations and links.  Every link has the same failure rate gamma, i.e.
+beta = 1 - gamma.
 
 Link states come from a counter-based generator: the draw for link
 {i,j} at iteration k is a pure function of (seed, {i,j}, k), so traces
@@ -63,41 +63,29 @@ def links(instance: ProblemInstance) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({_edge_key(i, j) for i in instance.ids for j in n_in[i]}))
 
 
-def build_network(instance: ProblemInstance, gamma: float, seed: int = 0,
-                  beta_overrides: dict | None = None) -> NetworkModel:
+def build_network(instance: ProblemInstance, gamma: float, seed: int = 0) -> NetworkModel:
     """Uniform-failure network over the instance's communication links.
 
     ``gamma`` in [0, 1) is the per-link failure probability (beta = 1-gamma).
-    ``beta_overrides`` maps (i, j) pairs to link-specific probabilities
-    in (0, 1], taking precedence over the uniform value.  An integer
-    ``seed`` is read mod 2^64; any other seed or gamma raises ValidationError.
+    An integer ``seed`` is read mod 2^64; any other seed or gamma raises
+    ValidationError.
     """
     seed = _int(seed, "seed")
     gamma = _real(gamma, "gamma")
     if not (0.0 <= gamma < 1.0):
         raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
-    g = instance.graph
     edge_list = links(instance)
-    index = {e: p for p, e in enumerate(edge_list)}
     beta = np.full(len(edge_list), 1.0 - gamma)
-    if beta_overrides:
-        for key, p in beta_overrides.items():
-            e = _edge_key(*key)
-            if e not in index:
-                raise ValidationError(f"beta override for non-existent link {key}")
-            if not (0.0 < p <= 1.0):
-                raise ValidationError(f"beta for link {key} must lie in (0, 1], got {p}")
-            beta[index[e]] = p
     beta.setflags(write=False)
-    alpha = {i: math.prod((float(beta[index[_edge_key(i, j)]]) for j in g.in_neighbors[i]),
-                          start=1.0) for i in instance.ids}
+    n_in = instance.graph.in_neighbors
+    alpha = {i: math.prod([1.0 - gamma] * len(n_in[i]), start=1.0) for i in instance.ids}
     # one pass mixes the seed (first) and every link's key
     mixed = _mix_np(np.array([seed & _MASK] + [
         ((i & 0xFFFFFFFF) << 32) | (j & 0xFFFFFFFF) for i, j in edge_list], dtype=np.uint64))
     base = _mix_np(mixed[:1] ^ mixed[1:])
     base.setflags(write=False)
     return NetworkModel(edges=edge_list, beta=beta, seed=seed, alpha=alpha,
-                        edge_index=index, _base=base)
+                        edge_index={e: p for p, e in enumerate(edge_list)}, _base=base)
 
 
 def activation_matrix(models: Sequence[NetworkModel], ks) -> np.ndarray:

@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (AgentSpec, ProblemInstance, ValidationError, _check_fields, _farray, _int,
-                    _read_json, _real)
+from .model import (AgentSpec, ProblemInstance, ValidationError, _check_fields, _farray, _field,
+                    _int, _read_json, _real)
 
 __all__ = ["Bus", "Branch", "Generator", "OpfCase", "load_case", "build_opf_instance"]
-
-DEFAULT_EPS_PSI = 1e-3
-DEFAULT_PSI_MAX = np.pi
 
 _ENTRY_KEYS = {"buses": {"id", "demand"}, "branches": {"from", "to", "b"},
                "generators": {"bus", "a", "b", "pmax"}}
@@ -53,7 +50,7 @@ class Bus:
 
     def __post_init__(self):
         _coerce(self, "bus", ints=("id",))
-        object.__setattr__(self, "demand", _farray(self.demand, f"bus {self.id}: demand"))
+        object.__setattr__(self, "demand", _field(self.demand, f"bus {self.id}: demand", (-1,)))
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,8 @@ class OpfCase:
     generators: tuple[Generator, ...]
     h: int
     ref_bus: int
-    eps_psi: float = DEFAULT_EPS_PSI
-    psi_max: float = DEFAULT_PSI_MAX
+    eps_psi: float
+    psi_max: float
 
     def __post_init__(self):
         _coerce(self, "case", ints=("h", "ref_bus"), floats=("eps_psi", "psi_max"))
@@ -100,13 +97,11 @@ class OpfCase:
             raise ValidationError("duplicate bus ids")
         id_set = set(ids)
         for b in self.buses:
-            if b.demand.shape != (self.h,):
-                raise ValidationError(
-                    f"bus {b.id}: demand has length {b.demand.shape[0] if b.demand.ndim else 0}, "
-                    f"expected {self.h}"
-                )
-            if np.any(b.demand < 0) or not np.all(np.isfinite(b.demand)):
-                raise ValidationError(f"bus {b.id}: demand must be finite and nonnegative")
+            if len(b.demand) != self.h:
+                raise ValidationError(f"bus {b.id}: demand has length {len(b.demand)}, "
+                                      f"expected {self.h}")
+            if np.any(b.demand < 0):
+                raise ValidationError(f"bus {b.id}: demand must be nonnegative")
         for br in self.branches:
             if br.i not in id_set or br.j not in id_set:
                 raise ValidationError(f"branch ({br.i}, {br.j}) references an unknown bus")

@@ -101,11 +101,16 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     ("case", ("buses", 1, "demand"), [True], "bus 2: demand: not numeric"),
     ("problem", ("agents", 0, "c"), ["0.0"], "agent 1: c: not numeric"),
     ("problem", ("agents", 0, "blocks", "2"), [[1.0, False]], "block for 2: not numeric"),
+    ("problem", ("agents", 0, "c"), [None], "agent 1: c: not numeric"),
+    ("problem", ("agents", 0, "blocks", "2"), [[None]], "block for 2: not numeric"),
+    ("case", ("buses", 1, "demand"), [None], "bus 2: demand: not numeric"),
 ], ids=["h-bool", "h-float", "h-str", "gen-a-str", "eps_psi-str", "demand-str",
         "ref_bus-bool", "dim-bool", "m-bool", "eps_psi-digits", "psi_max-bool",
-        "gen-a-bool", "demand-nested-bool", "c-nested-digits", "block-nested-bool"])
+        "gen-a-bool", "demand-nested-bool", "c-nested-digits", "block-nested-bool",
+        "c-null", "block-nested-null", "demand-null"])
 def test_malformed_file_exits_2(kind, path, value, msg, tmp_path, capsys):
-    # each of these used to crash with a traceback (exit 1), or load as a number
+    # each of these used to crash with a traceback (exit 1), load as a number,
+    # or (a null in an array) be read as NaN and named a non-finite value
     data = json.loads((CASES / ("opf_2bus.json" if kind == "case" else "instance_a.json"))
                       .read_text())
     node = data

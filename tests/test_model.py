@@ -52,7 +52,7 @@ def test_out_stack_order(chain3):
     (dict(Q=((0.0,),)), "not positive definite"),
     (dict(Q=((-1.0,),)), "not positive definite"),
     (dict(lo=5.0, hi=-5.0), "lo > hi"),
-    (dict(hi=np.inf), "must be finite"),
+    (dict(hi=np.inf), "agent 1: hi has non-finite entries"),
     (dict(m=1, g=(1.0, 2.0)), "g has shape"),
     (dict(m=1, blocks={2: [[1.0]]}), "missing diagonal block"),
     (dict(m=1, blocks={1: [[0.0]]}), "zero diagonal block"),
@@ -100,9 +100,13 @@ def with_agent_field(name, value):
      r"u has shape \(2,\), expected \(3,\)"),
     (lambda: instance_from_dict({"agents": [1]}), "agent entry is not an object"),
     (lambda: with_agent_field("blocks", [[1.0]]), "agent 1: blocks must be an object"),
+    (lambda: dense_agent(diag=[1.0, np.nan]), "agent 1: Q diag has non-finite entries"),
+    (lambda: dense_agent(blocks={1: [[1.0, 1.0]] * 2}),
+     r"agent 1: block for 1 has shape \(2, 2\), expected \(1, n\)"),
 ], ids=["negative-id", "dim-0", "diag-shape", "Q-shape", "Q-nan", "c-shape", "lo-shape",
         "hi-shape", "c-inf", "m-negative", "g-nan", "block-inf", "own-block-columns",
-        "ragged", "no-agents", "u-shape", "entry-not-object", "blocks-not-object"])
+        "ragged", "no-agents", "u-shape", "entry-not-object", "blocks-not-object",
+        "diag-nan", "block-rows"])
 def test_input_checks_name_the_fault(build, msg):
     with pytest.raises(ValidationError, match=msg):
         build()
@@ -112,6 +116,7 @@ def test_input_checks_name_the_fault(build, msg):
     ("c", [True, 0.0]), ("c", ["1.0", 0.0]), ("c", np.array([True, False])),
     ("c", np.array(["1.0", "0.0"])), ("c", np.array([1.0, "x"], dtype=object)),
     ("lo", (np.bool_(False), -1.0)), ("g", [b"1"]), ("blocks", {1: [[1.0, True]]}),
+    ("g", [None]), ("c", np.array([1.0, None], dtype=object)),  # JSON null, not NaN
 ])
 def test_agent_rejects_bool_and_text_numbers(field, value):
     spec = dict(id=1, dim=2, Q=np.eye(2), c=[0.0, 0.0], lo=[-1.0, -1.0], hi=[1.0, 1.0],

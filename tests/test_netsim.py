@@ -57,21 +57,6 @@ def test_gamma_zero_every_link_always_up(chain3):
     assert activation_matrix([net], range(1, 200)).all()
 
 
-def test_override_validation(chain3):
-    with pytest.raises(ValidationError, match="non-existent link"):
-        build_network(chain3, 0.1, beta_overrides={(2, 3): 0.5})
-    with pytest.raises(ValidationError, match=r"must lie in \(0, 1\]"):
-        build_network(chain3, 0.1, beta_overrides={(1, 2): 0.0})
-    with pytest.raises(ValidationError, match=r"must lie in \(0, 1\]"):
-        build_network(chain3, 0.1, beta_overrides={(1, 2): 1.2})
-
-
-def test_override_applies_either_key_order(chain3):
-    net = build_network(chain3, 0.4, beta_overrides={(3, 1): 0.95})
-    np.testing.assert_allclose(net.beta, [0.6, 0.95])
-    assert net.alpha == {1: 0.6, 2: 1.0, 3: 0.95}
-
-
 def test_alpha_products(chain3):
     net = build_network(chain3, 0.2)
     # alpha_i multiplies beta over i's in-neighbor links only

@@ -146,7 +146,10 @@ def load_text(tmp_path, text):
     (lambda tmp: two_bus(eps_psi=[1e-3, 1e-3]), "case eps_psi: not a number"),
     (lambda tmp: load_text(tmp, "{nope"), "invalid JSON"),
     (lambda tmp: load_text(tmp, "[1, 2]"), "case file is not an object"),
-], ids=["no-buses", "generator-list", "case-list", "invalid-json", "not-object"])
+    (lambda tmp: Bus(id=1, demand=[[0.0]]), r"bus 1: demand has shape \(1, 1\), expected \(n,\)"),
+    (lambda tmp: Bus(id=1, demand=[np.nan]), "bus 1: demand has non-finite entries"),
+], ids=["no-buses", "generator-list", "case-list", "invalid-json", "not-object",
+        "demand-2d", "demand-nan"])
 def test_case_input_checks_name_the_fault(build, msg, tmp_path):
     with pytest.raises(ValidationError, match=msg):
         build(tmp_path)

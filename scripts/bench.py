@@ -36,13 +36,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _git(tree: Path, *args) -> str:
     out = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else ""
+    return out.stdout.rstrip() if out.returncode == 0 else ""
 
 
 def describe(tree: Path) -> dict:
-    """The commit a checkout is at, and whether it has uncommitted changes."""
-    return {"commit": _git(tree, "rev-parse", "HEAD") or None,
-            "dirty": bool(_git(tree, "status", "--porcelain", "--untracked-files=no"))}
+    """The commit a checkout is at, whether it has uncommitted changes to
+    tracked files, and the paths of those files (so a record made while
+    only docs were edited says so)."""
+    status = _git(tree, "status", "--porcelain", "--untracked-files=no").splitlines()
+    changed = [ln[3:] for ln in status]  # each line is "XY path"
+    return {"commit": _git(tree, "rev-parse", "HEAD") or None, "dirty": bool(changed),
+            "changed": changed}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

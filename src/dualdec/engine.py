@@ -45,14 +45,12 @@ A lone driver's run logs, per iteration, the dual value and gradient
 norm at the shared multiplier lam(k) (agents' own blocks re-solved
 jointly), plus the optional distance diagnostics when the optimal
 multiplier is supplied; the columns of a ``run_batch`` are not logged.
-Without momentum the interpolant is lam(k) itself, so the logging solve
-at lam(k) is reused as the next iteration's local solve.  With momentum,
-when the run goes on, the logging solve looks ahead: ``eval_dual(instance,
-lam(k), ahead=hat(k))`` also solves the local QPs at the next
-interpolant, in the same stacked call (the dense stack repeated twice, so
-every row keeps the bits of its own solve), and that is the next
-iteration's local solve.  Either way every logged iteration after the
-first makes one local-solve pass, not two.
+The loop only keeps lam(k), which the trace records anyway, and never
+reads the log.  The log is one pass after the loop, ``LINK_BLOCK``
+iterations at a time: one product with the transposed coupling matrix
+and one local solve over the block's multipliers (the dense stack
+repeated once per row, so every row keeps the bits of its own solve),
+then one ``eval_dual(instance, lam(k), u=u(k))`` per iteration.
 """
 
 from __future__ import annotations
@@ -94,7 +92,6 @@ class DualEval(NamedTuple):
     q: float
     grad: np.ndarray
     u: np.ndarray
-    u_ahead: np.ndarray | None = None  # local minimizers at eval_dual's ``ahead``
 
 
 def _matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
@@ -135,37 +132,28 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     return u
 
 
-def _multiplier(instance: ProblemInstance, lam, name: str) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (instance.m_total,):
-        raise ValidationError(f"{name} has shape {lam.shape}, expected ({instance.m_total},)")
-    return lam
+def _vector(x, size: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise ValidationError(f"{name} has shape {x.shape}, expected ({size},)")
+    return x
 
 
 def eval_dual(instance: ProblemInstance, lam: np.ndarray,
-              ahead: np.ndarray | None = None) -> DualEval:
+              u: np.ndarray | None = None) -> DualEval:
     """Dual value, dual gradient and local minimizers at a shared multiplier.
 
     The gradient block of agent i is its coupling residual
     G_i^i u_i + sum_j G_i^j u_j - g_i at the jointly re-solved u(lam).
-    With ``ahead``, a second multiplier, ``u_ahead`` also holds the local
-    minimizers at ``ahead``, solved in the same stacked calls; ``q``,
-    ``grad`` and ``u`` are the same bits either way.
+    A given ``u`` is taken as those minimizers, not solved again: the
+    run's logging pass solves a block of multipliers in one call.
     """
-    lam = _multiplier(instance, lam, "lam")
-    A_T = instance.coupling_csr_T
-    a = _matvec(A_T, lam)
-    if ahead is None:
-        u, u_ahead = _local_argmin(instance, a), None
-    else:
-        a_ahead = _matvec(A_T, _multiplier(instance, ahead, "ahead"))
-        if instance.dense_stack is not None:
-            u, u_ahead = _local_argmin(instance, np.array((a, a_ahead)))
-        else:  # no stack to share: two (n,) clips cost less than one over a (2, n) copy
-            u, u_ahead = _local_argmin(instance, a), _local_argmin(instance, a_ahead)
+    lam = _vector(lam, instance.m_total, "lam")
+    a = _matvec(instance.coupling_csr_T, lam)
+    u = _local_argmin(instance, a) if u is None else _vector(u, instance.n_total, "u")
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
     grad = _matvec(instance.coupling_csr, u) - instance.g_vec
-    return DualEval(q=q, grad=grad, u=u, u_ahead=u_ahead)
+    return DualEval(q=q, grad=grad, u=u)
 
 
 @dataclass
@@ -359,7 +347,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
     """The one iteration loop over a block of replicate columns, one per
     network, with momentum unless ``algo`` is "unaccel"; one trace per
     column, labelled ``algo``.  Only a lone driver's one-column run is
-    logged (``log``): its multiplier is the vector ``eval_dual`` takes."""
+    logged (``log``), in one pass after the loop."""
     max_iters, eps, lambda_star = _checked_inputs(instance, stepsizes, networks, max_iters,
                                                   eps, lambda_star)
     accelerate = algo != "unaccel"
@@ -379,8 +367,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
     lam = np.zeros((instance.m_total, len(networks)))
     hat = lam                                          # interpolated multipliers
     recv = np.zeros((plan.C.shape[0], len(networks)))  # cached contributions, zero until received
-    log_q, log_res, log_lam, log_upd, log_theta, log_gap, log_V = [], [], [], [], [], [], []
-    theta, ev = 1.0, None
+    theta, log_lam, log_upd, log_theta = 1.0, [], [], []
     zero = np.zeros(lam.size)
     live, nets = np.arange(len(networks)), networks    # the running columns
     stops, ends = ["budget"] * len(networks), [max_iters] * len(networks)
@@ -392,13 +379,8 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
             c_up, fired_blk = _link_block(plan, nets, ks, n_agents)
             row_held = ~fired_blk.take(plan.row_agent, axis=0)
             log_upd.append((fired_blk, live))  # cut to iters at the end
-        # local solves at the interpolated multipliers: the last log solved
-        # them ahead, or it had no ahead because the momentum coefficient was
-        # zero, so hat equals lam(k-1) (hat is finite here), where it solved
-        if ev is None:
-            u = _local_argmin(instance, _matvec(A_T, hat).T).T
-        else:
-            u = (ev.u if ev.u_ahead is None else ev.u_ahead)[:, None]
+        # local solves at the interpolated multipliers
+        u = _local_argmin(instance, _matvec(A_T, hat).T).T
         # primal exchange: a contribution is refreshed only over a link that
         # is up (in place: recv is this loop's own array)
         np.copyto(recv, _matvec(plan.C, u), where=c_up[:, b])
@@ -416,6 +398,8 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
         hat *= coef
         hat += lam_new
         log_theta.append(theta)  # cut to iters at the end
+        if log:
+            log_lam.append(lam_new)  # likewise
         # a column stops once each agent's residual from its cached blocks is
         # below eps (NaN never is): sqrt(x) < eps exactly when x < T, and a
         # block's sum of squares is never below its largest term, so the
@@ -433,18 +417,6 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
             out = bad | ok
             if not out.any():
                 out = None
-        if log and (out is None or ok[0]):
-            # at the shared multiplier, and at the next interpolant if one follows
-            ahead = hat[:, 0] if coef != 0.0 and out is None and k < max_iters else None
-            ev = eval_dual(instance, lam_new[:, 0], ahead)
-            log_q.append(ev.q)
-            # what np.linalg.norm computes for a 1-D float vector, without its dispatch
-            log_res.append(math.sqrt(ev.grad.dot(ev.grad)))
-            log_lam.append(lam_new)
-            if lambda_star is not None:
-                log_gap.append(q_star - ev.q)
-                omega = theta * lam_new[:, 0] - (theta - 1.0) * lam[:, 0] - lambda_star
-                log_V.append(float(np.dot(omega * omega, v_weight)))
         if out is not None:
             for j, nonfinite in zip(live[out], bad[out]):
                 stops[j], ends[j] = ("nonfinite", k - 1) if nonfinite else ("converged", k)
@@ -469,23 +441,40 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
         updates[((first[at] + k0)[:, None] + t)[within]] = f.transpose(2, 1, 0)[within]
         k0 += f.shape[1]
     thetas = np.array(log_theta)
+    logged = dict(q=None, residual=None, lam=None)
+    if log:  # a lone run: the dual at lam(1..iters), a block of iterations at a time
+        iters, m = ends[0], instance.m_total
+        lam_log = np.array(log_lam[:iters]).reshape(iters, m)
+        del log_lam  # lam_log is the trace's; the blocks below add little to the peak
+        q, res, V, ev, prev = [], [], [], None, np.zeros(m)
+        for k0 in range(0, iters, LINK_BLOCK):
+            blk = lam_log[k0:k0 + LINK_BLOCK]
+            us = _local_argmin(instance, _matvec(A_T, np.ascontiguousarray(blk.T)).T)
+            for th, lam_k, u_k in zip(thetas[k0:], blk, us):
+                # a diagonal-cost block's rows are strided, and np.dot sums a
+                # strided vector in another order than a contiguous one
+                ev = eval_dual(instance, lam_k, u=u_k.copy())
+                q.append(ev.q)
+                # what np.linalg.norm computes for a 1-D float vector, without its dispatch
+                res.append(math.sqrt(ev.grad.dot(ev.grad)))
+                if lambda_star is not None:
+                    omega = th * lam_k - (th - 1.0) * prev - lambda_star
+                    V.append(np.dot(omega * omega, v_weight))
+                prev = lam_k
+        logged = dict(q=np.array(q), residual=np.array(res), lam=lam_log,
+                      u_final=None if ev is None else ev.u)
+        if lambda_star is not None:
+            logged.update(gap=q_star - logged["q"], V=np.array(V))
 
     def trace(j):
         stop, iters = stops[j], ends[j]
         return RunTrace(
             algo=algo, instance=instance, eta=eta_arr, alpha=alphas[j],
             eps=eps, stop=stop, iters=iters, theta=thetas[:iters].copy(),
-            q=np.array(log_q) if log else None,
-            residual=np.array(log_res) if log else None,
-            updates=updates[first[j]:first[j] + iters],
-            lam=((np.array(log_lam).reshape(iters, m) if iters else np.zeros((0, m)))
-                 if log else None),
-            gap=np.array(log_gap) if lambda_star is not None else None,
-            V=np.array(log_V) if lambda_star is not None else None,
-            q_star=q_star, lambda_star=lambda_star, u_final=None if ev is None else ev.u,
+            updates=updates[first[j]:first[j] + iters], q_star=q_star,
+            lambda_star=lambda_star, **logged,
         )
 
-    m = instance.m_total
     return [trace(j) for j in range(len(networks))]
 
 

@@ -611,9 +611,18 @@ def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
 # -- JSON round trip -------------------------------------------------------
 
 def _read_json(path):
-    """The JSON value in the file at ``path``; invalid JSON raises ValidationError."""
+    """The JSON value in the file at ``path``; invalid JSON, or an object
+    that repeats a key (``json.loads`` would keep the last), raises
+    ValidationError."""
+    def unique(pairs):
+        d = dict(pairs)
+        if len(d) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise ValidationError(f"{path}: an object repeats the key {key!r}")
+        return d
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -643,11 +652,10 @@ def _agent_from_dict(d: dict) -> AgentSpec:
     if not isinstance(d["blocks"], dict):
         raise ValidationError(f"agent {d['id']}: blocks must be an object")
     for key, B in d["blocks"].items():
-        try:
-            j = int(key)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"agent {d['id']}: block key {key!r} is not an integer") from exc
-        blocks[j] = B
+        # one spelling per agent id: int() would read "02", " 2" and "+2" as 2
+        if not (str(key).removeprefix("-").isdecimal() and str(int(key)) == str(key)):
+            raise ValidationError(f"agent {d['id']}: block key {key!r} is not an agent id")
+        blocks[int(key)] = B
     return AgentSpec(
         id=d["id"], dim=d["dim"], Q=q if q is not None else np.zeros((0, 0)),
         c=d["c"], lo=d["lo"], hi=d["hi"], m=d["m"], g=d["g"],

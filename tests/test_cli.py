@@ -104,10 +104,15 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     ("problem", ("agents", 0, "c"), [None], "agent 1: c: not numeric"),
     ("problem", ("agents", 0, "blocks", "2"), [[None]], "block for 2: not numeric"),
     ("case", ("buses", 1, "demand"), [None], "bus 2: demand: not numeric"),
+    ("problem", ("agents", 0, "blocks", "02"), [[5.0]], "block key '02' is not an agent id"),
+    ("problem", ("agents", 0, "blocks", " 2"), [[5.0]], "block key ' 2' is not an agent id"),
+    ("problem", ("agents", 0, "blocks", "+2"), [[5.0]], "block key '+2' is not an agent id"),
+    ("problem", ("agents", 0, "blocks", "2_0"), [[5.0]], "block key '2_0' is not an agent id"),
 ], ids=["h-bool", "h-float", "h-str", "gen-a-str", "eps_psi-str", "demand-str",
         "ref_bus-bool", "dim-bool", "m-bool", "eps_psi-digits", "psi_max-bool",
         "gen-a-bool", "demand-nested-bool", "c-nested-digits", "block-nested-bool",
-        "c-null", "block-nested-null", "demand-null"])
+        "c-null", "block-nested-null", "demand-null", "block-key-zero-padded",
+        "block-key-space", "block-key-plus", "block-key-underscore"])
 def test_malformed_file_exits_2(kind, path, value, msg, tmp_path, capsys):
     # each of these used to crash with a traceback (exit 1), load as a number,
     # or (a null in an array) be read as NaN and named a non-finite value
@@ -122,6 +127,21 @@ def test_malformed_file_exits_2(kind, path, value, msg, tmp_path, capsys):
     assert main(["validate", f"--{kind}", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and msg in err
+
+
+@pytest.mark.parametrize("kind, old, new, key", [
+    ("problem", '"c": [0.0],', '"c": [0.0], "c": [9.0],', "c"),
+    ("case", '"h": 1,', '"h": 1, "h": 2,', "h"),
+])
+def test_repeated_key_exits_2(kind, old, new, key, tmp_path, capsys):
+    # json.loads would keep the last value of the two
+    text = (CASES / ("opf_2bus.json" if kind == "case" else "instance_a.json")).read_text()
+    assert old in text
+    p = tmp_path / "twice.json"
+    p.write_text(text.replace(old, new, 1))
+    assert main(["validate", f"--{kind}", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"an object repeats the key '{key}'" in err
 
 
 def test_bad_gamma_exits_2(capsys):

@@ -428,22 +428,20 @@ def test_stacked_kernel_is_per_agent_solves_bit_for_bit(name, gamma, monkeypatch
 
 
 @pytest.mark.parametrize("name", ["rand5", "dense10", "mixed10", "chain3"])
-def test_eval_dual_ahead_is_two_evaluations_bit_for_bit(name):
+def test_eval_dual_at_its_own_u_is_the_same_bits(name):
     inst = {"rand5": random_instance(5, seed=0), "dense10": DENSE10, "mixed10": MIXED10,
             "chain3": CHAIN}[name]
     rng = np.random.default_rng(8)
     for scale in (0.1, 1.0, 10.0):  # the larger pressures pin box coordinates
-        lam, mu = rng.normal(size=(2, inst.m_total)) * scale
-        for ahead in (mu, lam):
-            ev = eval_dual(inst, lam, ahead=ahead)
-            alone = eval_dual(inst, lam)
-            assert alone.u_ahead is None
-            assert ev.q == alone.q
-            assert ev.grad.tobytes() == alone.grad.tobytes()
-            assert ev.u.tobytes() == alone.u.tobytes()
-            assert ev.u_ahead.tobytes() == eval_dual(inst, ahead).u.tobytes()
-    with pytest.raises(ValueError, match="ahead has shape"):
-        eval_dual(inst, lam, ahead=lam[:-1])
+        lam = rng.normal(size=inst.m_total) * scale
+        alone = eval_dual(inst, lam)
+        given = eval_dual(inst, lam, u=alone.u)
+        assert given.q == alone.q
+        assert given.grad.tobytes() == alone.grad.tobytes()
+        assert given.u.tobytes() == alone.u.tobytes()
+    for bad in (alone.u[:-1], np.append(alone.u, 0.0), alone.u[None]):
+        with pytest.raises(ValidationError, match="u has shape"):
+            eval_dual(inst, lam, u=bad)
 
 
 KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": IEEE14,
@@ -533,11 +531,11 @@ def test_local_argmin_rows_are_lone_calls_bit_for_bit(name):
                 assert u[r].tobytes() == lone.tobytes(), (p, r, a.flags.f_contiguous)
 
 
-def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
-    # unaccel's interpolant is lam(k-1), where the previous log already solved;
-    # the accelerated log solves the next interpolant in the same stacked calls.
-    # The kernel solves the dense stack (three groups on DENSE10) once per
-    # local solve, so count the agents solved and the calls
+def test_logging_pass_solves_a_block_of_iterations_at_once(monkeypatch):
+    # the loop solves the dense stack (three groups on DENSE10) once per
+    # iteration; a logged run's pass after the loop solves it once more per
+    # 64 logged iterations, repeated once per iteration of the block.  Count
+    # the agents solved and the calls
     calls, stack_calls = [], []
     orig = engine.solve_local
 
@@ -550,23 +548,44 @@ def test_logging_solve_reused_when_momentum_is_zero(monkeypatch):
     assert len(DENSE10.dense_stack.groups) == 3
     net = build_network(DENSE10, 0.3, seed=1)
     tab = build_stepsizes(DENSE10)
-    tr = run_unaccelerated(DENSE10, tab, net, 20, 0.0)
-    assert len(calls) == 10 * (tr.iters + 1)
-    calls.clear()
-    stack_calls.clear()
-    tr = run_alg2(DENSE10, tab, net, 20, 0.0)  # only k = 2 follows a zero coefficient
-    assert len(calls) == 10 * (2 * tr.iters - 1)
-    assert len(stack_calls) == tr.iters + 1
-    calls.clear()
-    stack_calls.clear()
-    tr = run_alg2(DENSE10, tab, net, 20_000, 1e-6)  # stopped by eps: no solve ahead at the end
+    for driver in (run_unaccelerated, run_alg2):
+        tr = driver(DENSE10, tab, net, 20, 0.0)
+        assert len(calls) == 10 * 2 * tr.iters == 400
+        assert len(stack_calls) == tr.iters + 1
+        calls.clear()
+        stack_calls.clear()
+    tr = run_alg2(DENSE10, tab, net, 20_000, 1e-6)  # stopped by eps
     assert tr.converged and tr.iters == 1082
-    assert len(calls) == 10 * (2 * tr.iters - 1) == 21_630
-    assert len(stack_calls) == tr.iters + 1
+    assert len(calls) == 10 * 2 * tr.iters == 21_640
+    assert len(stack_calls) == tr.iters + 17  # 16 full blocks and one of 58
     calls.clear()
     stack_calls.clear()
     run_batch(DENSE10, tab, [net, build_network(DENSE10, 0.3, seed=2)], 20, 0.0)
     assert len(calls) == 2 * 10 * 20 and len(stack_calls) == 20
+
+
+@pytest.mark.parametrize("algo", ["alg2", "unaccel"])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("name", ["rand5", "dense10", "mixed10"])
+def test_logging_pass_is_lone_dual_evaluations_bit_for_bit(name, gamma, algo):
+    # 150 iterations span three blocks of the pass; each logged value is a
+    # 1-D eval_dual at that iteration's multiplier
+    inst = {"rand5": RAND5, "dense10": DENSE10, "mixed10": MIXED10}[name]
+    tab = build_stepsizes(inst)
+    driver = run_alg2 if algo == "alg2" else run_unaccelerated
+    star = solve_kkt(inst)
+    tr = driver(inst, tab, build_network(inst, gamma, seed=2), 150, 0.0, lambda_star=star.lam)
+    assert tr.iters == 150 and tr.lam.shape == (150, inst.m_total)
+    weight = 1.0 / (2.0 * np.repeat(tr.alpha * tr.eta, [a.m for a in inst.agents]))
+    for k in range(1, tr.iters + 1):
+        ev = eval_dual(inst, tr.lam_at(k))
+        assert tr.q[k - 1] == ev.q, k
+        assert tr.residual[k - 1] == math.sqrt(ev.grad.dot(ev.grad)), k
+        assert tr.gap[k - 1] == tr.q_star - ev.q, k
+        omega = tr.omega(k)
+        assert tr.V[k - 1] == np.dot(omega * omega, weight), k
+    assert tr.q_star == eval_dual(inst, star.lam).q
+    assert tr.u_final.tobytes() == ev.u.tobytes() and tr.u_final.base is None
 
 
 # dense10 with perfbench's seed-1 cost shift (its denseq-pgd instance)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,37 @@ def test_schema_rejects_bad_block_key(instance_a):
     d["agents"][0]["blocks"] = {"x": [[1.0]]}
     with pytest.raises(ValidationError, match="block key 'x'"):
         instance_from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "2_0", "2.0", "-0"])
+def test_schema_rejects_a_block_key_that_is_not_an_agent_id(instance_a, key):
+    # int() reads each of these as an agent id: "02" would replace the "2"
+    # block, and "2_0" would be agent 20
+    d = instance_to_dict(instance_a)
+    d["agents"][0]["blocks"][key] = [[5.0]]
+    with pytest.raises(ValidationError, match=re.escape(f"agent 1: block key {key!r} is not an agent id")):
+        instance_from_dict(d)
+
+
+def test_block_keys_from_code_may_be_integers(instance_a):
+    d = instance_to_dict(instance_a)
+    d["agents"][0]["blocks"] = {1: [[1.0]], np.int64(2): [[1.0]]}
+    assert instance_from_dict(d).agent(1).blocks.keys() == {1, 2}
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"c": [0.0],', '"c": [0.0], "c": [9.0],', "c"),
+    ('"1": [[1.0]],', '"1": [[1.0]], "1": [[3.0]],', "1"),
+    ('"agents": [', '"agents": [], "agents": [', "agents"),
+])
+def test_load_rejects_a_repeated_key(tmp_path, old, new, key):
+    # json.loads keeps the last of two equal keys: c would load as 9
+    text = (CASES / "instance_a.json").read_text()
+    assert old in text
+    p = tmp_path / "twice.json"
+    p.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValidationError, match=f"an object repeats the key '{key}'"):
+        load_instance(p)
 
 
 def test_load_rejects_invalid_json(tmp_path):

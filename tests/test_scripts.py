@@ -165,6 +165,29 @@ def _bench_module():
     return bench
 
 
+def test_bench_describe_names_the_changed_files(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    for name in ("a.py", "b.md", "c.md"):
+        (tmp_path / name).write_text("x\n")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "seed")
+    describe = _bench_module().describe
+    clean = describe(tmp_path)
+    assert re.fullmatch("[0-9a-f]{40}", clean["commit"])
+    assert (clean["dirty"], clean["changed"]) == (False, [])
+    # a worktree edit, a staged edit and an untracked file (not counted)
+    (tmp_path / "b.md").write_text("y\n")
+    (tmp_path / "c.md").write_text("y\n")
+    git("add", "c.md")
+    (tmp_path / "new.py").write_text("x\n")
+    edited = describe(tmp_path)
+    assert edited["commit"] == clean["commit"]
+    assert (edited["dirty"], edited["changed"]) == (True, ["b.md", "c.md"])
+
+
 def test_bench_summary_verdicts():
     # per workload, this tree's and the other tree's runs of a lower-better
     # metric; a higher-better metric read at -v gets the same verdicts, and a

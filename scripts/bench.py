@@ -9,9 +9,12 @@ this checkout.  With ``--against``, the same run is made in the other
 checkout too, in alternating order (this tree first on even pairs), so
 that drifts in machine speed fall on both sides alike.  The entry
 ``BENCH_<date>_<label>.json`` keeps, per run, the env line, the metric
-lines as printed, the result JSON and ``rounds``; per workload it
-summarises each metric (end-to-end, or per-layer with ``--trace 1``) by
-the median over seeds and, for pairs, how often this tree did better.
+lines as printed, the result JSON, ``rounds`` and (untraced runs only)
+``pass_times``, each solve pass's seconds; per workload it summarises
+each metric (end-to-end, or per-layer with ``--trace 1``) by the median
+over seeds and, for pairs, how often this tree did better, and per tree
+``pass_iqr_frac``, the median over runs of each run's interquartile
+range of pass times over their median.
 Paired end-to-end metrics also get a verdict against the other checkout,
 printed one line per workload: ``worse`` (the median is worse by more
 than the metric's bound in BENCHMARK.json), ``unresolved`` (the other
@@ -32,6 +35,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PASS_TIMES = "pass times s:"
 
 
 def _git(tree: Path, *args) -> str:
@@ -63,8 +67,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     metric_lines = [ln.strip() for ln in lines[:-1]
                     if " median " in ln or " passes failed " in ln or "  (computed)" in ln]
     rounds = result["metrics"].get("rounds", {}).get("value")
+    # each solve pass's seconds, printed by untraced runs only
+    pass_times = next(([float(t) for t in ln[len(PASS_TIMES):].split()]
+                       for ln in lines if ln.startswith(PASS_TIMES)), None)
     return {"workload": workload, "seed": seed, "env": env, "lines": metric_lines,
-            "result": result, "rounds": rounds}
+            "result": result, "rounds": rounds, "pass_times": pass_times}
+
+
+def pass_spread(runs) -> float | None:
+    """The median over runs of each run's interquartile range of pass
+    times over their median: the share of a run's spread that lies within
+    one process.  Runs of fewer than two passes have no spread."""
+    spreads = []
+    for r in runs:
+        if len(r.get("pass_times") or ()) > 1:
+            q1, med, q3 = statistics.quantiles(r["pass_times"], n=4, method="inclusive")
+            spreads.append((q3 - q1) / med)
+    return statistics.median(spreads) if spreads else None
 
 
 def verdict(ours: list[float], theirs: list[float], *, wins: int, iqr: float, sign: int,
@@ -117,6 +136,10 @@ def summarise(runs: list[dict], metrics: list[dict], paired: bool) -> dict:
                     row["verdict"] = verdict(ours, theirs, wins=row["this_better"], iqr=iqr,
                                              sign=sign, bound=m["bound"])
             rows[name] = row
+        if any(r.get("pass_times") is not None for r in [*mine.values(), *other.values()]):
+            rows["pass_iqr_frac"] = {"this_median": pass_spread(mine.values())}
+            if paired:
+                rows["pass_iqr_frac"]["against_median"] = pass_spread(other.values())
         out[wl] = rows
     return out
 

@@ -46,11 +46,12 @@ norm at the shared multiplier lam(k) (agents' own blocks re-solved
 jointly), plus the optional distance diagnostics when the optimal
 multiplier is supplied; the columns of a ``run_batch`` are not logged.
 The loop only keeps lam(k), which the trace records anyway, and never
-reads the log.  The log is one pass after the loop, ``LINK_BLOCK``
-iterations at a time: one product with the transposed coupling matrix
-and one local solve over the block's multipliers (the dense stack
-repeated once per row, so every row keeps the bits of its own solve),
-then one ``eval_dual(instance, lam(k), u=u(k))`` per iteration.
+reads the log.  The log is one pass after the loop over blocks of
+``LINK_BLOCK`` multipliers, the last padded with copies of lam(iters):
+one product with the transposed coupling matrix and one local solve per
+block (the dense stack repeated at that one width; every row keeps the
+bits of its own solve, and a copy settles when its source does), then
+one ``eval_dual(instance, lam(k), u=u(k))`` per iteration up to iters.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ LINK_BLOCK = 64  # iterations of link states (and the masks from them) made at o
 
 def theta_next(theta: float) -> float:
     """Momentum recursion theta+ = (1 + sqrt(1 + 4 theta^2)) / 2."""
-    if theta < 1.0:
+    if not theta >= 1.0:  # NaN too
         raise ValueError(f"theta must be >= 1, got {theta}")
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
 
@@ -199,6 +200,7 @@ class RunTrace:
         """lam(k) for 0 <= k <= iters, with lam(0) = 0."""
         if self.lam is None:
             raise ValueError("the run did not record its multipliers")
+        k = _int(k, "k")
         if not 0 <= k <= self.iters:
             raise ValueError(f"lam_at needs 0 <= k <= {self.iters}, got {k}")
         if k == 0:
@@ -207,6 +209,7 @@ class RunTrace:
 
     def theta_at(self, k: int) -> float:
         """theta(k) for 1 <= k <= iters."""
+        k = _int(k, "k")
         if not 1 <= k <= self.iters:
             raise ValueError(f"theta_at needs 1 <= k <= {self.iters}, got {k}")
         return float(self.theta[k - 1])
@@ -250,11 +253,10 @@ class _Plan(NamedTuple):
     in_owner: np.ndarray      # position of every agent with in-edges
     in_start: np.ndarray      # its first in-edge
     starts: np.ndarray        # first lam row of every agent with m_i > 0
-    eta_rows: np.ndarray
     n_links: int
 
 
-def _plan(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkModel) -> _Plan:
+def _plan(instance: ProblemInstance, network: NetworkModel) -> _Plan:
     n_links = len(network.edges)
 
     def link(i, j):
@@ -288,7 +290,7 @@ def _plan(instance: ProblemInstance, stepsizes: StepsizeTable, network: NetworkM
         row_agent=np.repeat(np.arange(len(instance.agents)), [a.m for a in instance.agents]),
         in_link=idx(in_link), in_owner=idx(in_owner), in_start=idx(in_start),
         starts=idx([instance.lam_slice(a.id).start for a in instance.agents if a.m]),
-        eta_rows=stepsizes.eta_rows(instance), n_links=n_links,
+        n_links=n_links,
     )
 
 
@@ -351,7 +353,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
     max_iters, eps, lambda_star = _checked_inputs(instance, stepsizes, networks, max_iters,
                                                   eps, lambda_star)
     accelerate = algo != "unaccel"
-    plan = _plan(instance, stepsizes, networks[0])
+    plan = _plan(instance, networks[0])
     n_agents = len(instance.agents)
     eta_arr = np.array([stepsizes.eta[i] for i in instance.ids])
     alphas = [np.array([net.alpha[i] for i in instance.ids]) for net in networks]
@@ -359,7 +361,7 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
     if lambda_star is not None:
         q_star = eval_dual(instance, lambda_star).q
         v_weight = 1.0 / (2.0 * (alphas[0] * eta_arr)[plan.row_agent])
-    g, eta_rows = instance.g_vec[:, None], plan.eta_rows[:, None]  # broadcast over columns
+    g, eta_rows = instance.g_vec[:, None], eta_arr[plan.row_agent][:, None]  # over columns
     A_T = instance.coupling_csr_T
     n_blocks = len(plan.starts)
     T = _stop_threshold(eps)
@@ -407,7 +409,6 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
         # finds a non-finite hat: 0 * inf and 0 * nan are nan, so the probe
         # is 0 exactly when every column's hat (and lam_new) is finite
         ss = s * s
-        out = None
         if (n_blocks == 0 or np.fmin.reduce(np.maximum.reduce(ss)) < T
                 or not hat.reshape(-1).dot(zero) == 0.0):
             bad = ~np.isfinite(hat).all(axis=0)   # ends at k - 1, unlogged
@@ -415,18 +416,16 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
             if n_blocks:  # each column's block sums are its lone sums bit for bit
                 ok &= (np.add.reduceat(ss, plan.starts) < T).all(axis=0)
             out = bad | ok
-            if not out.any():
-                out = None
-        if out is not None:
-            for j, nonfinite in zip(live[out], bad[out]):
-                stops[j], ends[j] = ("nonfinite", k - 1) if nonfinite else ("converged", k)
-            if out.all():
-                break
-            keep = ~out
-            live, nets = live[keep], [networks[j] for j in live[keep]]
-            lam_new, hat, recv = lam_new[:, keep], hat[:, keep], recv[:, keep]
-            c_up, row_held = c_up[..., keep], row_held[..., keep]
-            zero = zero[:hat.size]
+            if out.any():
+                for j, nonfinite in zip(live[out], bad[out]):
+                    stops[j], ends[j] = ("nonfinite", k - 1) if nonfinite else ("converged", k)
+                if out.all():
+                    break
+                keep = ~out
+                live, nets = live[keep], [networks[j] for j in live[keep]]
+                lam_new, hat, recv = lam_new[:, keep], hat[:, keep], recv[:, keep]
+                c_up, row_held = c_up[..., keep], row_held[..., keep]
+                zero = zero[:hat.size]
         lam, theta = lam_new, theta_new
 
     # every column's update flags, column after column, in one array: each
@@ -447,10 +446,10 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
         lam_log = np.array(log_lam[:iters]).reshape(iters, m)
         del log_lam  # lam_log is the trace's; the blocks below add little to the peak
         q, res, V, ev, prev = [], [], [], None, np.zeros(m)
-        for k0 in range(0, iters, LINK_BLOCK):
-            blk = lam_log[k0:k0 + LINK_BLOCK]
+        for k0 in range(0, iters, LINK_BLOCK):  # the last block padded with lam(iters)
+            blk = lam_log[np.minimum(np.arange(k0, k0 + LINK_BLOCK), iters - 1)]
             us = _local_argmin(instance, _matvec(A_T, np.ascontiguousarray(blk.T)).T)
-            for th, lam_k, u_k in zip(thetas[k0:], blk, us):
+            for th, lam_k, u_k in zip(thetas[k0:iters], blk, us):
                 # a diagonal-cost block's rows are strided, and np.dot sums a
                 # strided vector in another order than a contiguous one
                 ev = eval_dual(instance, lam_k, u=u_k.copy())
@@ -543,6 +542,7 @@ def check_lyapunov_step(trace: RunTrace, k: int) -> bool:
     with slack 1e-9 (1 + |q*|), at the run's own optimal multiplier.
     Requires 1 <= k < trace.iters.
     """
+    k = _int(k, "k")
     if not (1 <= k < trace.iters):
         raise ValueError(f"need 1 <= k < {trace.iters}, got {k}")
     inst = trace.instance

@@ -47,7 +47,6 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-12
-_REPEATS_KEPT = 4  # repeated stacks cached per AgentStack
 
 _AGENT_KEYS = {"id", "dim", "Q", "c", "lo", "hi", "m", "g", "blocks"}
 
@@ -375,9 +374,9 @@ class AgentStack:
         end to end: group by group, row r * k_d + i of a group belongs to
         its agent i, at that agent's columns shifted by r * n, so each
         group stays one group.  One lock-step solve of it solves the stack
-        at p pressures.  The last ``_REPEATS_KEPT`` built are kept: a batch
-        of replicate columns asks for one repeat per number of columns
-        still running."""
+        at p pressures.  Only the last repeat built is kept: a logged run's
+        pass asks for one width, and a batch of replicate columns for ever
+        fewer, so no earlier width is asked for again."""
         if p == 1:
             return self
         rep = self._repeats.get((p, n))
@@ -386,10 +385,9 @@ class AgentStack:
             idx = np.concatenate([np.tile(np.arange(ks.start, ks.stop), p)
                                   for ks, _, _ in self.groups])
             cols = np.concatenate([(self.cols[es] + shift).ravel() for _, es, _ in self.groups])
+            self._repeats.clear()
             rep = self._repeats[p, n] = AgentStack([self.agents[i] for i in idx], cols,
                                                    self.pos[idx])
-            if len(self._repeats) > _REPEATS_KEPT:  # dicts keep insertion order
-                del self._repeats[next(iter(self._repeats))]
         return rep
 
     @cached_property

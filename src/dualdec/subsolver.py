@@ -27,7 +27,8 @@ layout, so a stack gives every agent the bits it would get alone.
 Groups are never padded to a common dimension: that guarantee would not
 hold.  A lone dense agent runs as its cached stack of one, and p
 pressures on one stack run as the stack repeated p times
-(``AgentStack.repeat``).
+(``AgentStack.repeat``, which keeps the last repeat built: a logged
+run's pass asks for one width, a replicate batch for ever fewer rows).
 """
 
 from __future__ import annotations

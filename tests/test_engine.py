@@ -14,7 +14,7 @@ from dualdec import (ValidationError, build_network, build_opf_instance, build_s
                      load_instance, random_instance, run_alg1, run_alg2, run_batch,
                      run_unaccelerated, solve_kkt, solve_local, theta_next)
 from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan, _stop_threshold
-from dualdec.model import AgentSpec, ProblemInstance
+from dualdec.model import AgentSpec, AgentStack, ProblemInstance
 from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
 
@@ -52,6 +52,9 @@ def test_theta_recurrence(theta):
 def test_theta_rejects_below_one():
     with pytest.raises(ValueError):
         theta_next(0.5)
+    # nan < 1.0 is false, so a test written that way let nan through
+    with pytest.raises(ValueError, match="theta must be >= 1"):
+        theta_next(float("nan"))
 
 
 def test_theta_growth_floor():
@@ -477,7 +480,7 @@ def test_unrecorded_trace_has_no_csv(tmp_path):
 def test_matvec_is_scipy_matvec_bit_for_bit(name):
     # _matvec calls scipy's csr_matvec directly; a later scipy must still agree with A @ x
     inst = mesh_grid() if name == "grid6" else KERNEL_CASES[name]
-    plan = _plan(inst, build_stepsizes(inst), build_network(inst, 0.3, seed=1))
+    plan = _plan(inst, build_network(inst, 0.3, seed=1))
     rng = np.random.default_rng(0)
     for A in (inst.coupling_csr, inst.coupling_csr_T, plan.C, plan.S):
         x = rng.standard_normal(A.shape[1])
@@ -534,8 +537,8 @@ def test_local_argmin_rows_are_lone_calls_bit_for_bit(name):
 def test_logging_pass_solves_a_block_of_iterations_at_once(monkeypatch):
     # the loop solves the dense stack (three groups on DENSE10) once per
     # iteration; a logged run's pass after the loop solves it once more per
-    # 64 logged iterations, repeated once per iteration of the block.  Count
-    # the agents solved and the calls
+    # 64 logged iterations, repeated 64 times (the last block is padded).
+    # Count the agents solved and the calls
     calls, stack_calls = [], []
     orig = engine.solve_local
 
@@ -550,18 +553,40 @@ def test_logging_pass_solves_a_block_of_iterations_at_once(monkeypatch):
     tab = build_stepsizes(DENSE10)
     for driver in (run_unaccelerated, run_alg2):
         tr = driver(DENSE10, tab, net, 20, 0.0)
-        assert len(calls) == 10 * 2 * tr.iters == 400
+        assert len(calls) == 10 * (tr.iters + 64) == 840  # one block, padded to 64 rows
         assert len(stack_calls) == tr.iters + 1
         calls.clear()
         stack_calls.clear()
     tr = run_alg2(DENSE10, tab, net, 20_000, 1e-6)  # stopped by eps
     assert tr.converged and tr.iters == 1082
-    assert len(calls) == 10 * 2 * tr.iters == 21_640
-    assert len(stack_calls) == tr.iters + 17  # 16 full blocks and one of 58
+    assert len(calls) == 10 * (tr.iters + 17 * 64) == 21_700
+    assert len(stack_calls) == tr.iters + 17  # 16 full blocks and one of 58, padded to 64
     calls.clear()
     stack_calls.clear()
     run_batch(DENSE10, tab, [net, build_network(DENSE10, 0.3, seed=2)], 20, 0.0)
     assert len(calls) == 2 * 10 * 20 and len(stack_calls) == 20
+
+
+def test_logged_runs_keep_one_repeated_stack(monkeypatch):
+    # every block of the logging pass is LINK_BLOCK rows, whatever the run's
+    # length, so a dense stack is repeated at one width, built once
+    inst = random_instance(10, seed=0, diagonal=False)
+    tab, net = build_stepsizes(inst), build_network(inst, 0.3, seed=1)
+    lengths = (150, 1082, 20)  # a last block of 22, 58 and 20 rows
+    for n in lengths:
+        assert run_alg2(inst, tab, net, n, 0.0).iters == n
+        assert list(inst.dense_stack._repeats) == [(engine.LINK_BLOCK, inst.n_total)]
+    built = []
+    orig = AgentStack.__post_init__
+
+    def counted(self):
+        built.append(len(self.agents))
+        orig(self)
+
+    monkeypatch.setattr(AgentStack, "__post_init__", counted)
+    for n in lengths:
+        assert run_unaccelerated(inst, tab, net, n, 0.0).iters == n
+    assert built == []
 
 
 @pytest.mark.parametrize("algo", ["alg2", "unaccel"])
@@ -904,6 +929,23 @@ def test_trace_index_outside_the_run_rejected(call, k):
         getattr(tr, call)(k)
     np.testing.assert_array_equal(tr.lam_at(5), tr.lam[4])
     assert tr.theta_at(1) == 1.0 and tr.omega(5).shape == (RAND5.m_total,)
+    # a numpy integer is an index too
+    i = np.int64(2)
+    assert tr.lam_at(i).tobytes() == tr.lam_at(2).tobytes() and tr.theta_at(i) == tr.theta_at(2)
+    assert tr.omega(i).tobytes() == tr.omega(2).tobytes()
+    assert check_lyapunov_step(tr, i) == check_lyapunov_step(tr, 2)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 1.5, np.float64(2.0), "2"],
+                         ids=["bool", "float", "fraction", "np-float", "str"])
+@pytest.mark.parametrize("call", ["lam_at", "theta_at", "omega", "lyapunov"])
+def test_trace_index_must_be_an_integer(call, k):
+    # True used to index as a numpy mask (lam_at(True) read k = 1, and
+    # check_lyapunov_step returned an array); a float raised a raw IndexError
+    tr = RAND5_RUN
+    get = (lambda k: check_lyapunov_step(tr, k)) if call == "lyapunov" else getattr(tr, call)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        get(k)
 
 
 # ---------------------------------------------------------- trace CSV

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES, make_pair, mesh_grid
-from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
-                     engine, load_case, primal_cost, random_instance)
+from dualdec import (ValidationError, build_network, build_opf_instance, engine, load_case,
+                     primal_cost, random_instance)
 from dualdec.model import (AgentSpec, ProblemInstance, blocks_to_csr, instance_from_dict,
                            instance_to_dict, load_instance, save_instance)
 
@@ -229,8 +229,7 @@ def _block_sets(inst, monkeypatch):
         return blocks_to_csr(*sets[-1])
 
     monkeypatch.setattr(engine, "blocks_to_csr", record)
-    tab = build_stepsizes(inst)
-    engine._plan(inst, tab, build_network(inst, 0.3, seed=1))
+    engine._plan(inst, build_network(inst, 0.3, seed=1))
     return sets
 
 

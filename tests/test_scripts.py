@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import CASES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -153,9 +155,22 @@ def test_bench_writes_paired_entry(tmp_path):
     for r in entry["runs"]:
         assert r["result"]["correct"] and r["env"]["nproc"] >= 1
         assert r["rounds"] == entry["runs"][0]["rounds"] > 0
-        assert any(ln.startswith("solve_s median") for ln in r["lines"])
-    row = entry["summary"]["dispatch-grid"]["rounds"]
+        solve = next(ln for ln in r["lines"] if ln.startswith("solve_s median"))
+        # one time per solve pass, as many as the solve_s line counts
+        assert len(r["pass_times"]) == int(solve.rsplit("n=", 1)[1]) >= 1
+        assert all(isinstance(t, float) and t > 0.0 for t in r["pass_times"])
+    summary = entry["summary"]["dispatch-grid"]
+    row = summary["rounds"]
     assert row["pairs"] == 1 and row["ties"] == 1
+    spread = _bench_module().pass_spread
+    assert summary["pass_iqr_frac"] == {"this_median": spread(entry["runs"][:1]),
+                                        "against_median": spread(entry["runs"][1:])}
+    # per run, the interquartile range of its pass times over their median
+    # (2 / 3 and 0; a run of one pass has none), then the median over runs
+    runs = [{"pass_times": [5.0, 1.0, 4.0, 2.0, 3.0]}, {"pass_times": [2.0, 2.0, 2.0]},
+            {"pass_times": [9.0]}, {"pass_times": None}]
+    assert spread(runs) == pytest.approx(1.0 / 3.0)
+    assert spread(runs[2:]) is None
 
 
 def _bench_module():

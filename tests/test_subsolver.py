@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import mixed_twin, solve_pgd_reference
 from dualdec import ValidationError, eval_dual, primal_cost, random_instance, solve_local
 from dualdec import subsolver
-from dualdec.model import _REPEATS_KEPT, AgentSpec, AgentStack, ProblemInstance
+from dualdec.model import AgentSpec, AgentStack, ProblemInstance
 from dualdec.subsolver import _lapack_solve
 
 RNG = np.random.default_rng(1234)
@@ -216,9 +216,9 @@ def test_repeated_stack_rows_are_single_point_solves_bit_for_bit():
     assert rep.groups[0][2].tobytes() == np.concatenate([st.groups[0][2]] * 2).tobytes()
     assert rep.cols.tolist() == list(range(12))
     assert st.repeat(2, 10).cols.tolist() == list(range(6)) + list(range(10, 16))
-    # a batch asks for one repeat per number of live columns: the latest few stay cached
+    # a batch asks for one repeat per number of live columns: only the last stays cached
     last = [st.repeat(p, 6) for p in range(3, 12)][-1]
-    assert list(st._repeats) == [(p, 6) for p in range(12 - _REPEATS_KEPT, 12)]
+    assert list(st._repeats) == [(11, 6)]
     assert st.repeat(11, 6) is last
     a = np.array([[0.01, 0.02], [0.3, -0.2], [0.0, -0.01],
                   [-0.02, 0.01], [8.0, 2.0], [0.05, 0.0]])

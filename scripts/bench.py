@@ -45,12 +45,15 @@ def _git(tree: Path, *args) -> str:
 
 def describe(tree: Path) -> dict:
     """The commit a checkout is at, whether it has uncommitted changes to
-    tracked files, and the paths of those files (so a record made while
-    only docs were edited says so)."""
+    tracked files, the paths of those files (so a record made while only
+    docs were edited says so), and the line count of ``src/dualdec/*.py``
+    (None for a tree without it)."""
     status = _git(tree, "status", "--porcelain", "--untracked-files=no").splitlines()
     changed = [ln[3:] for ln in status]  # each line is "XY path"
+    src = list((tree / "src" / "dualdec").glob("*.py"))
     return {"commit": _git(tree, "rev-parse", "HEAD") or None, "dirty": bool(changed),
-            "changed": changed}
+            "changed": changed,
+            "src_lines": sum(p.read_bytes().count(b"\n") for p in src) if src else None}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -28,9 +28,6 @@ and a held agent's stop test still reads it.  The local pressures
 a_i = sum_j G_j^i' lam_j are the transposed coupling matrix applied to
 the interpolants.  The loop resolves ``solve_local`` and ``eval_dual``
 through this module's globals.
-The stop test compares squared residual norms with a threshold T fixed
-per run (``_stop_threshold``), which gives the same booleans as comparing
-their square roots with eps.
 
 The kernel's state is a block of replicate columns: ``run_batch`` runs
 one column per network, and the lone drivers are the one-column case.
@@ -64,8 +61,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .model import (ProblemInstance, ValidationError, _field, _int, _real, blocks_to_csr,
-                    primal_cost)
+from .model import (ProblemInstance, ValidationError, _field, _int, _real, _vector,
+                    blocks_to_csr, primal_cost)
 from .netsim import NetworkModel, _edge_key, activation_matrix, build_network, links
 from .stepsize import StepsizeTable
 from .subsolver import solve_local
@@ -133,13 +130,6 @@ def _local_argmin(instance: ProblemInstance, a: np.ndarray) -> np.ndarray:
     return u
 
 
-def _vector(x, size: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (size,):
-        raise ValidationError(f"{name} has shape {x.shape}, expected ({size},)")
-    return x
-
-
 def eval_dual(instance: ProblemInstance, lam: np.ndarray,
               u: np.ndarray | None = None) -> DualEval:
     """Dual value, dual gradient and local minimizers at a shared multiplier.
@@ -149,9 +139,9 @@ def eval_dual(instance: ProblemInstance, lam: np.ndarray,
     A given ``u`` is taken as those minimizers, not solved again: the
     run's logging pass solves a block of multipliers in one call.
     """
-    lam = _vector(lam, instance.m_total, "lam")
+    lam = _vector(lam, "lam", instance.m_total)
     a = _matvec(instance.coupling_csr_T, lam)
-    u = _local_argmin(instance, a) if u is None else _vector(u, instance.n_total, "u")
+    u = _local_argmin(instance, a) if u is None else _vector(u, "u", instance.n_total)
     q = primal_cost(instance, u) - float(np.dot(lam, instance.g_vec)) + float(np.dot(a, u))
     grad = _matvec(instance.coupling_csr, u) - instance.g_vec
     return DualEval(q=q, grad=grad, u=u)
@@ -310,25 +300,17 @@ def _link_block(plan: _Plan, networks, ks: range, n_agents: int):
     return up.take(plan.c_link, axis=0), fired
 
 
-def _stop_threshold(eps: float) -> float:
-    """The smallest double T >= 0 with sqrt(T) >= eps.  sqrt is correctly
-    rounded and monotone, so for every x >= 0, sqrt(x) < eps exactly when x < T."""
-    t = eps * eps
-    while math.sqrt(t) < eps:
-        t = math.nextafter(t, math.inf)
-    while t > 0.0 and math.sqrt(math.nextafter(t, 0.0)) >= eps:
-        t = math.nextafter(t, 0.0)
-    return t
+def _check_table(instance: ProblemInstance, stepsizes: StepsizeTable) -> None:
+    if stepsizes.eta.keys() != set(instance.ids):
+        raise ValidationError("the step table's agent ids are not the instance's")
 
 
 def _checked_inputs(instance, stepsizes, networks, max_iters, eps, lambda_star):
     """Validate a run's step table, networks (each built over the
     instance's links), budget, tolerance and optional optimal multiplier
     at the API boundary."""
-    ids = set(instance.ids)
-    if stepsizes.eta.keys() != ids:
-        raise ValidationError("the step table's agent ids are not the instance's")
-    edges = links(instance)
+    _check_table(instance, stepsizes)
+    ids, edges = set(instance.ids), links(instance)
     for net in networks:
         if not (isinstance(net, NetworkModel) and net.edges == edges
                 and net.alpha.keys() == ids):
@@ -364,7 +346,6 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
     g, eta_rows = instance.g_vec[:, None], eta_arr[plan.row_agent][:, None]  # over columns
     A_T = instance.coupling_csr_T
     n_blocks = len(plan.starts)
-    T = _stop_threshold(eps)
 
     lam = np.zeros((instance.m_total, len(networks)))
     hat = lam                                          # interpolated multipliers
@@ -403,18 +384,18 @@ def _run(instance, stepsizes, networks, max_iters, eps, lambda_star, algo, log):
         if log:
             log_lam.append(lam_new)  # likewise
         # a column stops once each agent's residual from its cached blocks is
-        # below eps (NaN never is): sqrt(x) < eps exactly when x < T, and a
-        # block's sum of squares is never below its largest term, so the
-        # columns' largest terms decide first.  One scalar probe, no array,
-        # finds a non-finite hat: 0 * inf and 0 * nan are nan, so the probe
-        # is 0 exactly when every column's hat (and lam_new) is finite
+        # below eps (NaN never is), and a block's sum of squares is never
+        # below its largest term, so the columns' largest terms decide
+        # first.  One scalar probe, no array, finds a non-finite hat: 0 * inf
+        # and 0 * nan are nan, so the probe is 0 exactly when every column's
+        # hat (and lam_new) is finite
         ss = s * s
-        if (n_blocks == 0 or np.fmin.reduce(np.maximum.reduce(ss)) < T
+        if (n_blocks == 0 or math.sqrt(np.fmin.reduce(np.maximum.reduce(ss))) < eps
                 or not hat.reshape(-1).dot(zero) == 0.0):
             bad = ~np.isfinite(hat).all(axis=0)   # ends at k - 1, unlogged
             ok = ~bad
             if n_blocks:  # each column's block sums are its lone sums bit for bit
-                ok &= (np.add.reduceat(ss, plan.starts) < T).all(axis=0)
+                ok &= (np.sqrt(np.add.reduceat(ss, plan.starts)) < eps).all(axis=0)
             out = bad | ok
             if out.any():
                 for j, nonfinite in zip(live[out], bad[out]):
@@ -573,8 +554,8 @@ def check_quadratic_model(instance: ProblemInstance, stepsizes: StepsizeTable,
 
     within ``MODEL_SLACK`` for arbitrary multipliers xi, mu.
     """
-    xi = np.asarray(xi, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    _check_table(instance, stepsizes)
+    xi, mu = _vector(xi, "xi", instance.m_total), _vector(mu, "mu", instance.m_total)
     eta_rows = stepsizes.eta_rows(instance)
     grad = eval_dual(instance, xi).grad
     step = eta_rows * grad

@@ -45,6 +45,7 @@ __all__ = [
     "blocks_to_csr",
 ]
 
+_FLOAT = np.dtype(float)
 _SYM_TOL = 1e-12
 _PD_TOL = 1e-12
 
@@ -126,6 +127,17 @@ def _field(x, name: str, shape: tuple[int, ...]) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
     return arr
+
+
+def _vector(x, name: str, size: int) -> np.ndarray:
+    """``x`` as a float vector of ``size`` entries, not copied when it is
+    one; a bool, text, complex or object array is rejected, not read as numbers."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "fiu":
+        raise ValidationError(f"{name}: not numeric")
+    if x.shape != (size,):
+        raise ValidationError(f"{name} has shape {x.shape}, expected ({size},)")
+    return x if x.dtype is _FLOAT else x.astype(float)
 
 
 @dataclass(frozen=True)
@@ -338,31 +350,25 @@ class AgentStack:
             a.sigma
         return _flat(np.full(a.dim, a.eig_max) for a in self.agents)
 
-    def work(self, *names: str, per_agent: bool = False) -> tuple[StackWork, ...]:
-        """The stack's work buffers of these names, of length N, or K when
-        ``per_agent``.  Each is built once, written in place by its users,
-        and never handed out as a result."""
-        got = self._work.get((names, per_agent))
-        if got is None:
-            got = self._work[names, per_agent] = tuple(
-                self._buffer(name, per_agent) for name in names)
-        return got
-
-    def _buffer(self, name: str, per_agent: bool) -> StackWork:
-        w = self._work.get((name, per_agent))
-        if w is None:
+    def work(self, k: int, per_agent: bool = False) -> list[StackWork]:
+        """The first k of the stack's work buffers of length N, or K when
+        ``per_agent``: one pool per length, grown as asked.  Its users share
+        the buffers, which is safe on one condition: each writes a buffer
+        before it reads it within one call, and never returns one."""
+        pool = self._pools[per_agent]
+        while len(pool) < k:
             flat = np.zeros(len(self.agents) if per_agent else len(self.cols))
             views = [flat[ks].reshape(-1, 1) if per_agent else flat[es].reshape(-1, Q.shape[-1])
                      for ks, es, Q in self.groups]
-            w = self._work[name, per_agent] = StackWork(
-                flat, tuple(v[:, :, None] for v in views), tuple(v[:, None, :] for v in views),
-                tuple(v.reshape(*v.shape, 1) for v in views))
-        return w
+            pool.append(StackWork(flat, tuple(v[:, :, None] for v in views),
+                                  tuple(v[:, None, :] for v in views),
+                                  tuple(v.reshape(*v.shape, 1) for v in views)))
+        return pool[:k]
 
     @cached_property
-    def _work(self) -> dict:
-        """Work buffers by (name, per_agent), and tuples of them by (names, per_agent)."""
-        return {}
+    def _pools(self) -> tuple[list[StackWork], list[StackWork]]:
+        """The work buffers of length N, then those of length K."""
+        return [], []
 
     @cached_property
     def _c_rows(self) -> tuple[np.ndarray, ...]:
@@ -584,15 +590,13 @@ def primal_cost(instance: ProblemInstance, u: np.ndarray) -> float:
     the same per-agent BLAS products as ``AgentSpec.cost`` and summed over
     agents in id order, so the total equals the per-agent sum bit for bit.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (instance.n_total,):
-        raise ValidationError(f"u has shape {u.shape}, expected ({instance.n_total},)")
+    u = _vector(u, "u", instance.n_total)
     st = instance.dense_stack
     if st is None:
         d = instance.diag_columns[1]  # every cost is diagonal: all columns, in order
         return 0.5 * float(np.dot(u, d * u)) + float(np.dot(instance.c_vec, u))
     cost = np.empty(len(instance.agents))
-    (x,), (quad, lin) = st.work("x"), st.work("quad", "lin", per_agent=True)
+    (x,), (quad, lin) = st.work(1), st.work(2, per_agent=True)
     u.take(st.cols, out=x.flat)
     for (_, _, Q), row, col, c, q, ln in zip(st.groups, x.rows, x.cols, st._c_rows,
                                              quad.outs, lin.outs):

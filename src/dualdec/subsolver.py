@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import AgentSpec, AgentStack
+from .model import AgentSpec, AgentStack, _vector
 
 __all__ = ["solve_local"]
 
@@ -52,18 +52,16 @@ def solve_local(agent: AgentSpec | AgentStack, a: np.ndarray) -> np.ndarray:
     ``a`` of shape (N,), its agents' coordinates laid end to end; the
     result is a fresh array of the shape of ``a``.  A single agent whose
     Q was declared diagonal takes the closed form; everything else runs
-    projected gradient.  Raises ValidationError when a dense Q is not
-    positive definite, and RuntimeError naming every agent whose first
-    step leaves a non-finite residual (a non-finite pressure), or that
-    fails to reach ``FIXED_POINT_TOL`` within ``MAX_INNER_ITERS`` steps.
+    projected gradient.  Raises ValidationError when ``a`` is not a
+    numeric vector of that shape or a dense Q is not positive definite,
+    and RuntimeError naming every agent whose first step leaves a
+    non-finite residual (a non-finite pressure), or that fails to reach
+    ``FIXED_POINT_TOL`` within ``MAX_INNER_ITERS`` steps.
     """
-    a = np.asarray(a, dtype=float)
-    if isinstance(agent, AgentStack):
-        if a.shape != agent.cols.shape:
-            raise ValueError(f"a has shape {a.shape}, expected {agent.cols.shape}")
+    stack = isinstance(agent, AgentStack)
+    a = _vector(a, "a", len(agent.cols) if stack else agent.dim)
+    if stack:
         return _solve_pgd(agent, a)
-    if a.shape != (agent.dim,):
-        raise ValueError(f"a has shape {a.shape}, expected ({agent.dim},)")
     if agent.is_diagonal:
         return np.clip(-(agent.c + a) / agent.diag, agent.lo, agent.hi)
     return _solve_pgd(agent.stack, a)
@@ -86,7 +84,8 @@ def _solve_pgd(st: AgentStack, a: np.ndarray) -> np.ndarray:
     """Accelerated projected gradient with adaptive restart, in lock step."""
     groups, agent_of, lo, hi = st.groups, st.agent_of, st.lo, st.hi
     L = st.L  # checks every Q first
-    Y, P, S, *X = st.work("y", "product", "step", "x0", "x1")
+    Y, P, S, D, E, *X = st.work(7)
+    R, U = st.work(2, per_agent=True)
     b = st.c + a
     # warm start from the clipped unconstrained minimizer
     np.negative(b, out=Y.flat)
@@ -114,7 +113,6 @@ def _solve_pgd(st: AgentStack, a: np.ndarray) -> np.ndarray:
                 return x_new.copy()
             np.copyto(out, x_new, where=~fixed[agent_of])
             return out
-        (R,) = st.work("resid", per_agent=True)
         for row, col, rr in zip(S.rows, S.cols, R.outs):
             np.matmul(row, col, out=rr)
         resid = np.sqrt(R.flat)
@@ -135,7 +133,6 @@ def _solve_pgd(st: AgentStack, a: np.ndarray) -> np.ndarray:
             t = np.ones(len(resid))  # each agent's own momentum from here on
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         # momentum points uphill: restart
-        (D, E), (U,) = st.work("y-x_new", "x_new-x"), st.work("uphill", per_agent=True)
         np.subtract(y, x_new, out=D.flat)
         np.subtract(x_new, x, out=E.flat)
         for row, col, uphill in zip(D.rows, E.cols, U.outs):

@@ -31,9 +31,12 @@ def random_instance(n_agents: int = 5, *, seed: int = 0,
     to ``MAX_IN`` in-neighbors.  ``diagonal`` switches the local costs
     between diagonal and dense symmetric positive definite.  Boxes are
     [-BOX, BOX]; feasibility is guaranteed by construction.  A non-integer
-    ``n_agents`` or ``seed``, or fewer than one agent, raises ValidationError.
+    ``n_agents`` or ``seed``, a negative seed, or fewer than one agent,
+    raises ValidationError.
     """
     seed = _int(seed, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if _int(n_agents, "n_agents") < 1:
         raise ValidationError("need at least one agent")
     for attempt in range(100):

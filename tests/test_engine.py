@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import CASES, mesh_grid, mixed_twin, solve_pgd_reference
 from dualdec import (ValidationError, build_network, build_opf_instance, build_stepsizes,
                      check_lyapunov_step, check_quadratic_model, engine, eval_dual, load_case,
-                     load_instance, random_instance, run_alg1, run_alg2, run_batch,
-                     run_unaccelerated, solve_kkt, solve_local, theta_next)
-from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan, _stop_threshold
+                     load_instance, primal_cost, random_instance, run_alg1, run_alg2,
+                     run_batch, run_unaccelerated, solve_kkt, solve_local, theta_next)
+from dualdec.engine import TRACE_HEADER, _local_argmin, _matvec, _plan
 from dualdec.model import AgentSpec, AgentStack, ProblemInstance
 from dualdec.netsim import activation_matrix
 from dualdec.stepsize import StepsizeTable
@@ -447,6 +447,43 @@ def test_eval_dual_at_its_own_u_is_the_same_bits(name):
             eval_dual(inst, lam, u=bad)
 
 
+NOT_NUMERIC = {"text": lambda n: ["0.5"] * n, "bool": lambda n: [True] * n,
+               "complex": lambda n: np.full(n, 1.0 + 1.0j), "null": lambda n: [None] * n}
+VECTOR_ARGS = {  # name, call, size
+    "eval_dual-lam": ("lam", lambda x: eval_dual(DENSE10, x), DENSE10.m_total),
+    "eval_dual-u": ("u", lambda x: eval_dual(DENSE10, np.zeros(DENSE10.m_total), u=x),
+                    DENSE10.n_total),
+    "primal_cost-u": ("u", lambda x: primal_cost(DENSE10, x), DENSE10.n_total),
+    "solve_local-agent": ("a", lambda x: solve_local(CHAIN.agents[0], x), CHAIN.agents[0].dim),
+    "solve_local-stack": ("a", lambda x: solve_local(DENSE10.dense_stack, x),
+                          len(DENSE10.dense_stack.cols)),
+    "quadratic_model-xi": ("xi", lambda x: check_quadratic_model(CHAIN, CHAIN_TAB, x,
+                                                                 np.zeros(3)), 3),
+    "quadratic_model-mu": ("mu", lambda x: check_quadratic_model(CHAIN, CHAIN_TAB,
+                                                                 np.zeros(3), x), 3),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_NUMERIC)
+@pytest.mark.parametrize("arg", VECTOR_ARGS)
+def test_vector_arguments_must_be_numeric(arg, kind):
+    # text and bools used to be read as numbers, and a complex vector lost
+    # its imaginary part with only a ComplexWarning
+    name, call, size = VECTOR_ARGS[arg]
+    with pytest.raises(ValidationError, match=f"^{name}: not numeric$"):
+        call(NOT_NUMERIC[kind](size))
+    with pytest.raises(ValidationError, match=rf"^{name} has shape \({size + 1},\)"):
+        call(np.zeros(size + 1))
+
+
+def test_vector_arguments_take_integers_and_keep_float64_uncopied():
+    m = DENSE10.m_total
+    assert eval_dual(DENSE10, [0] * m).q == eval_dual(DENSE10, np.zeros(m)).q
+    lam = np.ones(m)
+    u = eval_dual(DENSE10, lam).u
+    assert eval_dual(DENSE10, lam, u=u).u is u
+
+
 KERNEL_CASES = {"chain3": CHAIN, "rand5": random_instance(5, seed=0), "ieee14": IEEE14,
                 "dense10": DENSE10}
 
@@ -795,26 +832,6 @@ def test_stop_test_is_nan_safe():
     assert np.isfinite(tr.lam).all() and tr.updates.shape == (1, 3)
 
 
-STOP_EPS = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e-4, 0.3, 1e200]
-
-
-@pytest.mark.parametrize("eps", STOP_EPS)
-def test_stop_threshold_is_exact(eps):
-    # the kernel tests x < T in place of sqrt(x) < eps; they must agree at
-    # T itself, at its neighbours and at the square of eps
-    T = _stop_threshold(eps)
-    near = [T, math.nextafter(T, 0.0), math.nextafter(T, math.inf), eps * eps, 0.0]
-    for x in near + [math.nextafter(x, d) for x in near for d in (0.0, math.inf)]:
-        assert (math.sqrt(x) < eps) == (x < T), x
-    assert T == 0.0 or math.sqrt(math.nextafter(T, 0.0)) < eps <= math.sqrt(T)
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.floats(0.0, allow_infinity=True), st.sampled_from(STOP_EPS) | st.floats(0.0, 1e300))
-def test_stop_threshold_matches_sqrt(x, eps):
-    assert (math.sqrt(x) < eps) == (x < _stop_threshold(eps))
-
-
 UNCOUPLED = ProblemInstance(agents=tuple(
     AgentSpec(id=i, dim=1, Q=np.empty(0), diag=[1.0], c=[1.0], lo=[-1.0], hi=[1.0], m=0, g=[],
               blocks={}) for i in (1, 2)))
@@ -897,6 +914,20 @@ def test_quadratic_model_holds_with_safe_steps():
     for _ in range(200):
         xi, mu = rng.normal(size=3) * 3, rng.normal(size=3) * 3
         assert check_quadratic_model(CHAIN, CHAIN_TAB, xi, mu)
+
+
+@pytest.mark.parametrize("table, what", [
+    (build_stepsizes(random_instance(6, seed=1)), "another instance's"),
+    (StepsizeTable(sigma={}, out_norm={}, L={}, eta={i: CHAIN_TAB.eta[i] for i in (1, 2)}),
+     "an agent short"),
+], ids=["six-agent-table", "missing-id"])
+def test_quadratic_model_checks_its_step_table(table, what):
+    # a six-agent table used to certify a five-agent instance with its own
+    # steps, and a table without agent 3 raised a bare KeyError
+    inst = CHAIN if what == "an agent short" else RAND5
+    xi = np.zeros(inst.m_total)
+    with pytest.raises(ValidationError, match="step table's agent ids are not the instance's"):
+        check_quadratic_model(inst, table, xi, xi)
 
 
 def test_quadratic_model_detects_oversized_steps():

@@ -294,6 +294,13 @@ def test_random_instance_needs_an_agent():
         random_instance(0)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_random_instance_rejects_a_negative_seed(seed):
+    # numpy's generator used to raise its own bare ValueError here
+    with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+        random_instance(3, seed=seed)
+
+
 def test_random_instance_takes_numpy_integers():
     got = random_instance(np.int64(3), seed=np.int64(2))
     assert instance_to_dict(got) == instance_to_dict(random_instance(3, seed=2))

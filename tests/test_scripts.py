@@ -201,6 +201,14 @@ def test_bench_describe_names_the_changed_files(tmp_path):
     edited = describe(tmp_path)
     assert edited["commit"] == clean["commit"]
     assert (edited["dirty"], edited["changed"]) == (True, ["b.md", "c.md"])
+    # the package's line count, whether or not its files are tracked
+    assert clean["src_lines"] is None
+    pkg = tmp_path / "src" / "dualdec"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.md").write_text("not counted\n")
+    assert describe(tmp_path)["src_lines"] == 4
 
 
 def test_bench_summary_verdicts():

@@ -437,3 +437,33 @@ def test_stacked_primal_cost_is_per_agent_sum(mixed):
         u = rng.normal(size=inst.n_total) * 10.0 ** rng.integers(-3, 4)
         want = sum(a.cost(u[inst.u_slice(a.id)]) for a in inst.agents)
         assert primal_cost(inst, u) == want
+
+
+def test_work_buffers_are_one_pool_per_length():
+    st = random_instance(10, seed=0, diagonal=False).dense_stack
+    pool, agents = st.work(7), st.work(2, per_agent=True)
+    assert len({id(w.flat) for w in pool + agents}) == 9
+    assert [len(w.flat) for w in pool] == [len(st.cols)] * 7
+    assert [len(w.flat) for w in agents] == [len(st.agents)] * 2
+    # the same objects on every call, and a shorter call takes a prefix
+    assert all(w is v for w, v in zip(st.work(7), pool, strict=True))
+    assert all(w is v for w, v in zip(st.work(2), pool[:2], strict=True))
+    assert all(w is v for w, v in zip(st.work(1, per_agent=True), agents[:1], strict=True))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["dense10", "mixed10"])
+def test_shared_work_buffers_leave_no_trace_between_calls(mixed):
+    # the solver and primal_cost share the stack's pool: a solve after a
+    # cost evaluation gives the bits of a fresh instance's solve
+    def build():
+        inst = random_instance(10, seed=0, diagonal=False)
+        return mixed_twin(inst) if mixed else inst
+    used, fresh = build(), build()
+    rng = np.random.default_rng(12)
+    lam1, lam2 = (rng.normal(size=used.m_total) * 10.0 for _ in range(2))
+    first = eval_dual(used, lam1)
+    cost = primal_cost(used, rng.normal(size=used.n_total) * 10.0)
+    again, alone = eval_dual(used, lam2), eval_dual(fresh, lam2)
+    assert again.u.tobytes() == alone.u.tobytes() and again.q == alone.q
+    assert eval_dual(used, lam1).u.tobytes() == first.u.tobytes()
+    assert primal_cost(fresh, first.u) == primal_cost(used, first.u) and np.isfinite(cost)
